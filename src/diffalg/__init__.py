@@ -17,6 +17,7 @@ from .algebra import (
 from .errors import ReductionLimitError, StructuralError
 from .normal import (
     DEFAULT_MAX_STEPS,
+    NormalForm,
     SolvedForm,
     SolvedSystem,
     autoreduce,
@@ -33,6 +34,7 @@ from .passivity import (
     PassivityReport,
     check_pair,
     coincident_lead_analysis,
+    decide_passivity,
     is_passive,
     quotient_census,
 )
@@ -62,6 +64,7 @@ __all__ = [
     "MembershipInstance",
     "ModuleVector",
     "Monomial",
+    "NormalForm",
     "PassivityReport",
     "Ranking",
     "ReductionLimitError",
@@ -74,6 +77,7 @@ __all__ = [
     "check_conditionally_solvable",
     "check_pair",
     "coincident_lead_analysis",
+    "decide_passivity",
     "divide_by_normalized",
     "find_principal",
     "is_passive",

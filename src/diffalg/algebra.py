@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import multiindex as mi
 from .errors import StructuralError
@@ -92,6 +92,12 @@ class Context:
             return self.x(v.j)
         return self.u(v.i, v.order)
 
+    def derivs(self, order_bound: int) -> Iterator[Deriv]:
+        """Every u^i_alpha with |alpha| <= order_bound, unknown by unknown."""
+        for i in range(1, self.m + 1):
+            for a in mi.iter_up_to_order(self.n, order_bound):
+                yield Deriv(i, a)
+
 
 class Monomial:
     """A power product of variables, stored as a sorted tuple of
@@ -132,9 +138,6 @@ class Monomial:
             if w == v:
                 return e
         return 0
-
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v, _ in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         merged = dict(self.exps)

@@ -27,6 +27,7 @@ from .passivity import (
     EXIT_FOR_VERDICT,
     PASSIVE,
     coincident_lead_analysis,
+    decide_passivity,
     is_passive,
     quotient_census,
 )
@@ -56,18 +57,20 @@ def _build_system(problem: Problem):
     return report.system, report
 
 
+def _emit_coincidence(coincidence, pretty: bool) -> int:
+    """Report coincident leads that do not merge; the verdict sets the exit code."""
+    payload = {"verdict": coincidence.verdict, "coincident_leads": coincidence.to_json()}
+    _emit(payload, [f"verdict: {coincidence.verdict} (coincident leads)"], pretty)
+    return EXIT_FOR_VERDICT[coincidence.verdict]
+
+
 def cmd_check(args) -> int:
     problem = load_problem(args.file, args.ranking)
     order_bound = args.order if args.order is not None else problem.bounds.order_bound
     max_steps = args.max_steps if args.max_steps is not None else problem.bounds.max_steps
     system, coincidence = _build_system(problem)
     if system is None:
-        payload = {
-            "verdict": coincidence.verdict,
-            "coincident_leads": coincidence.to_json(),
-        }
-        _emit(payload, [f"verdict: {coincidence.verdict} (coincident leads)"], args.pretty)
-        return EXIT_FOR_VERDICT[coincidence.verdict]
+        return _emit_coincidence(coincidence, args.pretty)
     report = is_passive(system, order_bound, max_steps)
     payload = report.to_json()
     if coincidence.relations:
@@ -132,10 +135,8 @@ def cmd_quotient(args) -> int:
     max_steps = args.max_steps if args.max_steps is not None else problem.bounds.max_steps
     system, coincidence = _build_system(problem)
     if system is None:
-        raise StructuralError(
-            f"system has coincident leads that do not merge (verdict {coincidence.verdict})"
-        )
-    report = is_passive(system, order_bound, max_steps)
+        return _emit_coincidence(coincidence, args.pretty)
+    report = decide_passivity(system, max_steps)
     if report.verdict != PASSIVE:
         payload = {"error": "census requires a passive system", "verdict": report.verdict}
         _emit(payload, [f"not passive: verdict {report.verdict}"], args.pretty)

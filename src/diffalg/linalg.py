@@ -7,7 +7,7 @@ rational pivoting; there is no tolerance anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Hashable, Optional, Sequence
 
 Row = dict[int, Fraction]
 
@@ -36,26 +36,17 @@ def _eliminate(rows: list[Row], rhs: Optional[list[Fraction]], ncols: int):
         row = {c: x * inv for c, x in row.items()}
         val = val * inv
         # clear this column from earlier pivot rows and the remaining work
-        for t, prow in enumerate(pivot_rows):
-            f = prow.get(col)
-            if f:
-                for c, x in row.items():
-                    nxt = prow.get(c, Fraction(0)) - f * x
-                    if nxt:
-                        prow[c] = nxt
-                    else:
-                        prow.pop(c, None)
-                pivot_rhs[t] -= f * val
-        for t, wrow in enumerate(work):
-            f = wrow.get(col)
-            if f:
-                for c, x in row.items():
-                    nxt = wrow.get(c, Fraction(0)) - f * x
-                    if nxt:
-                        wrow[c] = nxt
-                    else:
-                        wrow.pop(c, None)
-                b[t] -= f * val
+        for others, others_rhs in ((pivot_rows, pivot_rhs), (work, b)):
+            for t, other in enumerate(others):
+                f = other.get(col)
+                if f:
+                    for c, x in row.items():
+                        nxt = other.get(c, Fraction(0)) - f * x
+                        if nxt:
+                            other[c] = nxt
+                        else:
+                            other.pop(c, None)
+                    others_rhs[t] -= f * val
         pivot_rows.append(row)
         pivot_rhs.append(val)
         pivot_cols.append(col)
@@ -75,6 +66,27 @@ def solve(rows: list[Row], rhs: list[Fraction], ncols: int) -> Optional[list[Fra
         # pivot rows are reduced against each other; free columns contribute 0
         x[col] = pivot_rhs[t]
     return x
+
+
+def solve_labeled(
+    columns: Sequence[dict[Hashable, Fraction]], target: dict[Hashable, Fraction]
+) -> Optional[list[Fraction]]:
+    """solve() with columns and right-hand side keyed by row label; rows come
+    in order of first appearance over the columns, then the target."""
+    index: dict[Hashable, int] = {}
+    rows: list[Row] = []
+    rhs: list[Fraction] = []
+    for col, entries in enumerate([*columns, target]):
+        for label, c in entries.items():
+            if label not in index:
+                index[label] = len(rows)
+                rows.append({})
+                rhs.append(Fraction(0))
+            if col < len(columns):
+                rows[index[label]][col] = c
+            else:
+                rhs[index[label]] = c
+    return solve(rows, rhs, len(columns))
 
 
 def nullspace(rows: list[Row], ncols: int) -> list[list[Fraction]]:

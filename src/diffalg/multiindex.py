@@ -7,7 +7,7 @@ raises a to the componentwise join of a and b.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .errors import StructuralError
@@ -72,8 +72,11 @@ def try_subtract(a: Index, b: Index) -> Optional[Index]:
 
 def iter_up_to_order(n: int, bound: int) -> Iterator[Index]:
     """All multi-indices of length n with total order <= bound, graded then
-    lexicographic, ascending."""
+    lexicographic, ascending.  Each index of order t is read off one choice
+    of n - 1 bar positions among t + n - 1 slots (stars and bars), and
+    combinations() yields those choices in exactly this order, so the cost is
+    linear in the output."""
     for total in range(bound + 1):
-        for a in product(range(total + 1), repeat=n):
-            if sum(a) == total:
-                yield a
+        for bars in combinations(range(total + n - 1), n - 1):
+            edges = (-1, *bars, total + n - 1)
+            yield tuple(edges[t + 1] - edges[t] - 1 for t in range(n))

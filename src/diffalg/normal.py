@@ -9,15 +9,17 @@ what makes the rewriting terminate.
 reduce() eliminates, greatest first, every derivative variable lying in some
 equation's orbit (the principal derivatives), by substituting the prolonged
 rewrite rule.  The remainder depends only on the x's and the parametric
-derivatives.  divide_by_normalized() is the one-shot variant for normalized
-sets, whose tails mention no lead at all: there the remainder is independent
-of substitution order.
+derivatives, and is the fixpoint of the substitution find_principal() fixes:
+rewrite order changes only the trace.  NormalForm computes that fixpoint with
+memoized normal forms, one engine per system.  divide_by_normalized() is the
+one-shot variant for normalized sets, whose tails mention no lead at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, to_text, var_to_json
@@ -78,12 +80,21 @@ class SolvedSystem:
     def __len__(self):
         return len(self.equations)
 
-    def without(self, idx: int) -> "SolvedSystem":
-        eqs = self.equations[:idx] + self.equations[idx + 1:]
-        return SolvedSystem(eqs, self.ranking)
-
     def leads(self) -> list[Deriv]:
         return [eq.lead for eq in self.equations]
+
+    @cached_property
+    def normal_form(self) -> "NormalForm":
+        """The system's memoized normal-form engine, built on first use."""
+        return NormalForm(self)
+
+
+def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.Index, Deriv]]:
+    """Every (equation index, shift, shifted lead) whose shifted lead has
+    total order at most order_bound; equations in order, shifts graded."""
+    for idx, eq in enumerate(sys.equations):
+        for shift in mi.iter_up_to_order(sys.ctx.n, order_bound - mi.order(eq.lead.order)):
+            yield idx, shift, Deriv(eq.lead.i, mi.add(eq.lead.order, shift))
 
 
 @dataclass
@@ -194,6 +205,85 @@ def reduce(f: DiffPoly, sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -
         trace.append(ReduceStep(idx, shift, v))
 
 
+class NormalForm:
+    """Memoized normal form modulo the orbit of one solved system.
+
+    engine(f) equals reduce(f).remainder: f with every principal v replaced
+    by NF(v) = NF(D^shift rhs), for find_principal's (equation, shift) of v.
+    NF(v) is memoized per principal v, and each prolongation D^shift(rhs) is
+    built as D_k of a cached predecessor.  max_steps bounds the substitutions
+    of one call, memo fills included.
+    """
+
+    def __init__(self, sys: SolvedSystem):
+        self.sys = sys
+        self.solvability = check_conditionally_solvable(sys)
+        self._rule: dict[Deriv, Optional[tuple[int, mi.Index]]] = {}
+        self._nf: dict[Deriv, DiffPoly] = {}
+        zero = mi.zero(sys.ctx.n)
+        self._prolonged = {(idx, zero): eq.rhs() for idx, eq in enumerate(sys.equations)}
+
+    def _principal(self, f: DiffPoly) -> list[Deriv]:
+        """The principal derivatives in f's support."""
+        derivs = f.support_derivs()
+        for v in derivs - self._rule.keys():
+            self._rule[v] = find_principal(self.sys, v)
+        return [v for v in derivs if self._rule[v] is not None]
+
+    def prolongation(self, idx: int, shift: mi.Index) -> DiffPoly:
+        """D^shift of equation idx's rewrite image -tail."""
+        step = mi.zero(len(shift))
+        poly = self._prolonged[(idx, step)]
+        for k, reps in enumerate(shift):
+            for _ in range(reps):
+                step = step[:k] + (step[k] + 1,) + step[k + 1:]
+                if (idx, step) not in self._prolonged:
+                    self._prolonged[(idx, step)] = poly.total_derivative(k + 1)
+                poly = self._prolonged[(idx, step)]
+        return poly
+
+    def __call__(self, f: DiffPoly, max_steps: int = DEFAULT_MAX_STEPS) -> DiffPoly:
+        if not self.solvability.ok:
+            raise StructuralError(
+                f"system is not conditionally solvable: {self.solvability.violations}"
+            )
+        if f.ctx != self.sys.ctx:
+            raise StructuralError("polynomial ambient differs from system ambient")
+        steps = 0
+
+        def charge(g: DiffPoly) -> list[Deriv]:
+            nonlocal steps
+            hits = self._principal(g)
+            steps += len(hits)
+            if steps > max_steps:
+                raise ReductionLimitError(max_steps, to_text(g))
+            return hits
+
+        # Explicit stack: a derivative's first visit charges its image's
+        # substitutions and pushes the normal forms still missing, its second
+        # fills its own.  A rewrite cycle (no ranking has one) recharges until
+        # the budget runs out.
+        top = charge(f)
+        stack: list[tuple[Deriv, Optional[list[Deriv]]]] = [(v, None) for v in top]
+        while stack:
+            v, hits = stack.pop()
+            if v in self._nf:
+                continue
+            image = self.prolongation(*self._rule[v])
+            if hits is None:
+                hits = charge(image)
+                stack.append((v, hits))
+                stack.extend((w, None) for w in hits if w not in self._nf)
+            else:
+                self._nf[v] = self._substitute(image, hits)
+        return self._substitute(f, top)
+
+    def _substitute(self, g: DiffPoly, hits: list[Deriv]) -> DiffPoly:
+        for v in hits:
+            g = g.substitute(v, self._nf[v])
+        return g
+
+
 def autoreduce(sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> SolvedSystem:
     """Reduce every tail against the other equations' orbits.
 
@@ -205,8 +295,7 @@ def autoreduce(sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> SolvedS
         others = SolvedSystem(tuple(eqs[:s] + eqs[s + 1:]), sys.ranking)
         if not len(others):
             continue
-        reduced = reduce(eqs[s].tail, others, max_steps).remainder
-        eqs[s] = SolvedForm(eqs[s].lead, reduced)
+        eqs[s] = SolvedForm(eqs[s].lead, others.normal_form(eqs[s].tail, max_steps))
     return SolvedSystem(tuple(eqs), sys.ranking)
 
 
@@ -255,35 +344,34 @@ class SliceResult:
 def normalized_slice(
     sys: SolvedSystem, order_bound: int, max_steps: int = DEFAULT_MAX_STEPS
 ) -> SliceResult:
-    """Prolong every equation through the order bound and normalize each
-    prolongation's tail by full reduction.  Orbit derivatives reachable from
-    two equations must agree on the normalized tail; disagreements are
-    reported as mismatches (they cannot occur for passive systems)."""
-    ctx = sys.ctx
-    by_lead: dict[Deriv, tuple[DiffPoly, int, mi.Index]] = {}
+    """Normalized presentation within the order bound; defined for passive
+    systems, where every way of reaching an orbit derivative gives one tail.
+
+    The orbit is walked in graded order.  A lead's tail is NF(tail), and a
+    shifted lead v gets NF(D_k T(v - e_k)) from each one-step predecessor in
+    the orbit.  Every candidate must agree with the first; disagreements are
+    recorded as mismatches (the local coherence check of Riquier/Janet).
+    """
+    nf = sys.normal_form
+    n = sys.ctx.n
+    lead_eq = {eq.lead: idx for idx, eq in enumerate(sys.equations)}
+    orbit = {v for _, _, v in iter_orbit(sys, order_bound)}
+    tails: dict[Deriv, DiffPoly] = {}
     mismatches: list[dict] = []
-    for idx, eq in enumerate(sys.equations):
-        room = order_bound - mi.order(eq.lead.order)
-        if room < 0:
-            continue
-        for shift in mi.iter_up_to_order(ctx.n, room):
-            v = Deriv(eq.lead.i, mi.add(eq.lead.order, shift))
-            tail = eq.tail.total_derivative_multi(shift)
-            r = reduce(tail, sys, max_steps).remainder
-            if v in by_lead:
-                prev = by_lead[v][0]
-                if prev != r:
-                    mismatches.append(
-                        {
-                            "lead": var_to_json(v),
-                            "first": {"eq": by_lead[v][1], "shift": list(by_lead[v][2])},
-                            "second": {"eq": idx, "shift": list(shift)},
-                        }
-                    )
-            else:
-                by_lead[v] = (r, idx, shift)
-    forms = [
-        SolvedForm(v, data[0])
-        for v, data in sorted(by_lead.items(), key=lambda kv: (kv[0].i, kv[0].order))
-    ]
+    for v in sorted(orbit, key=lambda v: (mi.order(v.order), v.i, v.order)):
+        candidates = []
+        if v in lead_eq:
+            tail = sys.equations[lead_eq[v]].tail
+            candidates.append(({"eq": lead_eq[v]}, nf(tail, max_steps)))
+        for k in range(1, n + 1):
+            below = mi.try_subtract(mi.unit(n, k), v.order)
+            prev = Deriv(v.i, below) if below is not None else None
+            if prev in orbit:
+                derived = nf(tails[prev].total_derivative(k), max_steps)
+                candidates.append(({"from": var_to_json(prev), "direction": k}, derived))
+        (first_source, tails[v]), *rest = candidates
+        for source, tail in rest:
+            if tail != tails[v]:
+                mismatches.append({"lead": var_to_json(v), "first": first_source, "second": source})
+    forms = [SolvedForm(v, tails[v]) for v in sorted(tails, key=lambda v: (v.i, v.order))]
     return SliceResult(forms, mismatches)

@@ -28,21 +28,16 @@ from .algebra import (
     var_key,
 )
 from .errors import StructuralError
-from .normal import SolvedSystem
+from .normal import SolvedSystem, iter_orbit
 
 
 def prolong(sys: SolvedSystem, order_bound: int) -> list[DiffPoly]:
     """All derivative images of the equations whose shifted lead stays within
     the order bound, as explicit polynomials."""
-    out = []
-    for eq in sys.equations:
-        room = order_bound - mi.order(eq.lead.order)
-        if room < 0:
-            continue
-        poly = eq.poly()
-        for shift in mi.iter_up_to_order(sys.ctx.n, room):
-            out.append(poly.total_derivative_multi(shift))
-    return out
+    return [
+        sys.equations[idx].poly().total_derivative_multi(shift)
+        for idx, shift, _ in iter_orbit(sys, order_bound)
+    ]
 
 
 def prolong_within_class(sys: SolvedSystem, class_bound, order_bound: int) -> list[DiffPoly]:
@@ -52,18 +47,11 @@ def prolong_within_class(sys: SolvedSystem, class_bound, order_bound: int) -> li
     whether a polynomial of a given class is reachable from orbit elements
     that do not exceed that class.
     """
-    rk = sys.ranking
-    out = []
-    for eq in sys.equations:
-        room = order_bound - mi.order(eq.lead.order)
-        if room < 0:
-            continue
-        poly = eq.poly()
-        for shift in mi.iter_up_to_order(sys.ctx.n, room):
-            shifted = Deriv(eq.lead.i, mi.add(eq.lead.order, shift))
-            if rk.key(shifted) <= class_bound:
-                out.append(poly.total_derivative_multi(shift))
-    return out
+    return [
+        sys.equations[idx].poly().total_derivative_multi(shift)
+        for idx, shift, shifted in iter_orbit(sys, order_bound)
+        if sys.ranking.key(shifted) <= class_bound
+    ]
 
 
 def variables_within_class(ctx: Context, rk, class_bound, order_bound: int) -> list[Variable]:
@@ -71,11 +59,7 @@ def variables_within_class(ctx: Context, rk, class_bound, order_bound: int) -> l
     variable plus every derivative of class at most class_bound, up to the
     order bound."""
     pool: list[Variable] = [Indep(j) for j in range(1, ctx.n + 1)]
-    for i in range(1, ctx.m + 1):
-        for a in mi.iter_up_to_order(ctx.n, order_bound):
-            v = Deriv(i, a)
-            if rk.key(v) <= class_bound:
-                pool.append(v)
+    pool += [v for v in ctx.derivs(order_bound) if rk.key(v) <= class_bound]
     return sorted(pool, key=var_key)
 
 
@@ -147,30 +131,8 @@ def membership(inst: MembershipInstance) -> Optional[Certificate]:
     pool = list(inst.pool) if inst.pool is not None else _default_pool(inst)
     basis = _monomials_over(pool, inst.cofactor_degree)
 
-    columns: list[DiffPoly] = []
-    for g in inst.generators:
-        for mono in basis:
-            columns.append(DiffPoly.monomial(ctx, mono) * g)
-
-    row_index: dict[Monomial, int] = {}
-
-    def row_of(mono: Monomial) -> int:
-        if mono not in row_index:
-            row_index[mono] = len(row_index)
-        return row_index[mono]
-
-    by_row: dict[int, linalg.Row] = {}
-    for col, poly in enumerate(columns):
-        for mono, c in poly.terms.items():
-            by_row.setdefault(row_of(mono), {})[col] = c
-    rhs_map: dict[int, Fraction] = {}
-    for mono, c in inst.target.terms.items():
-        rhs_map[row_of(mono)] = c
-
-    nrows = len(row_index)
-    rows = [by_row.get(r, {}) for r in range(nrows)]
-    rhs = [rhs_map.get(r, Fraction(0)) for r in range(nrows)]
-    solution = linalg.solve(rows, rhs, len(columns))
+    columns = [(DiffPoly.monomial(ctx, mono) * g).terms for g in inst.generators for mono in basis]
+    solution = linalg.solve_labeled(columns, inst.target.terms)
     if solution is None:
         return None
 

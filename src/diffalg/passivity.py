@@ -32,13 +32,12 @@ from .normal import (
     SolvedForm,
     SolvedSystem,
     autoreduce,
-    check_conditionally_solvable,
     find_principal,
+    iter_orbit,
     normalized_slice,
-    reduce,
 )
 from .ranking import ClassKey, Ranking
-from .syzygy import TauPair, operator_apply, tau_generators
+from .syzygy import TauPair, tau_generators
 
 SATISFIED = "satisfied"
 OBSTRUCTED = "obstructed"
@@ -50,7 +49,21 @@ NOT_PASSIVE = "not-passive"
 DEFAULT_ORDER_BOUND = 6
 DEFAULT_DEGREE_BOUND = 3
 
-EXIT_FOR_VERDICT = {PASSIVE: 0, NOT_PASSIVE: 2, INCONSISTENT: 3}
+EXIT_FOR_VERDICT = {PASSIVE: 0, NOT_PASSIVE: 2, OBSTRUCTED: 2, INCONSISTENT: 3}
+
+
+def _status(remainder: DiffPoly, zero: str) -> str:
+    """zero for a zero remainder, inconsistent for one free of derivatives,
+    obstructed otherwise."""
+    if remainder.is_zero():
+        return zero
+    return OBSTRUCTED if remainder.support_derivs() else INCONSISTENT
+
+
+def _verdict(statuses: set[str], obstructed: str, ok: str) -> str:
+    if INCONSISTENT in statuses:
+        return INCONSISTENT
+    return obstructed if OBSTRUCTED in statuses else ok
 
 
 @dataclass
@@ -80,30 +93,26 @@ def check_pair(
 ) -> CompatibilityResult:
     """Decide one cross-derivative pair by reduction.
 
-    The combination's top derivative (the shifted join of the two leads)
-    cancels identically by construction; what is left is reduced and
-    classified by its remainder.
+    The generator applied to the equations, D^{s_i} eq_i - D^{s_j} eq_j,
+    loses the shifted join of the two leads identically; what is left,
+    D^{s_j} rhs_j - D^{s_i} rhs_i from the engine's cached prolongations, is
+    reduced and classified by its remainder.
     """
-    combination = operator_apply(tau.vector(len(sys.equations)), sys)
+    nf = sys.normal_form
+    combination = nf.prolongation(tau.j, tau.shift_j) - nf.prolongation(tau.i, tau.shift_i)
     lead_i = sys.equations[tau.i].lead
     join = Deriv(lead_i.i, mi.add(lead_i.order, tau.shift_i))
     if join in combination.support_derivs():
         raise StructuralError(
             f"pair ({tau.i}, {tau.j}): top derivative {join} failed to cancel"
         )
-    remainder = reduce(combination, sys, max_steps).remainder
-    if remainder.is_zero():
-        status = SATISFIED
-    elif not remainder.support_derivs():
-        status = INCONSISTENT
-    else:
-        status = OBSTRUCTED
+    remainder = nf(combination, max_steps)
     return CompatibilityResult(
         pair=(tau.i, tau.j),
         tau=tau,
         combination=combination,
         remainder=remainder,
-        status=status,
+        status=_status(remainder, SATISFIED),
         class_bound=sys.ranking.class_of(combination),
     )
 
@@ -128,18 +137,15 @@ class Census:
 def quotient_census(sys: SolvedSystem, order_bound: int) -> Census:
     """Classify every derivative variable up to the order bound as principal
     (in some lead's orbit) or parametric (free in the quotient)."""
-    ctx = sys.ctx
     principal: list[Deriv] = []
     parametric: list[Deriv] = []
     counts: dict[int, int] = {o: 0 for o in range(order_bound + 1)}
-    for i in range(1, ctx.m + 1):
-        for a in mi.iter_up_to_order(ctx.n, order_bound):
-            v = Deriv(i, a)
-            if find_principal(sys, v) is not None:
-                principal.append(v)
-            else:
-                parametric.append(v)
-                counts[mi.order(a)] += 1
+    for v in sys.ctx.derivs(order_bound):
+        if find_principal(sys, v) is not None:
+            principal.append(v)
+        else:
+            parametric.append(v)
+            counts[mi.order(v.order)] += 1
     principal.sort(key=lambda v: (v.i, v.order))
     parametric.sort(key=lambda v: (v.i, v.order))
     return Census(order_bound, principal, parametric, counts)
@@ -174,11 +180,7 @@ class NormalizedSliceSummary:
 def _certify_slice(sys: SolvedSystem, order_bound: int, max_steps: int) -> NormalizedSliceSummary:
     slice_result: SliceResult = normalized_slice(sys, order_bound, max_steps)
     slice_leads = {f.lead for f in slice_result.forms}
-    orbit: set[Deriv] = set()
-    for eq in sys.equations:
-        room = order_bound - mi.order(eq.lead.order)
-        for shift in mi.iter_up_to_order(sys.ctx.n, max(room, -1)):
-            orbit.add(Deriv(eq.lead.i, mi.add(eq.lead.order, shift)))
+    orbit = {v for _, _, v in iter_orbit(sys, order_bound)}
     tails_reduced = all(
         find_principal(sys, v) is None
         for f in slice_result.forms
@@ -217,6 +219,22 @@ class PassivityReport:
         }
 
 
+def decide_passivity(sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> PassivityReport:
+    """The passivity verdict: solvability, theta and every pair decided.
+
+    theta is the least class among the equations' leads: shifting only
+    raises class, so the orbit minimum is attained on the equations
+    themselves.
+    """
+    solvability = sys.normal_form.solvability
+    theta = min((sys.ranking.key(eq.lead) for eq in sys.equations), default=None)
+    if not solvability.ok:
+        return PassivityReport(NOT_PASSIVE, theta, solvability, [])
+    pairs = [check_pair(sys, tau, max_steps) for tau in tau_generators(sys.leads())]
+    verdict = _verdict({p.status for p in pairs}, NOT_PASSIVE, PASSIVE)
+    return PassivityReport(verdict, theta, solvability, pairs)
+
+
 def is_passive(
     sys: SolvedSystem,
     order_bound: int = DEFAULT_ORDER_BOUND,
@@ -224,28 +242,13 @@ def is_passive(
 ) -> PassivityReport:
     """Full passivity decision.
 
-    Runs the solvability check, generates the pair generators, decides each
-    pair, and on a passive verdict attaches the quotient census and the
+    On a passive verdict the report also gets the quotient census and the
     certified bounded normalized presentation of the autoreduced system.
-    theta is the least class among the equations' leads: shifting only raises
-    class, so the orbit minimum is attained on the equations themselves.
     """
-    solvability = check_conditionally_solvable(sys)
-    theta = min((sys.ranking.key(eq.lead) for eq in sys.equations), default=None)
-    if not solvability.ok:
-        return PassivityReport(NOT_PASSIVE, theta, solvability, [])
-    pairs = [check_pair(sys, tau, max_steps) for tau in tau_generators(sys.leads())]
-    if any(p.status == INCONSISTENT for p in pairs):
-        verdict = INCONSISTENT
-    elif any(p.status == OBSTRUCTED for p in pairs):
-        verdict = NOT_PASSIVE
-    else:
-        verdict = PASSIVE
-    report = PassivityReport(verdict, theta, solvability, pairs)
-    if verdict == PASSIVE:
-        reduced = autoreduce(sys, max_steps)
+    report = decide_passivity(sys, max_steps)
+    if report.verdict == PASSIVE:
         report.census = quotient_census(sys, order_bound)
-        report.normalized = _certify_slice(reduced, order_bound, max_steps)
+        report.normalized = _certify_slice(autoreduce(sys, max_steps), order_bound, max_steps)
     return report
 
 
@@ -309,22 +312,12 @@ def coincident_lead_analysis(
     if not dupes:
         return CoincidenceReport("ok", base)
 
-    reducible = check_conditionally_solvable(base).ok
+    nf = base.normal_form
     relations: list[DerivedRelation] = []
     for first_idx, dup_idx, form in dupes:
         diff = form.tail - raw[first_idx].tail
-        remainder = reduce(diff, base, max_steps).remainder if reducible else diff
-        if remainder.is_zero():
-            status = "merged"
-        elif not remainder.support_derivs():
-            status = INCONSISTENT
-        else:
-            status = OBSTRUCTED
+        remainder = nf(diff, max_steps) if nf.solvability.ok else diff
+        status = _status(remainder, "merged")
         relations.append(DerivedRelation(form.lead, first_idx, dup_idx, remainder, status))
-    if any(r.status == INCONSISTENT for r in relations):
-        verdict = INCONSISTENT
-    elif any(r.status == OBSTRUCTED for r in relations):
-        verdict = OBSTRUCTED
-    else:
-        verdict = "ok"
+    verdict = _verdict({r.status for r in relations}, OBSTRUCTED, "ok")
     return CoincidenceReport(verdict, base if verdict == "ok" else None, relations)

@@ -206,14 +206,6 @@ class AuditReport:
         }
 
 
-def _all_derivs(ctx: Context, order_bound: int) -> list[Deriv]:
-    return [
-        Deriv(i, a)
-        for i in range(1, ctx.m + 1)
-        for a in mi.iter_up_to_order(ctx.n, order_bound)
-    ]
-
-
 def audit_compatibility(
     rk: Ranking,
     sample_budget: int,
@@ -252,7 +244,7 @@ def audit_compatibility(
                 seen.add(key)
                 report.counterexamples.append(Counterexample("a", u, v, k))
 
-    pool = _all_derivs(ctx, exhaustive_order)
+    pool = list(ctx.derivs(exhaustive_order))
     for u in pool:
         for k in range(1, ctx.n + 1):
             check_b(u, k)

@@ -250,25 +250,8 @@ def certify_combination(
             cert_cols.append((t, sigma))
             col_vectors.append(tau.vector(k).monomial_mul(sigma))
 
-        coord_index: dict[tuple[int, mi.Index], int] = {}
-
-        def coord_row(pos: int, shift: mi.Index) -> int:
-            key = (pos, shift)
-            if key not in coord_index:
-                coord_index[key] = len(coord_index)
-            return coord_index[key]
-
-        by_row: dict[int, linalg.Row] = {}
-        for col, vec in enumerate(col_vectors):
-            for pos, shift, c in vec.entries():
-                by_row.setdefault(coord_row(pos, shift), {})[col] = c
-        rhs_map: dict[int, Fraction] = {}
-        for coord, c in fibers[target].items():
-            rhs_map[coord_row(*coord)] = c
-        nrows = len(coord_index)
-        rows = [by_row.get(r, {}) for r in range(nrows)]
-        rhs = [rhs_map.get(r, Fraction(0)) for r in range(nrows)]
-        solution = linalg.solve(rows, rhs, len(cert_cols))
+        columns = [{(pos, shift): c for pos, shift, c in vec.entries()} for vec in col_vectors]
+        solution = linalg.solve_labeled(columns, fibers[target])
         if solution is None:
             return None
         for col, c in enumerate(solution):

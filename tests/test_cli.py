@@ -204,3 +204,44 @@ def test_console_entry_point():
 def test_pretty_mode_runs():
     code, out = run_cli("check", str(PROBLEMS / "heat.json"), "--pretty")
     assert code == 0 and out.startswith("verdict: passive")
+
+
+def test_check_coincident_leads_obstructed(tmp_path):
+    # the tail difference u_(0,1) is parametric: a derived relation, exit 2
+    path = tmp_path / "coincident_obstructed.json"
+    path.write_text(json.dumps({"n": 2, "m": 1, "ranking": "orderly", "equations": [
+        {"lead": ["u", 1, [1, 0]], "tail": [{"c": "-1", "m": [[["u", 1, [0, 1]], 1]]}]},
+        {"lead": ["u", 1, [1, 0]], "tail": []},
+    ]}))
+    code, out, err = run_cli_full("check", str(path))
+    assert code == 2 and err == ""
+    assert json.loads(out)["verdict"] == "obstructed"
+
+
+def test_quotient_coincident_leads_like_check():
+    path = str(PROBLEMS / "coincident_clash.json")
+    assert run_cli_full("quotient", path) == run_cli_full("check", path)
+    code, out, _ = run_cli_full("quotient", path)
+    assert code == 3 and json.loads(out)["verdict"] == "inconsistent"
+
+
+def test_quotient_decides_without_slice(monkeypatch):
+    import diffalg.cli
+    import diffalg.passivity
+
+    def no_slice(*args):
+        raise AssertionError("quotient built a normalized slice")
+
+    census_calls = []
+    census = diffalg.cli.quotient_census
+
+    def counted(*args):
+        census_calls.append(args)
+        return census(*args)
+
+    monkeypatch.setattr(diffalg.passivity, "normalized_slice", no_slice)
+    monkeypatch.setattr(diffalg.passivity, "quotient_census", counted)
+    monkeypatch.setattr(diffalg.cli, "quotient_census", counted)
+    code, out = run_cli("quotient", str(PROBLEMS / "heat.json"), "--order", "2")
+    assert code == 0 and json.loads(out)["parametric_total"] == 5
+    assert len(census_calls) == 1

@@ -79,3 +79,22 @@ def test_iter_up_to_order():
     got = list(mi.iter_up_to_order(2, 2))
     assert got == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     assert len(list(mi.iter_up_to_order(3, 5))) == 56
+
+
+def test_iter_up_to_order_matches_filtered_product():
+    for n in range(1, 6):
+        for bound in range(6):
+            expected = [
+                a
+                for total in range(bound + 1)
+                for a in product(range(total + 1), repeat=n)
+                if sum(a) == total
+            ]
+            assert list(mi.iter_up_to_order(n, bound)) == expected
+
+
+def test_iter_up_to_order_linear_in_output():
+    # 861 indices; the filtered product would visit 3^40 tuples
+    got = list(mi.iter_up_to_order(40, 2))
+    assert len(got) == 1 + 40 + 40 * 41 // 2
+    assert got[-1] == (2,) + (0,) * 39

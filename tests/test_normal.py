@@ -262,3 +262,17 @@ def test_normalized_slice_agrees_with_reduce():
         bound = max(3, res.max_eliminated_order())
         forms = normalized_slice(sys_, bound).forms
         assert divide_by_normalized(f, forms) == res.remainder
+
+
+def test_engine_rewrite_cycle_ends_in_step_budget():
+    # key(u_a) = (-2, -2 - a) falls with a, which no ranking may do: the
+    # prolonged rule u_2 -> -u_2 - x1*u_3 brings u_2 back, so rewriting
+    # never ends and both division paths stop at the budget
+    ctx = Context(1, 1)
+    rk = Ranking.from_weights(ctx, [[-2, 0], [-2, -1]])
+    u2 = DiffPoly.variable(ctx, ctx.u(1, (2,)))
+    sys_ = system(SolvedForm(ctx.u(1, (1,)), X(1, ctx) * u2), rk=rk)
+    with pytest.raises(ReductionLimitError):
+        sys_.normal_form(u2, max_steps=50)
+    with pytest.raises(ReductionLimitError):
+        reduce(u2, sys_, max_steps=50)

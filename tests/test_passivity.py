@@ -1,6 +1,7 @@
 """Pair compatibility checks, verdicts, coincident leads, and the census."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,23 +9,29 @@ from diffalg import (
     Context,
     DiffPoly,
     MembershipInstance,
+    NormalForm,
     Ranking,
+    ReductionLimitError,
     SolvedForm,
     SolvedSystem,
     StructuralError,
     autoreduce,
     check_pair,
     coincident_lead_analysis,
+    decide_passivity,
     divide_by_normalized,
     is_passive,
     membership,
     normalized_slice,
+    operator_apply,
     prolong,
     quotient_census,
     reduce,
     tau_generators,
 )
+from diffalg.normal import iter_orbit
 from diffalg.oracle import prolong_within_class, variables_within_class
+from diffalg.problem import load_problem
 
 import gen
 
@@ -255,3 +262,86 @@ def test_check_pair_requires_solvable():
     taus = tau_generators(sys_.leads())
     with pytest.raises(StructuralError):
         check_pair(sys_, taus[0])
+
+
+# -- the memoized normal-form engine against the reference reduce --------------
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def random_systems(seed, count, passive_only=False):
+    """Seeded random solved systems; with passive_only, only passive draws."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+        rk = Ranking.orderly(ctx) if rng.random() < 0.6 else Ranking.elimination(ctx)
+        sys_ = gen.rand_solved_system(rng, ctx, rk, rng.randint(1, 4))
+        if not passive_only or decide_passivity(sys_).verdict == "passive":
+            out.append((rng, sys_))
+    return out
+
+
+def test_engine_matches_reduce_randomized():
+    verdicts = set()
+    for rng, sys_ in random_systems(71, 60):
+        verdicts.add(decide_passivity(sys_).verdict)
+        for _ in range(3):
+            f = gen.rand_poly(rng, sys_.ctx, terms=3, max_degree=2, max_order=4)
+            expected = reduce(f, sys_).remainder
+            assert sys_.normal_form(f) == expected  # memo warm from earlier calls
+            assert NormalForm(sys_)(f) == expected  # memo cold
+    assert verdicts == {"passive", "not-passive", "inconsistent"}
+
+
+def test_incremental_slice_matches_reduce_randomized():
+    elements = 0
+    for _, sys_ in random_systems(72, 60, passive_only=True):
+        result = normalized_slice(sys_, 4)
+        assert result.coherent
+        tails = {form.lead: form.tail for form in result.forms}
+        for idx, shift, v in iter_orbit(sys_, 4):
+            prolonged = sys_.equations[idx].tail.total_derivative_multi(shift)
+            assert tails[v] == reduce(prolonged, sys_).remainder
+            elements += 1
+    assert elements >= 800
+
+
+def test_engine_step_budget():
+    sys_ = obstructed()
+    with pytest.raises(ReductionLimitError):
+        sys_.normal_form(U(2, 1), max_steps=0)
+    assert sys_.normal_form(U(2, 1)) == reduce(U(2, 1), sys_).remainder
+    # a warm memo still charges the call's own substitutions
+    with pytest.raises(ReductionLimitError):
+        sys_.normal_form(U(2, 1), max_steps=0)
+    assert sys_.normal_form(X(1), max_steps=0) == X(1)
+    with pytest.raises(ReductionLimitError):
+        check_pair(sys_, tau_generators(sys_.leads())[0], max_steps=0)
+
+
+def test_pair_combination_matches_operator_apply():
+    pairs = 0
+    for path in sorted(PROBLEMS.glob("*.json")):
+        problem = load_problem(str(path))
+        sys_ = coincident_lead_analysis(problem.forms, problem.ranking).system
+        if sys_ is None:
+            continue
+        for tau in tau_generators(sys_.leads()):
+            expected = operator_apply(tau.vector(len(sys_)), sys_)
+            assert check_pair(sys_, tau).combination == expected
+            pairs += 1
+    assert pairs >= 5
+
+
+def test_slice_local_coherence_flags_obstruction():
+    # u_(2,1) is reached from u_(1,1) along x1 and from u_(2,0) along x2;
+    # the two tails differ because the pair is obstructed
+    result = normalized_slice(obstructed(), 3)
+    assert not result.coherent
+    assert result.mismatches[0] == {
+        "lead": ["u", 1, [2, 1]],
+        "first": {"from": ["u", 1, [1, 1]], "direction": 1},
+        "second": {"from": ["u", 1, [2, 0]], "direction": 2},
+    }
+    assert normalized_slice(heat(), 3).coherent

@@ -392,10 +392,10 @@ def var_from_json(ctx: Context, data) -> Variable:
     if not isinstance(data, list) or not data or data[0] not in ("x", "u"):
         raise StructuralError(f"bad variable {data!r}; expected ['x', j] or ['u', i, [a...]]")
     if data[0] == "x":
-        if len(data) != 2 or not isinstance(data[1], int):
+        if len(data) != 2 or type(data[1]) is not int:
             raise StructuralError(f"bad independent variable {data!r}")
         return ctx.x(data[1])
-    if len(data) != 3 or not isinstance(data[1], int) or not isinstance(data[2], list):
+    if len(data) != 3 or type(data[1]) is not int or not isinstance(data[2], list):
         raise StructuralError(f"bad derivative variable {data!r}")
     return ctx.u(data[1], data[2])
 
@@ -408,7 +408,7 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 def _frac_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     if isinstance(s, str) and _RATIONAL_RE.match(s):
         return Fraction(s)
@@ -438,7 +438,7 @@ def poly_from_json(ctx: Context, data) -> DiffPoly:
                 raise StructuralError(f"term {t}: bad factor {entry!r}")
             v = var_from_json(ctx, entry[0])
             e = entry[1]
-            if not isinstance(e, int) or e <= 0:
+            if type(e) is not int or e <= 0:
                 raise StructuralError(f"term {t}: exponent must be a positive integer, got {e!r}")
             pairs.append((v, e))
         m = Monomial(pairs)

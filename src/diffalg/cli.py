@@ -211,6 +211,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Counts must not be negative.  argparse's own errors exit 2, which
+        # reads as the verdict obstructed, so these are input errors instead.
+        for dest in ("order", "max_steps", "samples", "exhaustive_order"):
+            value = getattr(args, dest, None)
+            if value is not None and value < 0:
+                flag = "--" + dest.replace("_", "-")
+                raise StructuralError(f"{flag} must be a nonnegative integer, got {value}")
         return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)

@@ -19,7 +19,7 @@ def validate(a: Index, n: int) -> Index:
     a = tuple(a)
     if len(a) != n:
         raise StructuralError(f"multi-index {a} has length {len(a)}, expected {n}")
-    if any(not isinstance(e, int) or e < 0 for e in a):
+    if any(type(e) is not int or e < 0 for e in a):
         raise StructuralError(f"multi-index {a} has a negative or non-integer entry")
     return a
 

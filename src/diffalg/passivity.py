@@ -136,14 +136,14 @@ class Census:
 
 def quotient_census(sys: SolvedSystem, order_bound: int) -> Census:
     """Classify every derivative variable up to the order bound as principal
-    (in some lead's orbit) or parametric (free in the quotient)."""
-    principal: list[Deriv] = []
+    (in some lead's orbit) or parametric (free in the quotient).  Up to the
+    bound, the principal ones are exactly the shifted leads of iter_orbit."""
+    orbit = {v for _, _, v in iter_orbit(sys, order_bound)}
+    principal = list(orbit)
     parametric: list[Deriv] = []
     counts: dict[int, int] = {o: 0 for o in range(order_bound + 1)}
     for v in sys.ctx.derivs(order_bound):
-        if find_principal(sys, v) is not None:
-            principal.append(v)
-        else:
+        if v not in orbit:
             parametric.append(v)
             counts[mi.order(v.order)] += 1
     principal.sort(key=lambda v: (v.i, v.order))

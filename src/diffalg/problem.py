@@ -11,8 +11,13 @@ Schema:
       "bounds": {"order_bound": 6, "degree_bound": 3, "max_steps": 100000}
     }
 
-"bounds" and its fields are optional.  Weight rankings must pass the
-compatibility audit before the file is accepted.
+"bounds" and its fields are optional.  Integer fields reject JSON booleans.
+
+A weight ranking is accepted only when it satisfies both shift axioms, which
+ranking.shift_violation decides exactly: every direction column of the
+weight matrix must be lexicographically positive.  A rule that fails is
+rejected with the same first counterexample the sampled oracle
+(audit_compatibility, the ranking-audit command) reports.
 """
 
 from __future__ import annotations
@@ -25,10 +30,7 @@ from .algebra import Context, Deriv, poly_from_json, poly_to_json, var_from_json
 from .errors import StructuralError
 from .normal import DEFAULT_MAX_STEPS, SolvedForm
 from .passivity import DEFAULT_DEGREE_BOUND, DEFAULT_ORDER_BOUND
-from .ranking import Ranking, audit_compatibility
-
-AUDIT_GATE_SAMPLES = 2000
-AUDIT_GATE_ORDER = 3
+from .ranking import Ranking, shift_violation
 
 
 @dataclass
@@ -50,7 +52,7 @@ def _require(data: dict, key: str, kind, where: str):
     if key not in data:
         raise StructuralError(f"{where}: missing field {key!r}")
     value = data[key]
-    if not isinstance(value, kind):
+    if type(value) is not kind:
         raise StructuralError(
             f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}"
         )
@@ -66,15 +68,12 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
 
     ranking_spec = data.get("ranking", "orderly")
     ranking = Ranking.from_spec(ctx, ranking_spec)
-    if gate_ranking and ranking.kind == "weights":
-        audit = audit_compatibility(
-            ranking, AUDIT_GATE_SAMPLES, exhaustive_order=AUDIT_GATE_ORDER
+    violation = shift_violation(ranking) if gate_ranking else None
+    if violation is not None:
+        raise StructuralError(
+            "weight ranking fails the compatibility audit;"
+            f" first counterexample: {violation.to_json()}"
         )
-        if not audit.ok:
-            bad = audit.counterexamples[0].to_json()
-            raise StructuralError(
-                f"weight ranking fails the compatibility audit; first counterexample: {bad}"
-            )
 
     equations = _require(data, "equations", list, "problem")
     forms: list[SolvedForm] = []
@@ -99,7 +98,7 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
         if key not in ("order_bound", "degree_bound", "max_steps"):
             raise StructuralError(f"problem.bounds: unknown field {key!r}")
         value = raw_bounds[key]
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise StructuralError(f"problem.bounds.{key}: expected nonnegative integer")
         setattr(bounds, key, value)
     return Problem(ctx, ranking, forms, bounds)
@@ -129,7 +128,8 @@ def load_problem(
 ) -> Problem:
     """Parse a problem file.  A ranking override is either one of the
     built-in names or inline JSON for a weight rule.  gate_ranking=False skips
-    the audit gate so the audit command itself can examine a failing rule."""
+    the compatibility gate so the audit command itself can examine a failing
+    rule."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if ranking_override is not None:

@@ -18,9 +18,18 @@ u^i_alpha -> u^i_{alpha+e_k}:
     (a)  u < v  implies  shift_k(u) < shift_k(v)   for every direction k
     (b)  u < shift_k(u)                            for every direction k
 
-audit_compatibility checks both on an exhaustive bounded range plus a sampled
-range and reports every counterexample verbatim.  It never raises: a failed
-audit is a result, not an error.
+For a weight rule W both axioms are decided exactly by
+shift_violation, in O(n * rows).  A shift adds the same column W e_k to the
+key of every variable, and lexicographic order is invariant under
+translation, so (a) always holds; (b) holds exactly when every direction
+column W e_k (k = 1..n) is lexicographically positive.  The built-in
+rankings satisfy both axioms by construction.  shift_violation is the gate
+a problem file passes at load.
+
+audit_compatibility is the independent sampled oracle behind the
+ranking-audit command: it checks both axioms on an exhaustive bounded range
+plus a sampled range and reports every counterexample verbatim.  It never
+raises: a failed audit is a result, not an error.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import NamedTuple, Optional, Union
 
 from . import multiindex as mi
@@ -88,9 +100,10 @@ class Ranking:
                     f"weight row {r} has {len(row)} entries, expected {ctx.n + 1}"
                     " (one for the unknown index, then one per direction)"
                 )
-            if any(isinstance(x, float) for x in row):
+            if any(isinstance(x, (float, bool)) for x in row):
                 raise StructuralError(
-                    f"weight row {r}: floats are not accepted; use integers or 'p/q' strings"
+                    f"weight row {r}: floats and booleans are not accepted;"
+                    " use integers or 'p/q' strings"
                 )
             try:
                 parsed.append(tuple(Fraction(x) for x in row))
@@ -126,8 +139,19 @@ class Ranking:
             return ClassKey((mi.order(v.order), v.i) + v.order)
         if self.kind == "elimination":
             return ClassKey((v.i, mi.order(v.order)) + v.order)
-        vec = (Fraction(v.i),) + tuple(Fraction(a) for a in v.order)
-        return ClassKey(tuple(sum(w * x for w, x in zip(row, vec)) for row in self.weights))
+        vec = (v.i,) + v.order
+        return ClassKey(tuple(Fraction(sum(map(mul, row, vec)), den) for row, den in self._int_rows))
+
+    @cached_property
+    def _int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each weight row as (integer row, common denominator), so a key
+        part is one integer dot product and one Fraction, not a Fraction
+        product and sum per entry."""
+        out = []
+        for row in self.weights:
+            den = lcm(*(w.denominator for w in row))
+            out.append((tuple(int(w * den) for w in row), den))
+        return tuple(out)
 
     def compare(self, u: Deriv, v: Deriv) -> int:
         """-1, 0 or 1.  Zero either means u == v or a coarse-ranking tie."""
@@ -181,6 +205,21 @@ class Counterexample:
             "v": var_to_json(self.v) if self.v is not None else None,
             "direction": self.direction,
         }
+
+
+def shift_violation(rk: Ranking) -> Optional[Counterexample]:
+    """The exact compatibility test: None when both axioms hold, else the
+    axiom-(b) counterexample (u^1_0, shift e_k) for the smallest direction k
+    whose weight column is not lexicographically positive.  That is the
+    first counterexample audit_compatibility reports for the same rule,
+    since its exhaustive pass starts with axiom (b) on u^1_0, k = 1..n."""
+    if rk.kind != "weights":
+        return None
+    for k in range(1, rk.ctx.n + 1):
+        first = next((row[k] for row in rk.weights if row[k]), 0)
+        if first <= 0:
+            return Counterexample("b", Deriv(1, mi.zero(rk.ctx.n)), None, k)
+    return None
 
 
 @dataclass

@@ -245,3 +245,68 @@ def test_quotient_decides_without_slice(monkeypatch):
     code, out = run_cli("quotient", str(PROBLEMS / "heat.json"), "--order", "2")
     assert code == 0 and json.loads(out)["parametric_total"] == 5
     assert len(census_calls) == 1
+
+
+def test_weight_gate_never_runs_the_sampled_audit(monkeypatch):
+    import diffalg.problem
+    import diffalg.ranking
+
+    def no_audit(*args, **kwargs):
+        raise AssertionError("the load-time gate ran the sampled audit")
+
+    for module in (diffalg.ranking, diffalg.problem):
+        monkeypatch.setattr(module, "audit_compatibility", no_audit, raising=False)
+    data = json.loads((PROBLEMS / "weights_heat.json").read_text())
+    assert problem_from_dict(data).ranking.kind == "weights"
+    data["ranking"] = {"weights": [[0, 1, 0], [0, 0, -1]]}
+    with pytest.raises(StructuralError, match="fails the compatibility audit"):
+        problem_from_dict(data)
+
+
+def test_weight_gate_message(tmp_path):
+    data = json.loads((PROBLEMS / "heat.json").read_text())
+    data["ranking"] = {"weights": [[0, 1, 0], [0, 0, -1]]}  # direction 2 falls
+    bad = tmp_path / "gated.json"
+    bad.write_text(json.dumps(data))
+    assert run_cli_full("check", str(bad)) == (1, "", (
+        "input error: weight ranking fails the compatibility audit; first counterexample:"
+        " {'axiom': 'b', 'u': ['u', 1, [0, 0]], 'v': None, 'direction': 2}\n"
+    ))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d.update(n=True), id="n"),
+    pytest.param(lambda d: d.update(m=True), id="m"),
+    pytest.param(lambda d: d["bounds"].update(order_bound=True), id="order_bound"),
+    pytest.param(lambda d: d["bounds"].update(degree_bound=False), id="degree_bound"),
+    pytest.param(lambda d: d["bounds"].update(max_steps=True), id="max_steps"),
+    pytest.param(lambda d: d.update(ranking={"weights": [[0, True, 1], [1, 0, 0], [0, 1, 0]]}),
+                 id="weight"),
+    pytest.param(lambda d: d["equations"][0].update(lead=["u", True, [2, 0]]), id="u_index"),
+    pytest.param(lambda d: d["equations"][0].update(lead=["u", 1, [2, False]]), id="multi_index"),
+    pytest.param(lambda d: d["equations"][0]["tail"][0].update(m=[[["u", 1, [0, 1]], True]]),
+                 id="exponent"),
+    pytest.param(lambda d: d["equations"][0]["tail"][0].update(m=[[["x", True], 1]]), id="x_index"),
+    pytest.param(lambda d: d["equations"][0]["tail"][0].update(c=True), id="coefficient"),
+])
+def test_booleans_are_not_numbers(tmp_path, edit):
+    data = json.loads((PROBLEMS / "heat.json").read_text())
+    edit(data)
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli_full("check", str(bad))
+    assert (code, out) == (1, "") and err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--order", "-1"],
+    ["quotient", "--order", "-2"],
+    ["check", "--max-steps", "-1"],
+    ["reduce", "--max-steps", "-1", "--target", "[]"],
+    ["ranking-audit", "--samples", "-5"],
+    ["ranking-audit", "--exhaustive-order", "-3"],
+])
+def test_negative_counts_exit_1(argv):
+    code, out, err = run_cli_full(argv[0], str(PROBLEMS / "heat.json"), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: ") and "must be a nonnegative integer" in err

@@ -29,7 +29,7 @@ from diffalg import (
     reduce,
     tau_generators,
 )
-from diffalg.normal import iter_orbit
+from diffalg.normal import find_principal, iter_orbit
 from diffalg.oracle import prolong_within_class, variables_within_class
 from diffalg.problem import load_problem
 
@@ -292,6 +292,20 @@ def test_engine_matches_reduce_randomized():
             assert sys_.normal_form(f) == expected  # memo warm from earlier calls
             assert NormalForm(sys_)(f) == expected  # memo cold
     assert verdicts == {"passive", "not-passive", "inconsistent"}
+
+
+def test_census_matches_find_principal_randomized():
+    # the census reads the orbit set; find_principal is the per-variable reference
+    for rng, sys_ in random_systems(73, 60):
+        bound = rng.randint(0, 4)
+        census = quotient_census(sys_, bound)
+        derivs = list(sys_.ctx.derivs(bound))
+        assert census.principal == sorted(
+            (v for v in derivs if find_principal(sys_, v) is not None), key=lambda v: (v.i, v.order)
+        )
+        assert census.parametric == sorted(
+            (v for v in derivs if find_principal(sys_, v) is None), key=lambda v: (v.i, v.order)
+        )
 
 
 def test_incremental_slice_matches_reduce_randomized():

@@ -1,12 +1,14 @@
-"""Ranking comparison rules, class keys, and the compatibility audit."""
+"""Ranking comparison rules, class keys, the exact compatibility test and the
+sampled audit."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from diffalg import BASE, Context, DiffPoly, Ranking, StructuralError, audit_compatibility
 from diffalg.algebra import shift_deriv
-from diffalg.ranking import ClassKey
+from diffalg.ranking import ClassKey, Counterexample, shift_violation
 
 import gen
 
@@ -176,3 +178,76 @@ def test_from_spec():
 def test_sample_budget_validation():
     with pytest.raises(StructuralError):
         audit_compatibility(ORD, 0)
+
+
+def rand_weight_entry(rng):
+    num = rng.randint(-3, 3)
+    if rng.random() < 0.3:
+        return f"{num}/{rng.randint(1, 4)}"
+    return num
+
+
+def rand_weight_rows(rng, n):
+    """Rows of n + 1 entries, with whole zero columns and columns led by a
+    negative entry mixed in, so both verdicts are common."""
+    rows = [[rand_weight_entry(rng) for _ in range(n + 1)] for _ in range(rng.randint(1, n + 2))]
+    for k in range(1, n + 1):
+        shape = rng.random()
+        if shape < 0.15:
+            for row in rows:
+                row[k] = 0
+        elif shape < 0.3:
+            rows[0][k] = str(-(abs(Fraction(rows[0][k])) or 1))
+        elif shape < 0.7:
+            rows[0][k] = str(abs(Fraction(rows[0][k])) or 1)
+    return rows
+
+
+def test_shift_violation_matches_sampled_audit():
+    # the exact load-time test and the sampled oracle take the same decision
+    # and, on a rejected rule, report the same first counterexample
+    rng = random.Random(81)
+    verdicts = {True: 0, False: 0}
+    for _ in range(160):
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+        rk = Ranking.from_weights(ctx, rand_weight_rows(rng, ctx.n))
+        audit = audit_compatibility(rk, 100, exhaustive_order=1, seed=rng.randrange(1000))
+        violation = shift_violation(rk)
+        assert (violation is None) == audit.ok, rk.weights
+        if violation is not None:
+            assert violation == audit.counterexamples[0], rk.weights
+        verdicts[audit.ok] += 1
+    assert min(verdicts.values()) >= 30, verdicts
+
+
+def test_shift_violation_columns():
+    assert shift_violation(ORD) is None and shift_violation(ELIM) is None
+    assert shift_violation(Ranking.from_weights(CTX, [[0, 1, 1], [1, 0, 0], [0, 1, 0]])) is None
+    # column 1 is (1, -9), lexicographically positive; column 2 is zero
+    assert shift_violation(Ranking.from_weights(CTX, [[5, 1, 0], [0, -9, 0]])) == Counterexample(
+        "b", D(1, 0, 0), None, 2
+    )
+    assert shift_violation(Ranking.from_weights(CTX, [[0, 0, 1], [0, "-1/2", 1]])).direction == 1
+
+
+def test_weight_key_parts_are_fractions():
+    rk = Ranking.from_weights(CTX, [["1/2", 1, 0], [0, 0, 1], [0, 1, 0]])
+    key = rk.key(D(2, 3, 1))
+    assert key.parts == (Fraction(4), Fraction(1), Fraction(3))
+    assert all(type(p) is Fraction for p in key.parts)
+    assert key.to_json() == ["4", "1", "3"]
+    # every part is the rational dot product of its row with (i, alpha)
+    rng = random.Random(82)
+    for _ in range(100):
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+        rk = Ranking.from_weights(ctx, rand_weight_rows(rng, ctx.n))
+        v = gen.rand_deriv(rng, ctx, 4)
+        vec = (v.i,) + v.order
+        expected = tuple(sum(w * Fraction(x) for w, x in zip(row, vec)) for row in rk.weights)
+        assert rk.key(v).parts == expected
+        assert all(type(p) is Fraction for p in rk.key(v).parts)
+
+
+def test_weight_rows_reject_booleans():
+    with pytest.raises(StructuralError):
+        Ranking.from_weights(CTX, [[0, True, 0]])

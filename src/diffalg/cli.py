@@ -165,8 +165,23 @@ def cmd_ranking_audit(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1): argparse's own exit code 2
+    would read as the verdict obstructed."""
+
+    def error(self, message):
+        raise StructuralError(message)
+
+
+def count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diffalg",
         description="Exact passivity checks for solved-form differential systems.",
     )
@@ -175,13 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("file", help="problem file (JSON)")
         p.add_argument("--ranking", help="override the file's ranking", default=None)
-        p.add_argument("--max-steps", type=int, default=None, dest="max_steps")
-        p.add_argument("--json", action="store_true", help="JSON output (default)")
+        p.add_argument("--max-steps", type=count, default=None, dest="max_steps")
         p.add_argument("--pretty", action="store_true", help="human-oriented output")
 
     p_check = sub.add_parser("check", help="passivity decision")
     common(p_check)
-    p_check.add_argument("--order", type=int, default=None, help="census order bound")
+    p_check.add_argument("--order", type=count, default=None, help="census order bound")
     p_check.set_defaults(func=cmd_check)
 
     p_reduce = sub.add_parser("reduce", help="divide a polynomial by the system")
@@ -195,29 +209,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_quot = sub.add_parser("quotient", help="principal/parametric census")
     common(p_quot)
-    p_quot.add_argument("--order", type=int, default=None, help="census order bound")
+    p_quot.add_argument("--order", type=count, default=None, help="census order bound")
     p_quot.set_defaults(func=cmd_quotient)
 
     p_audit = sub.add_parser("ranking-audit", help="check the ranking axioms")
     common(p_audit)
-    p_audit.add_argument("--samples", type=int, default=10000)
-    p_audit.add_argument("--exhaustive-order", type=int, default=3, dest="exhaustive_order")
+    p_audit.add_argument("--samples", type=count, default=10000)
+    p_audit.add_argument("--exhaustive-order", type=count, default=3, dest="exhaustive_order")
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.set_defaults(func=cmd_ranking_audit)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        # Counts must not be negative.  argparse's own errors exit 2, which
-        # reads as the verdict obstructed, so these are input errors instead.
-        for dest in ("order", "max_steps", "samples", "exhaustive_order"):
-            value = getattr(args, dest, None)
-            if value is not None and value < 0:
-                flag = "--" + dest.replace("_", "-")
-                raise StructuralError(f"{flag} must be a nonnegative integer, got {value}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)

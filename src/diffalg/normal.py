@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from . import multiindex as mi
-from .algebra import Context, Deriv, DiffPoly, to_text, var_to_json
+from .algebra import Context, Deriv, DiffPoly, poly_to_json, to_text, var_to_json
 from .errors import ReductionLimitError, StructuralError
 from .ranking import Ranking
 
@@ -331,14 +331,32 @@ def divide_by_normalized(
 @dataclass
 class SliceResult:
     """Bounded normalized presentation of a system's orbit ideal: one solved
-    form per orbit derivative within the order bound, tail fully reduced."""
+    form per orbit derivative within the order bound, tail fully reduced;
+    certified when coherent, with leads the orbit and no principal in a tail."""
 
+    order_bound: int
     forms: list[SolvedForm]
     mismatches: list[dict]
+    leads_match_orbit: bool
+    tails_reduced: bool
 
     @property
     def coherent(self) -> bool:
         return not self.mismatches
+
+    @property
+    def certified(self) -> bool:
+        return self.coherent and self.leads_match_orbit and self.tails_reduced
+
+    def to_json(self) -> dict:
+        return {
+            "order_bound": self.order_bound,
+            "certified": self.certified,
+            "coherent": self.coherent,
+            "leads_match_orbit": self.leads_match_orbit,
+            "tails_reduced": self.tails_reduced,
+            "generators": [{"lead": var_to_json(f.lead), "tail": poly_to_json(f.tail)} for f in self.forms],
+        }
 
 
 def normalized_slice(
@@ -374,4 +392,5 @@ def normalized_slice(
             if tail != tails[v]:
                 mismatches.append({"lead": var_to_json(v), "first": first_source, "second": source})
     forms = [SolvedForm(v, tails[v]) for v in sorted(tails, key=lambda v: (v.i, v.order))]
-    return SliceResult(forms, mismatches)
+    tails_reduced = all(find_principal(sys, w) is None for f in forms for w in f.tail.support_derivs())
+    return SliceResult(order_bound, forms, mismatches, tails.keys() == orbit, tails_reduced)

@@ -32,7 +32,6 @@ from .normal import (
     SolvedForm,
     SolvedSystem,
     autoreduce,
-    find_principal,
     iter_orbit,
     normalized_slice,
 )
@@ -152,57 +151,13 @@ def quotient_census(sys: SolvedSystem, order_bound: int) -> Census:
 
 
 @dataclass
-class NormalizedSliceSummary:
-    order_bound: int
-    forms: list[SolvedForm]
-    coherent: bool
-    leads_match_orbit: bool
-    tails_reduced: bool
-
-    @property
-    def certified(self) -> bool:
-        return self.coherent and self.leads_match_orbit and self.tails_reduced
-
-    def to_json(self) -> dict:
-        return {
-            "order_bound": self.order_bound,
-            "certified": self.certified,
-            "coherent": self.coherent,
-            "leads_match_orbit": self.leads_match_orbit,
-            "tails_reduced": self.tails_reduced,
-            "generators": [
-                {"lead": var_to_json(f.lead), "tail": poly_to_json(f.tail)}
-                for f in self.forms
-            ],
-        }
-
-
-def _certify_slice(sys: SolvedSystem, order_bound: int, max_steps: int) -> NormalizedSliceSummary:
-    slice_result: SliceResult = normalized_slice(sys, order_bound, max_steps)
-    slice_leads = {f.lead for f in slice_result.forms}
-    orbit = {v for _, _, v in iter_orbit(sys, order_bound)}
-    tails_reduced = all(
-        find_principal(sys, v) is None
-        for f in slice_result.forms
-        for v in f.tail.support_derivs()
-    )
-    return NormalizedSliceSummary(
-        order_bound=order_bound,
-        forms=slice_result.forms,
-        coherent=slice_result.coherent,
-        leads_match_orbit=slice_leads == orbit,
-        tails_reduced=tails_reduced,
-    )
-
-
-@dataclass
 class PassivityReport:
     verdict: str
     theta: Optional[ClassKey]
     solvability: SolvabilityReport
     pairs: list[CompatibilityResult]
     census: Optional[Census] = None
-    normalized: Optional[NormalizedSliceSummary] = None
+    normalized: Optional[SliceResult] = None
 
     @property
     def exit_code(self) -> int:
@@ -248,7 +203,7 @@ def is_passive(
     report = decide_passivity(sys, max_steps)
     if report.verdict == PASSIVE:
         report.census = quotient_census(sys, order_bound)
-        report.normalized = _certify_slice(autoreduce(sys, max_steps), order_bound, max_steps)
+        report.normalized = normalized_slice(autoreduce(sys, max_steps), order_bound, max_steps)
     return report
 
 

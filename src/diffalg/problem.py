@@ -4,14 +4,15 @@ Schema:
 
     {
       "n": 2, "m": 1,
-      "ranking": "orderly" | "elimination" | {"weights": [[...], ...]},
+      "ranking": <a name in ranking.NAMED_RANKINGS> | {"weights": [[...], ...]},
       "equations": [
         {"lead": ["u", i, [a, ...]], "tail": [ {"c": "p/q", "m": [...]}, ... ]}
       ],
       "bounds": {"order_bound": 6, "degree_bound": 3, "max_steps": 100000}
     }
 
-"bounds" and its fields are optional.  Integer fields reject JSON booleans.
+"ranking", "bounds" and the fields of "bounds" are optional.  Integer fields
+reject JSON booleans, and keys the schema does not name are rejected.
 
 A weight ranking is accepted only when it satisfies both shift axioms, which
 ranking.shift_violation decides exactly: every direction column of the
@@ -30,7 +31,7 @@ from .algebra import Context, Deriv, poly_from_json, poly_to_json, var_from_json
 from .errors import StructuralError
 from .normal import DEFAULT_MAX_STEPS, SolvedForm
 from .passivity import DEFAULT_DEGREE_BOUND, DEFAULT_ORDER_BOUND
-from .ranking import Ranking, shift_violation
+from .ranking import DEFAULT_RANKING, NAMED_RANKINGS, Ranking, shift_violation
 
 
 @dataclass
@@ -59,14 +60,21 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
+def _known_fields(data: dict, allowed: tuple[str, ...], where: str) -> None:
+    for key in data:
+        if key not in allowed:
+            raise StructuralError(f"{where}: unknown field {key!r}")
+
+
 def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
     if not isinstance(data, dict):
         raise StructuralError("problem file must be a JSON object")
+    _known_fields(data, ("n", "m", "ranking", "equations", "bounds"), "problem")
     n = _require(data, "n", int, "problem")
     m = _require(data, "m", int, "problem")
     ctx = Context(n, m)
 
-    ranking_spec = data.get("ranking", "orderly")
+    ranking_spec = data.get("ranking", DEFAULT_RANKING)
     ranking = Ranking.from_spec(ctx, ranking_spec)
     violation = shift_violation(ranking) if gate_ranking else None
     if violation is not None:
@@ -81,10 +89,14 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
         where = f"equations[{idx}]"
         if not isinstance(entry, dict):
             raise StructuralError(f"{where}: expected object")
+        _known_fields(entry, ("lead", "tail"), where)
         lead = var_from_json(ctx, _require(entry, "lead", list, where))
         if not isinstance(lead, Deriv):
             raise StructuralError(f"{where}.lead: must be a derivative variable")
-        tail = poly_from_json(ctx, _require(entry, "tail", list, where))
+        raw_tail = _require(entry, "tail", list, where)
+        tail = poly_from_json(ctx, raw_tail)
+        for t, term in enumerate(raw_tail):
+            _known_fields(term, ("c", "m"), f"{where}.tail[{t}]")
         try:
             forms.append(SolvedForm(lead, tail))
         except StructuralError as exc:
@@ -94,9 +106,8 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
     raw_bounds = data.get("bounds", {})
     if not isinstance(raw_bounds, dict):
         raise StructuralError("problem.bounds: expected object")
+    _known_fields(raw_bounds, ("order_bound", "degree_bound", "max_steps"), "problem.bounds")
     for key in raw_bounds:
-        if key not in ("order_bound", "degree_bound", "max_steps"):
-            raise StructuralError(f"problem.bounds: unknown field {key!r}")
         value = raw_bounds[key]
         if type(value) is not int or value < 0:
             raise StructuralError(f"problem.bounds.{key}: expected nonnegative integer")
@@ -135,7 +146,7 @@ def load_problem(
     if ranking_override is not None:
         if not isinstance(data, dict):
             raise StructuralError("problem file must be a JSON object")
-        if ranking_override in ("orderly", "elimination"):
+        if ranking_override in NAMED_RANKINGS:
             data["ranking"] = ranking_override
         else:
             try:

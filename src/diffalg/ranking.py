@@ -1,16 +1,17 @@
 """Rankings of derivative variables and the shift-compatibility audit.
 
-A ranking is a total preorder on the derivative variables u^i_alpha.  The two
-built-ins are total orders:
+A ranking is a total preorder on the derivative variables u^i_alpha, given by
+a weight matrix W: rows of linear functionals on (i, alpha), applied in
+order, first difference decides (Riquier's weight rules).  The key of
+u^i_alpha is the vector W (i, alpha).  The two built-ins are named weight
+matrices, each followed by one unit row per direction:
 
-    orderly      compare |alpha|, then i, then alpha lexicographically
-    elimination  compare i, then |alpha|, then alpha lexicographically
+    orderly      rows [0,1..1], [1,0..0]: compare |alpha|, then i, then alpha
+    elimination  rows [1,0..0], [0,1..1]: compare i, then |alpha|, then alpha
 
-Custom rankings are weight rules: a sequence of linear functionals on
-(i, alpha), applied in order, first difference decides.  A weight rule with
-too few rows is a legitimate coarse ranking (distinct variables may tie); the
-tie shows up as equal class keys and is flagged wherever a single leading
-derivative is required.
+A weight rule with too few rows is a legitimate coarse ranking (distinct
+variables may tie); the tie shows up as equal class keys and is flagged
+wherever a single leading derivative is required.
 
 Being usable for reduction demands two axioms about the shift action
 u^i_alpha -> u^i_{alpha+e_k}:
@@ -18,13 +19,12 @@ u^i_alpha -> u^i_{alpha+e_k}:
     (a)  u < v  implies  shift_k(u) < shift_k(v)   for every direction k
     (b)  u < shift_k(u)                            for every direction k
 
-For a weight rule W both axioms are decided exactly by
-shift_violation, in O(n * rows).  A shift adds the same column W e_k to the
-key of every variable, and lexicographic order is invariant under
-translation, so (a) always holds; (b) holds exactly when every direction
-column W e_k (k = 1..n) is lexicographically positive.  The built-in
-rankings satisfy both axioms by construction.  shift_violation is the gate
-a problem file passes at load.
+shift_violation decides both axioms exactly, in O(n * rows), for every
+ranking.  A shift adds the same column W e_k to the key of every variable,
+and lexicographic order is invariant under translation, so (a) always holds;
+(b) holds exactly when every direction column W e_k (k = 1..n) is
+lexicographically positive.  shift_violation is the gate a problem file
+passes at load.
 
 audit_compatibility is the independent sampled oracle behind the
 ranking-audit command: it checks both axioms on an exhaustive bounded range
@@ -42,8 +42,9 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional, Union
 
+from . import linalg
 from . import multiindex as mi
-from .algebra import Context, Deriv, DiffPoly, shift_deriv, var_to_json
+from .algebra import Context, Deriv, DiffPoly, Rational, shift_deriv, var_to_json
 from .errors import StructuralError
 
 
@@ -74,22 +75,31 @@ class Lead(NamedTuple):
 
 RankingSpec = Union[str, dict]
 
+# The leading rows of each named ranking over n directions; one unit row per
+# direction follows them.
+NAMED_RANKINGS = {
+    "orderly": lambda n: [[0] + [1] * n, [1] + [0] * n],
+    "elimination": lambda n: [[1] + [0] * n, [0] + [1] * n],
+}
+DEFAULT_RANKING = "orderly"
+
 
 @dataclass(frozen=True)
 class Ranking:
-    """A named comparison rule over derivative variables of one ambient."""
+    """A weight matrix over the derivative variables of one ambient.  kind is
+    a label: a built-in's name (integer rows) or "weights" (Fraction rows)."""
 
     ctx: Context
     kind: str
-    weights: tuple[tuple[Fraction, ...], ...] = ()
+    weights: tuple[tuple[Rational, ...], ...]
 
     @classmethod
     def orderly(cls, ctx: Context) -> "Ranking":
-        return cls(ctx, "orderly")
+        return cls.from_spec(ctx, "orderly")
 
     @classmethod
     def elimination(cls, ctx: Context) -> "Ranking":
-        return cls(ctx, "elimination")
+        return cls.from_spec(ctx, "elimination")
 
     @classmethod
     def from_weights(cls, ctx: Context, rows) -> "Ranking":
@@ -115,10 +125,9 @@ class Ranking:
 
     @classmethod
     def from_spec(cls, ctx: Context, spec: RankingSpec) -> "Ranking":
-        if spec == "orderly":
-            return cls.orderly(ctx)
-        if spec == "elimination":
-            return cls.elimination(ctx)
+        if isinstance(spec, str) and spec in NAMED_RANKINGS:
+            rows = NAMED_RANKINGS[spec](ctx.n) + [[0, *mi.unit(ctx.n, k)] for k in range(1, ctx.n + 1)]
+            return cls(ctx, spec, tuple(map(tuple, rows)))
         if isinstance(spec, dict) and set(spec) == {"weights"}:
             return cls.from_weights(ctx, spec["weights"])
         raise StructuralError(
@@ -134,24 +143,20 @@ class Ranking:
     # -- comparison ----------------------------------------------------------
 
     def key(self, v: Deriv) -> ClassKey:
+        """W (i, alpha), one integer dot product per row.  Parts are ints for a
+        named ranking and Fractions for a weight rule, as ClassKey.to_json shows."""
         self.ctx.check_var(v)
-        if self.kind == "orderly":
-            return ClassKey((mi.order(v.order), v.i) + v.order)
-        if self.kind == "elimination":
-            return ClassKey((v.i, mi.order(v.order)) + v.order)
         vec = (v.i,) + v.order
-        return ClassKey(tuple(Fraction(sum(map(mul, row, vec)), den) for row, den in self._int_rows))
+        rows, dens = self._int_rows
+        dots = tuple(sum(map(mul, row, vec)) for row in rows)
+        return ClassKey(tuple(map(Fraction, dots, dens)) if self.kind == "weights" else dots)
 
     @cached_property
-    def _int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each weight row as (integer row, common denominator), so a key
-        part is one integer dot product and one Fraction, not a Fraction
-        product and sum per entry."""
-        out = []
-        for row in self.weights:
-            den = lcm(*(w.denominator for w in row))
-            out.append((tuple(int(w * den) for w in row), den))
-        return tuple(out)
+    def _int_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """W as integer rows and one common denominator per row, so a key
+        part is one integer dot product, not a Fraction product per entry."""
+        dens = tuple(lcm(*(w.denominator for w in row)) for row in self.weights)
+        return tuple(tuple(int(w * d) for w in row) for row, d in zip(self.weights, dens)), dens
 
     def compare(self, u: Deriv, v: Deriv) -> int:
         """-1, 0 or 1.  Zero either means u == v or a coarse-ranking tie."""
@@ -164,8 +169,12 @@ class Ranking:
 
     @property
     def is_total(self) -> bool:
-        """Whether equal keys imply equal variables (no coarse blocks)."""
-        return self.kind in ("orderly", "elimination")
+        """Whether W has full column rank: exactly the condition for equal
+        keys to imply equal variables for every number of unknowns m.  A
+        rank-deficient W can still separate the variables when m is small
+        (with m = 1 the column of the unknown index never matters)."""
+        cols = self.ctx.n + 1
+        return linalg.rank([dict(enumerate(row)) for row in self.weights], cols) == cols
 
     # -- induced structure on polynomials -------------------------------------
 
@@ -213,8 +222,6 @@ def shift_violation(rk: Ranking) -> Optional[Counterexample]:
     whose weight column is not lexicographically positive.  That is the
     first counterexample audit_compatibility reports for the same rule,
     since its exhaustive pass starts with axiom (b) on u^1_0, k = 1..n."""
-    if rk.kind != "weights":
-        return None
     for k in range(1, rk.ctx.n + 1):
         first = next((row[k] for row in rk.weights if row[k]), 0)
         if first <= 0:

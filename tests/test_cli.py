@@ -187,6 +187,9 @@ def test_problem_validation():
         problem_from_dict({"n": 2, "m": 1, "equations": [], "bounds": {"order": 3}})
     with pytest.raises(StructuralError):
         problem_from_dict({"n": 2, "m": 1, "equations": [], "ranking": "lex"})
+    term = {"c": "1", "m": [], "cc": "1"}
+    with pytest.raises(StructuralError, match=r"^equations\[0\]\.tail\[0\]: unknown field 'cc'$"):
+        problem_from_dict({"n": 2, "m": 1, "equations": [{"lead": ["u", 1, [1, 0]], "tail": [term]}]})
     problem = problem_from_dict({"n": 2, "m": 1, "equations": []})
     assert problem.bounds.order_bound == 6 and problem.bounds.max_steps == 100000
 
@@ -288,6 +291,10 @@ def test_weight_gate_message(tmp_path):
                  id="exponent"),
     pytest.param(lambda d: d["equations"][0]["tail"][0].update(m=[[["x", True], 1]]), id="x_index"),
     pytest.param(lambda d: d["equations"][0]["tail"][0].update(c=True), id="coefficient"),
+    pytest.param(lambda d: d.update(rankng="elimination"), id="top_level_key"),
+    pytest.param(lambda d: d.update(bound=d.pop("bounds")), id="bounds_key"),
+    pytest.param(lambda d: d["equations"][0].update(tial=[]), id="equation_key"),
+    pytest.param(lambda d: d["equations"][0]["tail"][0].update(cc="1"), id="term_key"),
 ])
 def test_booleans_are_not_numbers(tmp_path, edit):
     data = json.loads((PROBLEMS / "heat.json").read_text())
@@ -310,3 +317,20 @@ def test_negative_counts_exit_1(argv):
     code, out, err = run_cli_full(argv[0], str(PROBLEMS / "heat.json"), *argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith("input error: ") and "must be a nonnegative integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--order", "x"],
+    ["check", "--bogus"],
+    ["check", "--json"],
+    ["reduce"],
+])
+def test_usage_errors_exit_1(argv):
+    code, out, err = run_cli_full(argv[0], str(PROBLEMS / "heat.json"), *argv[1:])
+    assert (code, out) == (1, "") and err.startswith("input error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "-h"])
+    assert exc.value.code == 0 and "usage: diffalg check" in capsys.readouterr().out

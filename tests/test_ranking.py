@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from diffalg import BASE, Context, DiffPoly, Ranking, StructuralError, audit_compatibility
+from diffalg import multiindex as mi
 from diffalg.algebra import shift_deriv
 from diffalg.ranking import ClassKey, Counterexample, shift_violation
 
@@ -251,3 +252,40 @@ def test_weight_key_parts_are_fractions():
 def test_weight_rows_reject_booleans():
     with pytest.raises(StructuralError):
         Ranking.from_weights(CTX, [[0, True, 0]])
+
+
+def test_builtin_keys_are_the_closed_forms():
+    # the weight matrices of the built-ins reproduce (|a|, i) + a and
+    # (i, |a|) + a exactly, as ints
+    for n, m in [(1, 1), (2, 2), (3, 1), (3, 3), (4, 2)]:
+        ctx = Context(n, m)
+        orderly, elimination = Ranking.orderly(ctx), Ranking.elimination(ctx)
+        for v in ctx.derivs(4):
+            a = mi.order(v.order)
+            assert orderly.key(v).parts == (a, v.i) + v.order
+            assert elimination.key(v).parts == (v.i, a) + v.order
+            assert all(type(p) is int for p in orderly.key(v).parts + elimination.key(v).parts)
+
+
+def test_builtins_pass_the_column_test_by_computation():
+    for rk in (ORD, ELIM, Ranking.orderly(Context(4, 1)), Ranking.elimination(Context(1, 3))):
+        assert rk.weights and shift_violation(rk) is None
+    # the name decides nothing: a falling column under a built-in's label fails
+    relabelled = Ranking(CTX, "orderly", ((Fraction(0), Fraction(1), Fraction(-1)),))
+    assert shift_violation(relabelled) == Counterexample("b", D(1, 0, 0), None, 2)
+    assert Ranking.from_spec(CTX, "orderly") == Ranking.orderly(CTX)
+
+
+def test_is_total_is_full_column_rank():
+    encoded_orderly = Ranking.from_weights(CTX, [[0, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert ORD.is_total and ELIM.is_total and encoded_orderly.is_total
+    assert not Ranking.from_weights(CTX, [[0, 1, 1]]).is_total
+    # rank 2 of 3: (1, -1, 1) is in the kernel, so u^2_(0,1) and u^1_(1,0)
+    # tie; with one unknown the same rows separate every variable
+    rows = [[0, 1, 1], [1, 1, 0]]
+    deficient = Ranking.from_weights(CTX, rows)
+    assert not deficient.is_total and shift_violation(deficient) is None
+    assert deficient.key(D(2, 0, 1)) == deficient.key(D(1, 1, 0))
+    one = Context(2, 1)
+    keys = {Ranking.from_weights(one, rows).key(v) for v in one.derivs(4)}
+    assert len(keys) == len(list(one.derivs(4)))

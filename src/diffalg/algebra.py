@@ -21,22 +21,21 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import multiindex as mi
 from .errors import StructuralError
 
 
-@dataclass(frozen=True)
-class Indep:
-    """The independent variable x_j."""
+class Indep(NamedTuple):
+    """The independent variable x_j.  A tuple, so hashing and equality run in
+    C; no dict or set holds both variables and plain tuples."""
 
     j: int
 
 
-@dataclass(frozen=True)
-class Deriv:
-    """The derivative variable u^i_alpha."""
+class Deriv(NamedTuple):
+    """The derivative variable u^i_alpha (a tuple, like Indep)."""
 
     i: int
     order: mi.Index
@@ -366,14 +365,6 @@ class DiffPoly:
                     out.add(v)
         return out
 
-    def degree(self) -> int:
-        """Total degree; zero polynomial reports 0."""
-        return max((m.degree for m in self.terms), default=0)
-
-    def max_deriv_order(self) -> int:
-        """Largest |alpha| among support derivatives; 0 if there are none."""
-        return max((mi.order(v.order) for v in self.support_derivs()), default=0)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending canonical monomial order (leading first)."""
         return sorted(self.terms.items(), key=lambda t: monomial_sort_key(t[0]), reverse=True)
@@ -424,23 +415,31 @@ def poly_to_json(p: DiffPoly) -> list:
     return out
 
 
-def poly_from_json(ctx: Context, data) -> DiffPoly:
+def poly_from_json(ctx: Context, data, where: str = "polynomial") -> DiffPoly:
+    """Parse poly_to_json's format; an error in term t names it as where[t]."""
     if not isinstance(data, list):
         raise StructuralError(f"polynomial must be a list of terms, got {type(data).__name__}")
     acc: dict[Monomial, Fraction] = {}
     for t, term in enumerate(data):
-        if not isinstance(term, dict) or "c" not in term or "m" not in term:
-            raise StructuralError(f"term {t}: expected object with 'c' and 'm'")
-        c = _frac_from_str(term["c"])
-        pairs = []
-        for entry in term["m"]:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise StructuralError(f"term {t}: bad factor {entry!r}")
-            v = var_from_json(ctx, entry[0])
-            e = entry[1]
-            if type(e) is not int or e <= 0:
-                raise StructuralError(f"term {t}: exponent must be a positive integer, got {e!r}")
-            pairs.append((v, e))
+        try:
+            if not isinstance(term, dict) or "c" not in term or "m" not in term:
+                raise StructuralError("expected object with 'c' and 'm'")
+            unknown = [key for key in term if key not in ("c", "m")]
+            if unknown:
+                raise StructuralError(f"unknown field {unknown[0]!r}")
+            c = _frac_from_str(term["c"])
+            if not isinstance(term["m"], list):
+                raise StructuralError(f"'m' must be a list of factors, got {term['m']!r}")
+            pairs = []
+            for entry in term["m"]:
+                if not isinstance(entry, list) or len(entry) != 2:
+                    raise StructuralError(f"bad factor {entry!r}")
+                v, e = var_from_json(ctx, entry[0]), entry[1]
+                if type(e) is not int or e <= 0:
+                    raise StructuralError(f"exponent must be a positive integer, got {e!r}")
+                pairs.append((v, e))
+        except StructuralError as exc:
+            raise StructuralError(f"{where}[{t}]: {exc}") from None
         m = Monomial(pairs)
         acc[m] = acc.get(m, Fraction(0)) + c
     return DiffPoly(ctx, acc)

@@ -11,14 +11,19 @@ Commands:
 Exit codes: 0 passive / success, 1 input or structural error, 2 obstructed,
 3 inconsistent, 4 step budget exceeded.  Output is deterministic: the same
 input bytes produce the same output bytes.
+
+A process runs one command, so the parser is a table and render() replaces
+json.dumps: argparse's first build and the indenting encoder cost more than
+most commands' algebra.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from typing import Optional
+from json.encoder import encode_basestring_ascii
+from typing import NoReturn, Optional
 
 from .algebra import poly_from_json, poly_to_json, to_text
 from .errors import ReductionLimitError, StructuralError
@@ -35,26 +40,34 @@ from .problem import Problem, load_problem
 from .ranking import audit_compatibility
 from .syzygy import tau_generators
 
-EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_OBSTRUCTED = 2
-EXIT_INCONSISTENT = 3
 EXIT_RESOURCE = 4
 
 
-def _emit(payload: dict, pretty_lines: Optional[list[str]], pretty: bool) -> None:
-    if pretty and pretty_lines is not None:
-        for line in pretty_lines:
-            print(line)
+def render(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for what a
+    report holds: dicts with str keys, lists, tuples, str, int, bool and None.
+    Any other value raises TypeError."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(k) + ": " + render(v, inner) for k, v in sorted(obj.items())]
+        ends = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, ends = [render(item, inner) for item in obj], "[]"
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
 
 
-def _build_system(problem: Problem):
-    """Deduplicate coincident leads.  Returns (system, report) where a None
-    system means the duplicates do not merge."""
-    report = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds.max_steps)
-    return report.system, report
+def _emit(payload: dict, pretty_lines: list[str], pretty: bool) -> None:
+    print("\n".join(pretty_lines) if pretty else render(payload))
 
 
 def _emit_coincidence(coincidence, pretty: bool) -> int:
@@ -64,167 +77,196 @@ def _emit_coincidence(coincidence, pretty: bool) -> int:
     return EXIT_FOR_VERDICT[coincidence.verdict]
 
 
-def cmd_check(args) -> int:
-    problem = load_problem(args.file, args.ranking)
-    order_bound = args.order if args.order is not None else problem.bounds.order_bound
-    max_steps = args.max_steps if args.max_steps is not None else problem.bounds.max_steps
-    system, coincidence = _build_system(problem)
-    if system is None:
-        return _emit_coincidence(coincidence, args.pretty)
-    report = is_passive(system, order_bound, max_steps)
+def _merged_system(problem: Problem):
+    """The merged system for commands with no verdict to report unmerged leads."""
+    coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds.max_steps)
+    if coincidence.system is None:
+        raise StructuralError(
+            f"system has coincident leads that do not merge (verdict {coincidence.verdict})"
+        )
+    return coincidence.system
+
+
+def cmd_check(file, ranking, max_steps, pretty, order) -> int:
+    problem = load_problem(file, ranking)
+    order_bound = order if order is not None else problem.bounds.order_bound
+    max_steps = max_steps if max_steps is not None else problem.bounds.max_steps
+    coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds.max_steps)
+    if coincidence.system is None:
+        return _emit_coincidence(coincidence, pretty)
+    report = is_passive(coincidence.system, order_bound, max_steps)
     payload = report.to_json()
     if coincidence.relations:
         payload["coincident_leads"] = coincidence.to_json()
-    lines = [f"verdict: {report.verdict}"]
-    for pair in report.pairs:
-        lines.append(
-            f"pair ({pair.pair[0]}, {pair.pair[1]}): {pair.status};"
-            f" remainder = {to_text(pair.remainder)}"
-        )
+    lines = [f"verdict: {report.verdict}"] + [
+        f"pair ({p.pair[0]}, {p.pair[1]}): {p.status}; remainder = {to_text(p.remainder)}" for p in report.pairs
+    ]
     if report.census is not None:
         lines.append(
             f"parametric derivatives up to order {report.census.order_bound}:"
             f" {len(report.census.parametric)}"
         )
-    _emit(payload, lines, args.pretty)
+    _emit(payload, lines, pretty)
     return report.exit_code
 
 
-def cmd_reduce(args) -> int:
-    problem = load_problem(args.file, args.ranking)
-    max_steps = args.max_steps if args.max_steps is not None else problem.bounds.max_steps
+def cmd_reduce(file, ranking, max_steps, pretty, target) -> int:
+    problem = load_problem(file, ranking)
+    max_steps = max_steps if max_steps is not None else problem.bounds.max_steps
     try:
-        target_data = json.loads(args.target)
+        target_data = json.loads(target)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"bad --target polynomial: {exc}") from None
-    target = poly_from_json(problem.ctx, target_data)
-    system, coincidence = _build_system(problem)
-    if system is None:
-        raise StructuralError(
-            f"system has coincident leads that do not merge (verdict {coincidence.verdict})"
-        )
-    result = reduce(target, system, max_steps)
+    poly = poly_from_json(problem.ctx, target_data, "--target")
+    result = reduce(poly, _merged_system(problem), max_steps)
     payload = {
         "remainder": poly_to_json(result.remainder),
         "trace": [step.to_json() for step in result.trace],
     }
     lines = [f"remainder: {to_text(result.remainder)}", f"steps: {len(result.trace)}"]
-    _emit(payload, lines, args.pretty)
-    return EXIT_OK
+    _emit(payload, lines, pretty)
+    return 0
 
 
-def cmd_syzygies(args) -> int:
-    problem = load_problem(args.file, args.ranking)
-    system, coincidence = _build_system(problem)
-    if system is None:
-        raise StructuralError(
-            f"system has coincident leads that do not merge (verdict {coincidence.verdict})"
-        )
-    taus = tau_generators(system.leads())
+def cmd_syzygies(file, ranking, max_steps, pretty) -> int:
+    taus = tau_generators(_merged_system(load_problem(file, ranking)).leads())
     payload = {"taus": [t.to_json() for t in taus]}
     lines = [
         f"tau[{t.i},{t.j}]: shifts {tuple(t.shift_i)} / {tuple(t.shift_j)}" for t in taus
     ] or ["no pairs"]
-    _emit(payload, lines, args.pretty)
-    return EXIT_OK
+    _emit(payload, lines, pretty)
+    return 0
 
 
-def cmd_quotient(args) -> int:
-    problem = load_problem(args.file, args.ranking)
-    order_bound = args.order if args.order is not None else problem.bounds.order_bound
-    max_steps = args.max_steps if args.max_steps is not None else problem.bounds.max_steps
-    system, coincidence = _build_system(problem)
-    if system is None:
-        return _emit_coincidence(coincidence, args.pretty)
-    report = decide_passivity(system, max_steps)
+def cmd_quotient(file, ranking, max_steps, pretty, order) -> int:
+    problem = load_problem(file, ranking)
+    order_bound = order if order is not None else problem.bounds.order_bound
+    max_steps = max_steps if max_steps is not None else problem.bounds.max_steps
+    coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds.max_steps)
+    if coincidence.system is None:
+        return _emit_coincidence(coincidence, pretty)
+    report = decide_passivity(coincidence.system, max_steps)
     if report.verdict != PASSIVE:
         payload = {"error": "census requires a passive system", "verdict": report.verdict}
-        _emit(payload, [f"not passive: verdict {report.verdict}"], args.pretty)
+        _emit(payload, [f"not passive: verdict {report.verdict}"], pretty)
         return report.exit_code
-    census = quotient_census(system, order_bound)
-    payload = census.to_json()
-    lines = [
-        f"order bound {census.order_bound}:"
-        f" {len(census.principal)} principal, {len(census.parametric)} parametric"
-    ]
-    _emit(payload, lines, args.pretty)
-    return EXIT_OK
+    census = quotient_census(coincidence.system, order_bound)
+    lines = [f"order bound {census.order_bound}:"
+             f" {len(census.principal)} principal, {len(census.parametric)} parametric"]
+    _emit(census.to_json(), lines, pretty)
+    return 0
 
 
-def cmd_ranking_audit(args) -> int:
-    problem = load_problem(args.file, args.ranking, gate_ranking=False)
-    report = audit_compatibility(
-        problem.ranking,
-        args.samples,
-        exhaustive_order=args.exhaustive_order,
-        seed=args.seed,
-    )
-    payload = report.to_json()
-    lines = [f"{len(report.counterexamples)} counterexamples"]
-    _emit(payload, lines, args.pretty)
-    return EXIT_OK
+def cmd_ranking_audit(file, ranking, max_steps, pretty, samples, exhaustive_order, seed) -> int:
+    problem = load_problem(file, ranking, gate_ranking=False)
+    report = audit_compatibility(problem.ranking, samples, exhaustive_order=exhaustive_order, seed=seed)
+    _emit(report.to_json(), [f"{len(report.counterexamples)} counterexamples"], pretty)
+    return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors are input errors (exit 1): argparse's own exit code 2
-    would read as the verdict obstructed."""
-
-    def error(self, message):
-        raise StructuralError(message)
+# -- argument parsing ------------------------------------------------------------
 
 
 def count(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+        raise StructuralError(f"must be a nonnegative integer, got {value}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="diffalg",
-        description="Exact passivity checks for solved-form differential systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()
+HELP = ("-h", "--help")
+# flag -> (converter, default), no converter for a switch; the handler takes
+# it as the keyword max_steps for --max-steps.  Every command takes one file.
+COMMON = {"--ranking": (str, None), "--max-steps": (count, None), "--pretty": (None, False)}
+COMMANDS = {  # command -> (handler, summary, its flags beyond COMMON)
+    "check": (cmd_check, "passivity decision", {"--order": (count, None)}),
+    "reduce": (cmd_reduce, "divide a polynomial by the system", {"--target": (str, REQUIRED)}),
+    "syzygies": (cmd_syzygies, "pair generators of the leads", {}),
+    "quotient": (cmd_quotient, "principal/parametric census", {"--order": (count, None)}),
+    "ranking-audit": (cmd_ranking_audit, "check the ranking axioms",
+                      {"--samples": (count, 10000), "--exhaustive-order": (count, 3), "--seed": (int, 0)}),
+}
 
-    def common(p):
-        p.add_argument("file", help="problem file (JSON)")
-        p.add_argument("--ranking", help="override the file's ranking", default=None)
-        p.add_argument("--max-steps", type=count, default=None, dest="max_steps")
-        p.add_argument("--pretty", action="store_true", help="human-oriented output")
 
-    p_check = sub.add_parser("check", help="passivity decision")
-    common(p_check)
-    p_check.add_argument("--order", type=count, default=None, help="census order bound")
-    p_check.set_defaults(func=cmd_check)
+def _usage(command: str) -> str:
+    _, summary, own = COMMANDS[command]
+    words = [f"diffalg {command} file"]
+    for flag, (convert, default) in {**COMMON, **own}.items():
+        word = flag if convert is None else f"{flag} {flag[2:].upper()}"
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words) + "\n    " + summary
 
-    p_reduce = sub.add_parser("reduce", help="divide a polynomial by the system")
-    common(p_reduce)
-    p_reduce.add_argument("--target", required=True, help="polynomial JSON")
-    p_reduce.set_defaults(func=cmd_reduce)
 
-    p_syz = sub.add_parser("syzygies", help="pair generators of the leads")
-    common(p_syz)
-    p_syz.set_defaults(func=cmd_syzygies)
+def _help(command: Optional[str]) -> NoReturn:
+    """Print the help of one command, or of all, from the table and exit 0."""
+    print(f"usage: {_usage(command)}" if command else
+          "usage: diffalg <cmd> file [options]\n\n" + "\n".join(map(_usage, COMMANDS)))
+    raise SystemExit(0)
 
-    p_quot = sub.add_parser("quotient", help="principal/parametric census")
-    common(p_quot)
-    p_quot.add_argument("--order", type=count, default=None, help="census order bound")
-    p_quot.set_defaults(func=cmd_quotient)
 
-    p_audit = sub.add_parser("ranking-audit", help="check the ranking axioms")
-    common(p_audit)
-    p_audit.add_argument("--samples", type=count, default=10000)
-    p_audit.add_argument("--exhaustive-order", type=count, default=3, dest="exhaustive_order")
-    p_audit.add_argument("--seed", type=int, default=0)
-    p_audit.set_defaults(func=cmd_ranking_audit)
-    return parser
+def _is_value(token: str) -> bool:
+    """The file or a flag's value, not a flag: as in argparse, "-" and
+    negative numbers are values."""
+    return token[:1] != "-" or token == "-" or re.fullmatch(r"-\d+|-\d*\.\d+", token) is not None
+
+
+def parse_args(argv: list[str]):
+    """(handler, keyword arguments) for argv, or StructuralError with
+    argparse's message.  Flags go before or after the file, as `--flag value`
+    or `--flag=value`; the last repeat wins.  -h or --help prints the help
+    and exits 0."""
+    if argv and argv[0] in HELP:
+        _help(None)
+    if not argv:
+        raise StructuralError("the following arguments are required: command")
+    if argv[0] not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise StructuralError(f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
+    handler, _, own = COMMANDS[argv[0]]
+    flags = {**COMMON, **own}
+    values = {"file": REQUIRED, **{flag: default for flag, (_, default) in flags.items()}}
+    extras: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if _is_value(token):
+            if values["file"] is REQUIRED:
+                values["file"] = token
+            else:
+                extras.append(token)
+        elif token in HELP:
+            _help(argv[0])
+        elif flag not in flags:
+            extras.append(token)
+        elif flags[flag][0] is None:
+            if eq:
+                raise StructuralError(f"argument {flag}: ignored explicit argument {text!r}")
+            values[flag] = True
+        else:
+            if not eq:
+                text = next(tokens, None)
+                if text is None or not _is_value(text):
+                    raise StructuralError(f"argument {flag}: expected one argument")
+            convert = flags[flag][0]
+            try:
+                values[flag] = convert(text)
+            except StructuralError as exc:
+                raise StructuralError(f"argument {flag}: {exc}") from None
+            except ValueError:
+                raise StructuralError(f"argument {flag}: invalid {convert.__name__} value: {text!r}") from None
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        raise StructuralError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise StructuralError(f"unrecognized arguments: {' '.join(extras)}")
+    return handler, {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        handler, kwargs = parse_args(sys.argv[1:] if argv is None else argv)
+        return handler(**kwargs)
     except json.JSONDecodeError as exc:
         print(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_INPUT

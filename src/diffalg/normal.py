@@ -165,9 +165,6 @@ class ReduceResult:
     remainder: DiffPoly
     trace: list[ReduceStep]
 
-    def max_eliminated_order(self) -> int:
-        return max((mi.order(s.eliminated.order) for s in self.trace), default=0)
-
 
 def _principal_support(sys: SolvedSystem, f: DiffPoly) -> list[tuple[Deriv, int, mi.Index]]:
     out = []

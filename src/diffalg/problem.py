@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Context, Deriv, poly_from_json, poly_to_json, var_from_json, var_to_json
+from .algebra import Context, Deriv, poly_from_json, var_from_json
 from .errors import StructuralError
 from .normal import DEFAULT_MAX_STEPS, SolvedForm
 from .passivity import DEFAULT_DEGREE_BOUND, DEFAULT_ORDER_BOUND
@@ -93,10 +93,7 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
         lead = var_from_json(ctx, _require(entry, "lead", list, where))
         if not isinstance(lead, Deriv):
             raise StructuralError(f"{where}.lead: must be a derivative variable")
-        raw_tail = _require(entry, "tail", list, where)
-        tail = poly_from_json(ctx, raw_tail)
-        for t, term in enumerate(raw_tail):
-            _known_fields(term, ("c", "m"), f"{where}.tail[{t}]")
+        tail = poly_from_json(ctx, _require(entry, "tail", list, where), f"{where}.tail")
         try:
             forms.append(SolvedForm(lead, tail))
         except StructuralError as exc:
@@ -113,25 +110,6 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
             raise StructuralError(f"problem.bounds.{key}: expected nonnegative integer")
         setattr(bounds, key, value)
     return Problem(ctx, ranking, forms, bounds)
-
-
-def problem_to_dict(problem: Problem) -> dict:
-    """Inverse of problem_from_dict up to JSON formatting: parsing the result
-    reproduces the same system, ranking, and bounds."""
-    return {
-        "n": problem.ctx.n,
-        "m": problem.ctx.m,
-        "ranking": problem.ranking.to_spec(),
-        "equations": [
-            {"lead": var_to_json(form.lead), "tail": poly_to_json(form.tail)}
-            for form in problem.forms
-        ],
-        "bounds": {
-            "order_bound": problem.bounds.order_bound,
-            "degree_bound": problem.bounds.degree_bound,
-            "max_steps": problem.bounds.max_steps,
-        },
-    }
 
 
 def load_problem(

@@ -48,10 +48,10 @@ from .algebra import Context, Deriv, DiffPoly, Rational, shift_deriv, var_to_jso
 from .errors import StructuralError
 
 
-@dataclass(frozen=True, order=True)
-class ClassKey:
+class ClassKey(NamedTuple):
     """Totally ordered key of a ranking block.  The empty key is the bottom
-    element ("base"), reserved for polynomials with no derivative variables."""
+    element ("base"), reserved for polynomials with no derivative variables.
+    Keys order as the tuples (parts,); only keys are compared with keys."""
 
     parts: tuple = ()
 
@@ -66,11 +66,6 @@ class ClassKey:
 
 
 BASE = ClassKey(())
-
-
-class Lead(NamedTuple):
-    deriv: Deriv
-    block_tie: bool
 
 
 RankingSpec = Union[str, dict]
@@ -103,8 +98,12 @@ class Ranking:
 
     @classmethod
     def from_weights(cls, ctx: Context, rows) -> "Ranking":
+        if not isinstance(rows, list) or not rows:
+            raise StructuralError("weight ranking needs a non-empty list of rows")
         parsed = []
         for r, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise StructuralError(f"weight row {r}: expected a list, got {type(row).__name__}")
             if len(row) != ctx.n + 1:
                 raise StructuralError(
                     f"weight row {r} has {len(row)} entries, expected {ctx.n + 1}"
@@ -119,8 +118,6 @@ class Ranking:
                 parsed.append(tuple(Fraction(x) for x in row))
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise StructuralError(f"weight row {r}: {exc}") from None
-        if not parsed:
-            raise StructuralError("weight ranking needs at least one row")
         return cls(ctx, "weights", tuple(parsed))
 
     @classmethod
@@ -134,11 +131,6 @@ class Ranking:
             f"bad ranking spec {spec!r}; expected 'orderly', 'elimination',"
             " or {'weights': [[...], ...]}"
         )
-
-    def to_spec(self) -> RankingSpec:
-        if self.kind == "weights":
-            return {"weights": [[str(x) for x in row] for row in self.weights]}
-        return self.kind
 
     # -- comparison ----------------------------------------------------------
 
@@ -182,19 +174,6 @@ class Ranking:
         """The maximal key among the derivative variables of f; base when f
         has none (including f = 0)."""
         return max((self.key(v) for v in f.support_derivs()), default=BASE)
-
-    def leading_derivative(self, f: DiffPoly) -> Optional[Lead]:
-        """The ranking-maximal derivative variable of f, or None when f has
-        no derivative variables.  When the top block of a coarse ranking holds
-        several support derivatives, the (i, alpha)-lexicographically largest
-        is returned with block_tie set."""
-        derivs = f.support_derivs()
-        if not derivs:
-            return None
-        top_key = max(self.key(v) for v in derivs)
-        block = [v for v in derivs if self.key(v) == top_key]
-        best = max(block, key=lambda v: (v.i, v.order))
-        return Lead(best, len(block) > 1)
 
 
 # -- compatibility audit -------------------------------------------------------

@@ -8,6 +8,21 @@ from diffalg import multiindex as mi
 from diffalg.algebra import Deriv, Indep
 
 
+def degree(f):
+    """Total degree of f; 0 for the zero polynomial."""
+    return max((m.degree for m in f.terms), default=0)
+
+
+def max_deriv_order(f):
+    """Largest |alpha| among f's support derivatives; 0 if there are none."""
+    return max((mi.order(v.order) for v in f.support_derivs()), default=0)
+
+
+def max_eliminated_order(result):
+    """Largest |alpha| a reduce trace eliminated; 0 for an empty trace."""
+    return max((mi.order(s.eliminated.order) for s in result.trace), default=0)
+
+
 def rand_index(rng, n, max_order):
     return rng.choice(list(mi.iter_up_to_order(n, max_order)))
 

@@ -115,12 +115,12 @@ def test_criterion_4_decomposition_certified():
         if diff.is_zero():
             continue
         bound = max(
-            res.max_eliminated_order(),
-            f.max_deriv_order(),
+            gen.max_eliminated_order(res),
+            gen.max_deriv_order(f),
             max(mi.order(eq.lead.order) for eq in sys_.equations),
         )
         gens = prolong(sys_, bound)
-        base_degree = max(f.degree(), diff.degree(), 1)
+        base_degree = max(gen.degree(f), gen.degree(diff), 1)
         cert = None
         for degree in (base_degree, base_degree + 2):
             cert = membership(MembershipInstance(diff, gens, degree, bound))
@@ -249,7 +249,7 @@ def test_criterion_9_theorem_coherence():
         for _ in range(30):
             f = gen.rand_poly(rng, sys_.ctx, terms=3, max_degree=2, max_order=3)
             res = reduce(f, sys_)
-            bound = max(3, res.max_eliminated_order(), f.max_deriv_order())
+            bound = max(3, gen.max_eliminated_order(res), gen.max_deriv_order(f))
             forms = normalized_slice(sys_, bound).forms
             assert divide_by_normalized(f, forms) == res.remainder
             targets += 1

@@ -2,18 +2,22 @@
 
 import io
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from diffalg import StructuralError, poly_from_json, poly_to_json
-from diffalg.cli import main
-from diffalg.problem import load_problem, problem_from_dict, problem_to_dict
+from diffalg.algebra import var_to_json
+from diffalg.cli import COMMANDS, COMMON, main, render
+from diffalg.problem import load_problem, problem_from_dict
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+HEAT = str(PROBLEMS / "heat.json")
 
 
 def run_cli(*argv):
@@ -163,6 +167,18 @@ def test_determinism_all_commands_all_problems():
             first = run_cli_full(*argv)
             second = run_cli_full(*argv)
             assert first == second, (path.name, command)
+
+
+def problem_to_dict(problem):
+    """Inverse of problem_from_dict up to JSON formatting."""
+    rk = problem.ranking
+    return {
+        "n": problem.ctx.n,
+        "m": problem.ctx.m,
+        "ranking": {"weights": [[str(x) for x in row] for row in rk.weights]} if rk.kind == "weights" else rk.kind,
+        "equations": [{"lead": var_to_json(f.lead), "tail": poly_to_json(f.tail)} for f in problem.forms],
+        "bounds": vars(problem.bounds),
+    }
 
 
 def test_problem_round_trip():
@@ -334,3 +350,144 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "-h"])
     assert exc.value.code == 0 and "usage: diffalg check" in capsys.readouterr().out
+
+
+# -- the table-driven parser ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["foo"], "argument command: invalid choice: 'foo'"
+              " (choose from 'check', 'reduce', 'syzygies', 'quotient', 'ranking-audit')"),
+    (["check"], "the following arguments are required: file"),
+    (["check", "--bogus"], "the following arguments are required: file"),
+    (["reduce"], "the following arguments are required: file, --target"),
+    (["reduce", HEAT], "the following arguments are required: --target"),
+    (["check", HEAT, "--order"], "argument --order: expected one argument"),
+    (["check", HEAT, "--order", "--pretty"], "argument --order: expected one argument"),
+    (["check", HEAT, "--order", "x"], "argument --order: invalid count value: 'x'"),
+    (["check", HEAT, "--order", "-1"], "argument --order: must be a nonnegative integer, got -1"),
+    (["check", HEAT, "--order=-1"], "argument --order: must be a nonnegative integer, got -1"),
+    (["ranking-audit", HEAT, "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["check", HEAT, "--bogus"], "unrecognized arguments: --bogus"),
+    (["check", HEAT, "extra"], "unrecognized arguments: extra"),
+    (["check", HEAT, "--bogus", "x", "extra"], "unrecognized arguments: --bogus x extra"),
+    (["syzygies", HEAT, "--order", "1"], "unrecognized arguments: --order 1"),
+    (["check", HEAT, "--pretty=1"], "argument --pretty: ignored explicit argument '1'"),
+])
+def test_usage_error_messages(argv, message):
+    assert run_cli_full(*argv) == (1, "", f"input error: {message}\n")
+
+
+def test_flag_forms():
+    wanted = run_cli_full("quotient", HEAT, "--order", "2")
+    assert wanted[0] == 0 and wanted != run_cli_full("quotient", HEAT, "--order", "1")
+    assert run_cli_full("quotient", HEAT, "--order=2") == wanted
+    assert run_cli_full("quotient", "--order", "2", HEAT) == wanted
+    assert run_cli_full("quotient", "--order=1", HEAT, "--order", "2") == wanted  # the last one wins
+    assert run_cli_full("ranking-audit", "--seed", "-3", HEAT, "--samples=50")[0] == 0
+    target = json.dumps([{"c": "1", "m": []}])
+    assert run_cli_full("reduce", f"--target={target}", HEAT) == run_cli_full("reduce", HEAT, "--target", target)
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_forms(capsys, command, flag):
+    argv = [flag] if command is None else [command, HEAT, flag, "--bogus"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    if command is None:
+        assert out.startswith("usage: diffalg <cmd>") and all(f"diffalg {c} file" in out for c in COMMANDS)
+    else:
+        assert out.startswith(f"usage: diffalg {command} file")
+        assert all(option in out for option in [*COMMON, *COMMANDS[command][2]])
+
+
+def test_check_path_loads_no_argparse():
+    # argparse's first build loads gettext and locale; a process that runs
+    # one command cannot afford them
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from diffalg.cli import main;"
+        " main(['check', sys.argv[2]]);"
+        " print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code, src, HEAT], capture_output=True, text=True)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["verdict"] == "passive"
+    assert proc.stderr == "[]\n"
+
+
+# -- the JSON renderer ----------------------------------------------------------------
+
+TEXT = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "日", "\u2028",
+        "\U0001f600", "\ud800"]
+
+
+def random_payload(rng, depth=0):
+    kind = rng.randrange(7 if depth < 4 else 3)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, -1, 2 ** 64 + 1, -(10 ** 30), rng.randint(-10 ** 6, 10 ** 6)])
+    if kind == 2:
+        return "".join(rng.choice(TEXT) for _ in range(rng.randrange(6)))
+    items = [random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 3:
+        return items
+    if kind == 4:
+        return tuple(items)
+    return {"".join(rng.choice(TEXT) for _ in range(rng.randrange(4))): item for item in items}
+
+
+def test_render_matches_json_dumps():
+    rng = random.Random(6)
+    payloads = [[], {}, [[]], {"": {}}, ([], {}, ()), {"b": [[], [{}]], "a": None}]
+    payloads += [random_payload(rng) for _ in range(600)]
+    for obj in payloads:
+        assert render(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [1.5, {1: "a"}, {"a": {(1,): 2}}, [Fraction(1, 2)], {"a": {1, 2}}])
+def test_render_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        render(obj)
+
+
+# -- malformed input names where it sits --------------------------------------------
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([5], "weight row 0: expected a list, got int"),
+    ([[0, 1, 1], "x"], "weight row 1: expected a list, got str"),
+    (3, "weight ranking needs a non-empty list of rows"),
+    ([], "weight ranking needs a non-empty list of rows"),
+])
+def test_weight_ranking_shape(tmp_path, weights, message):
+    data = json.loads(Path(HEAT).read_text())
+    data["ranking"] = {"weights": weights}
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(data))
+    expected = (1, "", f"input error: {message}\n")
+    assert run_cli_full("check", str(path)) == expected
+    assert run_cli_full("check", HEAT, "--ranking", json.dumps({"weights": weights})) == expected
+
+
+@pytest.mark.parametrize("term, message", [
+    ({"c": "1"}, "expected object with 'c' and 'm'"),
+    (5, "expected object with 'c' and 'm'"),
+    ({"c": "1", "m": [], "cc": 1}, "unknown field 'cc'"),
+    ({"c": "0.5", "m": []}, "bad rational '0.5'; expected a decimal-free 'p' or 'p/q' string"),
+    ({"c": "1", "m": 5}, "'m' must be a list of factors, got 5"),
+    ({"c": "1", "m": [[["u", 1, [0, 1]], 0]]}, "exponent must be a positive integer, got 0"),
+    ({"c": "1", "m": [[["u", 7, [0, 1]], 1]]}, "u index 7 out of range 1..1"),
+])
+def test_term_errors_name_their_path(tmp_path, term, message):
+    data = json.loads(Path(HEAT).read_text())
+    data["equations"][0]["tail"].append(term)
+    path = tmp_path / "term.json"
+    path.write_text(json.dumps(data))
+    assert run_cli_full("check", str(path)) == (1, "", f"input error: equations[0].tail[1]: {message}\n")
+    target = json.dumps([{"c": "1", "m": []}, term])
+    assert run_cli_full("reduce", HEAT, "--target", target) == (1, "", f"input error: --target[1]: {message}\n")

@@ -99,9 +99,9 @@ def test_agreement_with_reduce_trace():
             continue
         done += 1
         diff = f - res.remainder
-        bound = max(res.max_eliminated_order(), f.max_deriv_order(), 2)
+        bound = max(gen.max_eliminated_order(res), gen.max_deriv_order(f), 2)
         gens = prolong(sys_, bound)
-        for degree in (max(f.degree(), 1), max(f.degree(), 1) + 2):
+        for degree in (max(gen.degree(f), 1), max(gen.degree(f), 1) + 2):
             cert = membership(MembershipInstance(diff, gens, degree, bound))
             if cert is not None:
                 assert cert.expand(gens) == diff

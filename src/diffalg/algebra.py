@@ -55,9 +55,10 @@ def var_key(v: Variable) -> tuple:
     return (1, v.i) + v.order
 
 
-def shift_deriv(v: Deriv, k: int, n: int) -> Deriv:
-    """u^i_alpha -> u^i_{alpha+e_k}."""
-    return Deriv(v.i, mi.add(v.order, mi.unit(n, k)))
+def shift_deriv(v: Deriv, k: int) -> Deriv:
+    """u^i_alpha -> u^i_{alpha+e_k}, for a direction k in 1..n."""
+    a = v.order
+    return Deriv(v.i, a[:k - 1] + (a[k - 1] + 1,) + a[k:])
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ class Context:
 
 
 class Monomial:
-    """A power product of variables, stored as a sorted tuple of
-    (variable, positive exponent) pairs."""
+    """A power product of variables, stored as a tuple of (variable, positive
+    exponent) pairs sorted by var_key."""
 
     __slots__ = ("exps",)
 
@@ -112,8 +113,15 @@ class Monomial:
         self.exps = tuple(pairs)
 
     @classmethod
+    def _raw(cls, exps: tuple[tuple[Variable, int], ...]) -> "Monomial":
+        """Wrap pairs that are already canonical: sorted, exponents positive."""
+        m = object.__new__(cls)
+        m.exps = exps
+        return m
+
+    @classmethod
     def one(cls) -> "Monomial":
-        return cls(())
+        return cls._raw(())
 
     @classmethod
     def of(cls, v: Variable, e: int = 1) -> "Monomial":
@@ -132,34 +140,33 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
-    def exp_of(self, v: Variable) -> int:
-        for w, e in self.exps:
-            if w == v:
-                return e
-        return 0
-
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(merged.items())
-
-    def without(self, v: Variable, count: int = 1) -> "Monomial":
-        """Divide out v^count; count must not exceed the stored exponent."""
-        out = []
-        for w, e in self.exps:
-            if w == v:
-                if e < count:
-                    raise StructuralError(f"cannot remove {v}^{count} from {self}")
-                if e > count:
-                    out.append((w, e - count))
+        # Merge the two sorted exponent lists.
+        a, b = self.exps, other.exps
+        out, i, j = [], 0, 0
+        while i < len(a) and j < len(b):
+            ka, kb = var_key(a[i][0]), var_key(b[j][0])
+            if ka == kb:
+                out.append((a[i][0], a[i][1] + b[j][1]))
+                i, j = i + 1, j + 1
+            elif ka < kb:
+                out.append(a[i])
+                i += 1
             else:
-                out.append((w, e))
-        return Monomial(out)
+                out.append(b[j])
+                j += 1
+        return Monomial._raw(tuple(out) + a[i:] + b[j:])
 
-    def drop(self, v: Variable) -> "Monomial":
-        """Remove v entirely."""
-        return Monomial((w, e) for w, e in self.exps if w != v)
+
+def _times_deriv(exps: tuple, w: Deriv) -> tuple:
+    """Canonical pairs of exps times w, where every variable in exps is a
+    Deriv: two Derivs compare as tuples exactly as var_key orders them."""
+    for t, (v, e) in enumerate(exps):
+        if v >= w:
+            if v == w:
+                return exps[:t] + ((w, e + 1),) + exps[t + 1:]
+            return exps[:t] + ((w, 1),) + exps[t:]
+    return exps + ((w, 1),)
 
 
 def _lex_cmp(a: Monomial, b: Monomial) -> int:
@@ -194,8 +201,23 @@ def monomial_cmp(a: Monomial, b: Monomial) -> int:
 monomial_sort_key = cmp_to_key(monomial_cmp)
 
 
+def _accumulate(res: dict[Monomial, Fraction], m: Monomial, c: Fraction) -> None:
+    """res[m] += c for a nonzero c, keeping res free of zero coefficients."""
+    old = res.get(m)
+    if old is None:
+        res[m] = c
+    else:
+        c += old
+        if c:
+            res[m] = c
+        else:
+            del res[m]
+
+
 class DiffPoly:
-    """Immutable sparse polynomial: Monomial -> nonzero Fraction."""
+    """Immutable sparse polynomial: Monomial -> nonzero Fraction.  Arithmetic
+    builds each result canonical in one pass and wraps it with _of;
+    DiffPoly(ctx, terms) canonicalizes outside input."""
 
     __slots__ = ("ctx", "terms")
 
@@ -212,20 +234,28 @@ class DiffPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _of(cls, ctx: Context, terms: dict[Monomial, Fraction]) -> "DiffPoly":
+        """Wrap a dict that is already canonical: every value a nonzero Fraction."""
+        p = object.__new__(cls)
+        p.ctx = ctx
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, ctx: Context) -> "DiffPoly":
-        return cls(ctx)
+        return cls._of(ctx, {})
 
     @classmethod
     def constant(cls, ctx: Context, c: Rational) -> "DiffPoly":
-        return cls(ctx, {Monomial.one(): Fraction(c)})
+        return cls(ctx, {Monomial.one(): c})
 
     @classmethod
     def variable(cls, ctx: Context, v: Variable) -> "DiffPoly":
-        return cls(ctx, {Monomial.of(ctx.check_var(v)): Fraction(1)})
+        return cls._of(ctx, {Monomial.of(ctx.check_var(v)): Fraction(1)})
 
     @classmethod
     def monomial(cls, ctx: Context, m: Monomial, c: Rational = 1) -> "DiffPoly":
-        return cls(ctx, {m: Fraction(c)})
+        return cls(ctx, {m: c})
 
     # -- basics --------------------------------------------------------------
 
@@ -256,11 +286,11 @@ class DiffPoly:
         self._check_ctx(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
-            res[m] = res.get(m, Fraction(0)) + c
-        return DiffPoly(self.ctx, res)
+            _accumulate(res, m, c)
+        return DiffPoly._of(self.ctx, res)
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly(self.ctx, {m: -c for m, c in self.terms.items()})
+        return DiffPoly._of(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         return self + (-other)
@@ -272,36 +302,20 @@ class DiffPoly:
         res: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1 * m2
-                res[m] = res.get(m, Fraction(0)) + c1 * c2
-        return DiffPoly(self.ctx, res)
+                _accumulate(res, m1 * m2, c1 * c2)
+        return DiffPoly._of(self.ctx, res)
 
     def __rmul__(self, other: Rational) -> "DiffPoly":
         return self.scale(other)
 
-    def __pow__(self, e: int) -> "DiffPoly":
-        if e < 0:
-            raise StructuralError("negative power of a polynomial")
-        result = DiffPoly.constant(self.ctx, 1)
-        for _ in range(e):
-            result = result * self
-        return result
-
     def scale(self, c: Rational) -> "DiffPoly":
-        c = Fraction(c)
-        return DiffPoly(self.ctx, {m: c * x for m, x in self.terms.items()})
+        if not c:
+            return DiffPoly.zero(self.ctx)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        return DiffPoly._of(self.ctx, {m: c * x for m, x in self.terms.items()})
 
     # -- calculus ------------------------------------------------------------
-
-    def partial(self, v: Variable) -> "DiffPoly":
-        """Formal partial derivative with respect to the single variable v."""
-        res: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m.exp_of(v)
-            if e:
-                dm = m.without(v)
-                res[dm] = res.get(dm, Fraction(0)) + c * e
-        return DiffPoly(self.ctx, res)
 
     def total_derivative(self, k: int) -> "DiffPoly":
         """D_k: the x_k partial plus the chain-rule sum over all derivative
@@ -311,16 +325,16 @@ class DiffPoly:
             raise StructuralError(f"direction {k} out of range 1..{n}")
         res: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            for v, e in m.exps:
-                coeff = c * e
-                if isinstance(v, Indep):
-                    if v.j == k:
-                        dm = m.without(v)
-                        res[dm] = res.get(dm, Fraction(0)) + coeff
-                else:
-                    dm = m.without(v) * Monomial.of(shift_deriv(v, k, n))
-                    res[dm] = res.get(dm, Fraction(0)) + coeff
-        return DiffPoly(self.ctx, res)
+            exps = m.exps
+            for pos, (v, e) in enumerate(exps):
+                is_x = isinstance(v, Indep)
+                if is_x and v.j != k:
+                    continue
+                head = exps[:pos] + ((v, e - 1),) if e > 1 else exps[:pos]
+                # x's sort first, so only u's follow a u
+                rest = exps[pos + 1:] if is_x else _times_deriv(exps[pos + 1:], shift_deriv(v, k))
+                _accumulate(res, Monomial._raw(head + rest), c * e if e > 1 else c)
+        return DiffPoly._of(self.ctx, res)
 
     def total_derivative_multi(self, a: mi.Index) -> "DiffPoly":
         """D^a, evaluated direction by direction in ascending direction index.
@@ -336,24 +350,35 @@ class DiffPoly:
 
     def substitute(self, v: Variable, g: "DiffPoly") -> "DiffPoly":
         """Replace every occurrence of v by g, expanded and canonicalized."""
-        self._check_ctx(g)
-        powers: dict[int, DiffPoly] = {0: DiffPoly.constant(self.ctx, 1)}
+        return self.substitute_all({v: g})
 
-        def power(e: int) -> "DiffPoly":
-            while e not in powers:
-                top = max(powers)
-                powers[top + 1] = powers[top] * g
-            return powers[e]
+    def substitute_all(self, images: dict[Variable, "DiffPoly"]) -> "DiffPoly":
+        """Replace every variable v in images by images[v], all at once (an
+        image's own variables are not substituted again), expanded into one
+        accumulator.  Each power of an image is built once per call."""
+        for g in images.values():
+            self._check_ctx(g)
+        powers: dict[Variable, list[DiffPoly]] = {}
 
-        out = DiffPoly.zero(self.ctx)
-        untouched: dict[Monomial, Fraction] = {}
+        def power(v: Variable, e: int) -> "DiffPoly":
+            built = powers.setdefault(v, [images[v]])
+            while len(built) < e:
+                built.append(built[-1] * images[v])
+            return built[e - 1]
+
+        res: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            e = m.exp_of(v)
-            if e == 0:
-                untouched[m] = c
-            else:
-                out = out + DiffPoly.monomial(self.ctx, m.drop(v), c) * power(e)
-        return out + DiffPoly(self.ctx, untouched)
+            hits = [(v, e) for v, e in m.exps if v in images]
+            if not hits:
+                _accumulate(res, m, c)
+                continue
+            factor = power(*hits[0])
+            for v, e in hits[1:]:
+                factor = factor * power(v, e)
+            rest = Monomial._raw(tuple(p for p in m.exps if p[0] not in images))
+            for fm, fc in factor.terms.items():
+                _accumulate(res, rest * fm, c * fc)
+        return DiffPoly._of(self.ctx, res)
 
     def support_derivs(self) -> set[Deriv]:
         """All derivative variables with nonzero coefficient somewhere in f.
@@ -391,10 +416,6 @@ def var_from_json(ctx: Context, data) -> Variable:
     return ctx.u(data[1], data[2])
 
 
-def _frac_to_str(c: Fraction) -> str:
-    return str(c)
-
-
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
@@ -411,7 +432,7 @@ def poly_to_json(p: DiffPoly) -> list:
     leading term first.  Round-trips bit-exactly."""
     out = []
     for m, c in p.sorted_terms():
-        out.append({"c": _frac_to_str(c), "m": [[var_to_json(v), e] for v, e in m.exps]})
+        out.append({"c": str(c), "m": [[var_to_json(v), e] for v, e in m.exps]})
     return out
 
 

@@ -128,7 +128,7 @@ def cmd_reduce(file, ranking, max_steps, pretty, target) -> int:
     return 0
 
 
-def cmd_syzygies(file, ranking, max_steps, pretty) -> int:
+def cmd_syzygies(file, ranking, pretty) -> int:
     taus = tau_generators(_merged_system(load_problem(file, ranking)).leads())
     payload = {"taus": [t.to_json() for t in taus]}
     lines = [
@@ -157,7 +157,7 @@ def cmd_quotient(file, ranking, max_steps, pretty, order) -> int:
     return 0
 
 
-def cmd_ranking_audit(file, ranking, max_steps, pretty, samples, exhaustive_order, seed) -> int:
+def cmd_ranking_audit(file, ranking, pretty, samples, exhaustive_order, seed) -> int:
     problem = load_problem(file, ranking, gate_ranking=False)
     report = audit_compatibility(problem.ranking, samples, exhaustive_order=exhaustive_order, seed=seed)
     _emit(report.to_json(), [f"{len(report.counterexamples)} counterexamples"], pretty)
@@ -177,22 +177,24 @@ def count(text: str) -> int:
 REQUIRED = object()
 HELP = ("-h", "--help")
 # flag -> (converter, default), no converter for a switch; the handler takes
-# it as the keyword max_steps for --max-steps.  Every command takes one file.
-COMMON = {"--ranking": (str, None), "--max-steps": (count, None), "--pretty": (None, False)}
-COMMANDS = {  # command -> (handler, summary, its flags beyond COMMON)
-    "check": (cmd_check, "passivity decision", {"--order": (count, None)}),
-    "reduce": (cmd_reduce, "divide a polynomial by the system", {"--target": (str, REQUIRED)}),
-    "syzygies": (cmd_syzygies, "pair generators of the leads", {}),
-    "quotient": (cmd_quotient, "principal/parametric census", {"--order": (count, None)}),
-    "ranking-audit": (cmd_ranking_audit, "check the ranking axioms",
-                      {"--samples": (count, 10000), "--exhaustive-order": (count, 3), "--seed": (int, 0)}),
+# it as the keyword max_steps for --max-steps.  Every command takes one file
+# and the COMMON flags; the commands that rewrite also take a step budget.
+COMMON = {"--ranking": (str, None), "--pretty": (None, False)}
+BUDGETED = {"--ranking": COMMON["--ranking"], "--max-steps": (count, None), "--pretty": COMMON["--pretty"]}
+COMMANDS = {  # command -> (handler, summary, its flags in usage order)
+    "check": (cmd_check, "passivity decision", {**BUDGETED, "--order": (count, None)}),
+    "reduce": (cmd_reduce, "divide a polynomial by the system", {**BUDGETED, "--target": (str, REQUIRED)}),
+    "syzygies": (cmd_syzygies, "pair generators of the leads", COMMON),
+    "quotient": (cmd_quotient, "principal/parametric census", {**BUDGETED, "--order": (count, None)}),
+    "ranking-audit": (cmd_ranking_audit, "check the ranking axioms", {
+        **COMMON, "--samples": (count, 10000), "--exhaustive-order": (count, 3), "--seed": (int, 0)}),
 }
 
 
 def _usage(command: str) -> str:
-    _, summary, own = COMMANDS[command]
+    _, summary, flags = COMMANDS[command]
     words = [f"diffalg {command} file"]
-    for flag, (convert, default) in {**COMMON, **own}.items():
+    for flag, (convert, default) in flags.items():
         word = flag if convert is None else f"{flag} {flag[2:].upper()}"
         words.append(word if default is REQUIRED else f"[{word}]")
     return " ".join(words) + "\n    " + summary
@@ -223,8 +225,7 @@ def parse_args(argv: list[str]):
     if argv[0] not in COMMANDS:
         choices = ", ".join(map(repr, COMMANDS))
         raise StructuralError(f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
-    handler, _, own = COMMANDS[argv[0]]
-    flags = {**COMMON, **own}
+    handler, _, flags = COMMANDS[argv[0]]
     values = {"file": REQUIRED, **{flag: default for flag, (_, default) in flags.items()}}
     extras: list[str] = []
     tokens = iter(argv[1:])

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from . import multiindex as mi
-from .algebra import Context, Deriv, DiffPoly, poly_to_json, to_text, var_to_json
+from .algebra import Context, Deriv, DiffPoly, poly_to_json, shift_deriv, to_text, var_to_json
 from .errors import ReductionLimitError, StructuralError
 from .ranking import Ranking
 
@@ -276,9 +276,10 @@ class NormalForm:
         return self._substitute(f, top)
 
     def _substitute(self, g: DiffPoly, hits: list[Deriv]) -> DiffPoly:
-        for v in hits:
-            g = g.substitute(v, self._nf[v])
-        return g
+        # One simultaneous substitution equals substituting the hits one by
+        # one: every image is a normal form, so it holds no principal
+        # derivative that a later hit would rewrite.
+        return g.substitute_all({v: self._nf[v] for v in hits}) if hits else g
 
 
 def autoreduce(sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> SolvedSystem:
@@ -329,7 +330,8 @@ def divide_by_normalized(
 class SliceResult:
     """Bounded normalized presentation of a system's orbit ideal: one solved
     form per orbit derivative within the order bound, tail fully reduced;
-    certified when coherent, with leads the orbit and no principal in a tail."""
+    certified when coherent, with leads exactly the principal derivatives up
+    to the bound and no principal in a tail."""
 
     order_bound: int
     forms: list[SolvedForm]
@@ -368,7 +370,6 @@ def normalized_slice(
     recorded as mismatches (the local coherence check of Riquier/Janet).
     """
     nf = sys.normal_form
-    n = sys.ctx.n
     lead_eq = {eq.lead: idx for idx, eq in enumerate(sys.equations)}
     orbit = {v for _, _, v in iter_orbit(sys, order_bound)}
     tails: dict[Deriv, DiffPoly] = {}
@@ -378,16 +379,35 @@ def normalized_slice(
         if v in lead_eq:
             tail = sys.equations[lead_eq[v]].tail
             candidates.append(({"eq": lead_eq[v]}, nf(tail, max_steps)))
-        for k in range(1, n + 1):
-            below = mi.try_subtract(mi.unit(n, k), v.order)
-            prev = Deriv(v.i, below) if below is not None else None
+        a = v.order
+        for k in range(len(a)):
+            prev = Deriv(v.i, a[:k] + (a[k] - 1,) + a[k + 1:]) if a[k] else None
             if prev in orbit:
-                derived = nf(tails[prev].total_derivative(k), max_steps)
-                candidates.append(({"from": var_to_json(prev), "direction": k}, derived))
+                derived = nf(tails[prev].total_derivative(k + 1), max_steps)
+                candidates.append(({"from": var_to_json(prev), "direction": k + 1}, derived))
         (first_source, tails[v]), *rest = candidates
         for source, tail in rest:
             if tail != tails[v]:
                 mismatches.append({"lead": var_to_json(v), "first": first_source, "second": source})
     forms = [SolvedForm(v, tails[v]) for v in sorted(tails, key=lambda v: (v.i, v.order))]
+    return certify_slice(sys, order_bound, forms, mismatches)
+
+
+def certify_slice(
+    sys: SolvedSystem, order_bound: int, forms: list[SolvedForm], mismatches: list[dict]
+) -> SliceResult:
+    """Check a slice from its forms alone, apart from the orbit walk: its
+    leads must be the derivatives up to the bound that find_principal calls
+    principal, and no tail may hold one.  Principal leads that include each
+    equation's lead and are closed under v -> v + e_k within the bound are
+    that set: a principal w is a lead raised one step at a time to w."""
+    leads = {f.lead for f in forms}
+    within = [v for v in leads if mi.order(v.order) < order_bound]
+    leads_match_orbit = (
+        len(leads) == len(forms)
+        and all(mi.order(v.order) <= order_bound and find_principal(sys, v) is not None for v in leads)
+        and all(eq.lead in leads for eq in sys.equations if mi.order(eq.lead.order) <= order_bound)
+        and all(shift_deriv(v, k) in leads for v in within for k in range(1, sys.ctx.n + 1))
+    )
     tails_reduced = all(find_principal(sys, w) is None for f in forms for w in f.tail.support_derivs())
-    return SliceResult(order_bound, forms, mismatches, tails.keys() == orbit, tails_reduced)
+    return SliceResult(order_bound, forms, mismatches, leads_match_orbit, tails_reduced)

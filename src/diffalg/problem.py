@@ -90,7 +90,11 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
         if not isinstance(entry, dict):
             raise StructuralError(f"{where}: expected object")
         _known_fields(entry, ("lead", "tail"), where)
-        lead = var_from_json(ctx, _require(entry, "lead", list, where))
+        raw_lead = _require(entry, "lead", list, where)
+        try:
+            lead = var_from_json(ctx, raw_lead)
+        except StructuralError as exc:
+            raise StructuralError(f"{where}.lead: {exc}") from None
         if not isinstance(lead, Deriv):
             raise StructuralError(f"{where}.lead: must be a derivative variable")
         tail = poly_from_json(ctx, _require(entry, "tail", list, where), f"{where}.tail")

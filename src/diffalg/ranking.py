@@ -253,7 +253,7 @@ def audit_compatibility(
 
     def check_b(u: Deriv, k: int) -> None:
         report.checked_b += 1
-        if rk.compare(u, shift_deriv(u, k, ctx.n)) != -1:
+        if rk.compare(u, shift_deriv(u, k)) != -1:
             key = ("b", u, None, k)
             if key not in seen:
                 seen.add(key)
@@ -263,7 +263,7 @@ def audit_compatibility(
         if rk.compare(u, v) != -1:
             return
         report.checked_a += 1
-        if rk.compare(shift_deriv(u, k, ctx.n), shift_deriv(v, k, ctx.n)) != -1:
+        if rk.compare(shift_deriv(u, k), shift_deriv(v, k)) != -1:
             key = ("a", u, v, k)
             if key not in seen:
                 seen.add(key)

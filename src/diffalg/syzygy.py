@@ -42,12 +42,6 @@ class ModuleVector:
     def zero(cls, k: int) -> "ModuleVector":
         return cls([{} for _ in range(k)])
 
-    @classmethod
-    def basis(cls, k: int, pos: int, n: int) -> "ModuleVector":
-        comps: list[OpPoly] = [{} for _ in range(k)]
-        comps[pos] = {mi.zero(n): Fraction(1)}
-        return cls(comps)
-
     @property
     def k(self) -> int:
         return len(self.comps)

@@ -23,6 +23,26 @@ def max_eliminated_order(result):
     return max((mi.order(s.eliminated.order) for s in result.trace), default=0)
 
 
+def power(f, e):
+    """f ** e by repeated multiplication, for e >= 0."""
+    result = DiffPoly.constant(f.ctx, 1)
+    for _ in range(e):
+        result = result * f
+    return result
+
+
+def partial(f, v):
+    """Formal partial derivative of f with respect to the single variable v."""
+    acc = {}
+    for m, c in f.terms.items():
+        exps = dict(m.exps)
+        e = exps.pop(v, 0)
+        if e:
+            dm = Monomial([*exps.items(), (v, e - 1)])
+            acc[dm] = acc.get(dm, 0) + c * e
+    return DiffPoly(f.ctx, acc)
+
+
 def rand_index(rng, n, max_order):
     return rng.choice(list(mi.iter_up_to_order(n, max_order)))
 

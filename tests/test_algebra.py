@@ -14,7 +14,7 @@ from diffalg import (
     poly_to_json,
     to_text,
 )
-from diffalg.algebra import monomial_cmp, var_from_json, var_to_json
+from diffalg.algebra import monomial_cmp, var_from_json, var_key, var_to_json
 
 import gen
 
@@ -46,7 +46,7 @@ def test_context_validation():
 
 def test_ring_ops():
     assert (X(1) + U(0, 0)) + (-X(1)) == U(0, 0)
-    assert U(0, 0) * U(0, 0) == U(0, 0) ** 2
+    assert U(0, 0) * U(0, 0) == gen.power(U(0, 0), 2)
     f = X(1) * U(1, 0) + C(Fraction(3, 2))
     assert f.scale(0).is_zero()
     assert f - f == DiffPoly.zero(CTX)
@@ -60,9 +60,9 @@ def test_ambient_mismatch():
 
 
 def test_partial():
-    assert (X(1) ** 2).partial(CTX.x(1)) == 2 * X(1)
-    assert (U(1, 0) * X(2)).partial(CTX.u(1, (1, 0))) == X(2)
-    assert X(1).partial(CTX.u(1, (0, 0))).is_zero()
+    assert gen.partial(gen.power(X(1), 2), CTX.x(1)) == 2 * X(1)
+    assert gen.partial(U(1, 0) * X(2), CTX.u(1, (1, 0))) == X(2)
+    assert gen.partial(X(1), CTX.u(1, (0, 0))).is_zero()
 
 
 def test_total_derivative():
@@ -75,20 +75,20 @@ def test_total_derivative_multi():
     f = X(1) * U(0, 1) + C(7)
     assert f.total_derivative_multi((0, 0)) == f
     assert U(0, 0).total_derivative_multi((1, 1)) == U(1, 1)
-    assert (X(1) ** 2).total_derivative_multi((2, 0)) == C(2)
+    assert gen.power(X(1), 2).total_derivative_multi((2, 0)) == C(2)
 
 
 def test_substitute():
     v = CTX.u(1, (0, 0))
-    f = U(0, 0) ** 2
-    assert f.substitute(v, X(1) + C(1)) == X(1) ** 2 + 2 * X(1) + C(1)
+    f = gen.power(U(0, 0), 2)
+    assert f.substitute(v, X(1) + C(1)) == gen.power(X(1), 2) + 2 * X(1) + C(1)
     g = X(1) * U(1, 0) + U(0, 0)
     assert g.substitute(v, U(0, 0)) == g
     assert X(1).substitute(v, U(1, 1)) == X(1)
 
 
 def test_support_derivs():
-    assert (X(1) ** 2 + C(3)).support_derivs() == set()
+    assert (gen.power(X(1), 2) + C(3)).support_derivs() == set()
     ctx = Context(2, 2)
     f = DiffPoly.variable(ctx, ctx.u(1, (1, 0))) * DiffPoly.variable(ctx, ctx.u(2, (0, 1)))
     assert f.support_derivs() == {ctx.u(1, (1, 0)), ctx.u(2, (0, 1))}
@@ -115,7 +115,7 @@ def test_derivative_linearity_randomized():
         c = gen.rand_coeff(rng)
         assert (f + g.scale(c)).total_derivative(1) == f.total_derivative(1) + g.total_derivative(1).scale(c)
         v = gen.rand_variable(rng, ctx, 4)
-        assert (f + g.scale(c)).partial(v) == f.partial(v) + g.partial(v).scale(c)
+        assert gen.partial(f + g.scale(c), v) == gen.partial(f, v) + gen.partial(g, v).scale(c)
 
 
 def test_semigroup_action_randomized():
@@ -143,7 +143,7 @@ def test_monomial_order():
 
 
 def test_json_round_trip_examples():
-    f = X(1) ** 2 * U(2, 0) - C(Fraction(3, 4)) * U(0, 1) + C(5)
+    f = gen.power(X(1), 2) * U(2, 0) - C(Fraction(3, 4)) * U(0, 1) + C(5)
     data = poly_to_json(f)
     assert poly_from_json(CTX, data) == f
     assert poly_to_json(poly_from_json(CTX, data)) == data
@@ -181,4 +181,88 @@ def test_json_rejects_bad_terms():
 def test_to_text():
     assert to_text(U(2, 0) - U(0, 1)) == "u[1,(2,0)] - u[1,(0,1)]"
     assert to_text(DiffPoly.zero(CTX)) == "0"
-    assert to_text(C(Fraction(-1, 2)) * X(1) ** 2) == "-1/2*x[1]^2"
+    assert to_text(C(Fraction(-1, 2)) * gen.power(X(1), 2)) == "-1/2*x[1]^2"
+
+
+# -- kernel cross-checks ----------------------------------------------------------
+
+
+def substitute_reference(f, v, g):
+    """Single-variable substitution the slow way: each touched term's
+    expansion is added to a fresh copy of the accumulator."""
+    powers = {0: DiffPoly.constant(f.ctx, 1)}
+    out, untouched = DiffPoly.zero(f.ctx), {}
+    for m, c in f.terms.items():
+        e = dict(m.exps).get(v, 0)
+        if e == 0:
+            untouched[m] = c
+            continue
+        while e not in powers:
+            top = max(powers)
+            powers[top + 1] = powers[top] * g
+        out = out + DiffPoly.monomial(f.ctx, Monomial((w, x) for w, x in m.exps if w != v), c) * powers[e]
+    return out + DiffPoly(f.ctx, untouched)
+
+
+def assert_canonical(p):
+    for m, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert all(type(e) is int and e > 0 for _, e in m.exps)
+        keys = [var_key(v) for v, _ in m.exps]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def free_of(rng, ctx, keys):
+    """A random polynomial whose support avoids every variable in keys."""
+    g = gen.rand_poly(rng, ctx, terms=3, max_degree=2, max_order=2)
+    return DiffPoly(ctx, {m: c for m, c in g.terms.items() if not any(v in keys for v, _ in m.exps)})
+
+
+def test_substitute_all_equals_a_fold_of_single_substitutions():
+    rng = random.Random(425)
+    hit = 0
+    for _ in range(240):
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+        f = gen.rand_poly(rng, ctx, terms=5, max_degree=3, max_order=2)
+        present = sorted({v for m in f.terms for v, _ in m.exps}, key=var_key)
+        pool = present + [gen.rand_variable(rng, ctx, 2)]
+        keys = set(rng.sample(pool, min(len(pool), rng.randint(1, 3))))
+        images = {v: free_of(rng, ctx, keys) for v in keys}
+        folded = f
+        for v, g in images.items():
+            folded = substitute_reference(folded, v, g)
+        result = f.substitute_all(images)
+        assert result == folded
+        assert_canonical(result)
+        hit += bool(keys & set(present))
+    assert hit > 150
+
+
+def test_monomial_product_equals_merged_pairs():
+    rng = random.Random(426)
+    for _ in range(300):
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+        a, b = (gen.rand_monomial(rng, ctx, 4, 2) for _ in range(2))
+        merged = dict(a.exps)
+        for v, e in b.exps:
+            merged[v] = merged.get(v, 0) + e
+        assert a * b == Monomial(merged.items())
+
+
+def test_kernel_results_are_canonical():
+    rng = random.Random(427)
+    for _ in range(120):
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+        f, g = gen.rand_poly(rng, ctx), gen.rand_poly(rng, ctx)
+        c = gen.rand_coeff(rng)
+        v = gen.rand_variable(rng, ctx, 3)
+        results = [
+            f + g, f - g, f + (-f), f - f, -f, f * g, f * DiffPoly.zero(ctx), f * (-f),
+            f.scale(c), f.scale(0), f.scale(Fraction(0)), 2 * f, f * 3,
+            f.substitute_all({v: g}), f.substitute_all({v: DiffPoly.zero(ctx)}), f.substitute_all({}),
+        ] + [f.total_derivative(k) for k in range(1, ctx.n + 1)]
+        for p in results:
+            assert_canonical(p)
+    f = X(1) * U(1, 0) + C(Fraction(3, 2))
+    assert (f + (-f)).terms == {} and f.scale(0).terms == {} and (f - f).is_zero()
+    assert (X(1) * U(0, 0) - U(0, 0) * X(1)).terms == {}

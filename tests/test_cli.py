@@ -206,6 +206,8 @@ def test_problem_validation():
     term = {"c": "1", "m": [], "cc": "1"}
     with pytest.raises(StructuralError, match=r"^equations\[0\]\.tail\[0\]: unknown field 'cc'$"):
         problem_from_dict({"n": 2, "m": 1, "equations": [{"lead": ["u", 1, [1, 0]], "tail": [term]}]})
+    with pytest.raises(StructuralError, match=r"^equations\[0\]\.lead: u index 5 out of range 1\.\.1$"):
+        problem_from_dict({"n": 2, "m": 1, "equations": [{"lead": ["u", 5, [2, 0]], "tail": []}]})
     problem = problem_from_dict({"n": 2, "m": 1, "equations": []})
     assert problem.bounds.order_bound == 6 and problem.bounds.max_steps == 100000
 
@@ -374,6 +376,8 @@ def test_help_exits_0(capsys):
     (["check", HEAT, "--bogus", "x", "extra"], "unrecognized arguments: --bogus x extra"),
     (["syzygies", HEAT, "--order", "1"], "unrecognized arguments: --order 1"),
     (["check", HEAT, "--pretty=1"], "argument --pretty: ignored explicit argument '1'"),
+    (["syzygies", HEAT, "--max-steps", "0"], "unrecognized arguments: --max-steps 0"),
+    (["ranking-audit", HEAT, "--max-steps=0"], "unrecognized arguments: --max-steps=0"),
 ])
 def test_usage_error_messages(argv, message):
     assert run_cli_full(*argv) == (1, "", f"input error: {message}\n")
@@ -403,6 +407,7 @@ def test_help_forms(capsys, command, flag):
     else:
         assert out.startswith(f"usage: diffalg {command} file")
         assert all(option in out for option in [*COMMON, *COMMANDS[command][2]])
+        assert ("--max-steps" in out) == (command in ("check", "reduce", "quotient"))
 
 
 def test_check_path_loads_no_argparse():

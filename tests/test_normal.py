@@ -20,6 +20,8 @@ from diffalg import (
     reduce,
 )
 
+from diffalg.normal import certify_slice
+
 import gen
 
 CTX = Context(2, 1)
@@ -90,7 +92,7 @@ def test_reduce_examples():
         {"eq": 0, "shift": [0, 1], "eliminated": ["u", 1, [1, 1]]}
     ]
     assert reduce(U(2, 0), sys_).remainder.is_zero()
-    f = X(1) ** 2 + DiffPoly.constant(CTX, 3)
+    f = gen.power(X(1), 2) + DiffPoly.constant(CTX, 3)
     assert reduce(f, sys_).remainder == f
 
 
@@ -203,7 +205,7 @@ def test_divide_by_normalized_examples():
     f = DiffPoly.variable(ctx, ctx.u(1, (0, 0))) * DiffPoly.variable(ctx, ctx.u(2, (0, 0)))
     x1x2 = DiffPoly.variable(ctx, ctx.x(1)) * DiffPoly.variable(ctx, ctx.x(2))
     assert divide_by_normalized(f, b) == x1x2
-    g = DiffPoly.variable(ctx, ctx.x(1)) ** 3
+    g = gen.power(DiffPoly.variable(ctx, ctx.x(1)), 3)
     assert divide_by_normalized(g, b) == g
     lead0 = DiffPoly.variable(ctx, ctx.u(1, (0, 0)))
     assert divide_by_normalized(lead0, b) == b[0].rhs()
@@ -248,6 +250,22 @@ def test_normalized_slice_heat():
     assert by_lead[D(2, 0)].rhs() == U(0, 1)
     assert by_lead[D(3, 0)].rhs() == U(1, 1)
     assert by_lead[D(2, 1)].rhs() == U(0, 2)
+
+
+def test_slice_missing_or_extra_lead_is_not_certified():
+    # leads_match_orbit compares the leads with find_principal, not with the
+    # orbit walk that built the slice
+    sys_ = system(SolvedForm(D(2, 0), -U(0, 1)))
+    result = normalized_slice(sys_, 4)
+    assert result.leads_match_orbit and result.certified
+    for drop in range(len(result.forms)):
+        forms = result.forms[:drop] + result.forms[drop + 1:]
+        dropped = certify_slice(sys_, 4, forms, result.mismatches)
+        assert not dropped.leads_match_orbit and not dropped.certified
+        assert dropped.to_json()["leads_match_orbit"] is False
+    for extra in (SolvedForm(D(0, 1), DiffPoly.zero(CTX)), result.forms[0]):
+        padded = certify_slice(sys_, 4, result.forms + [extra], result.mismatches)
+        assert not padded.leads_match_orbit and not padded.certified
 
 
 def test_normalized_slice_agrees_with_reduce():

@@ -136,7 +136,7 @@ def test_audit_broken_ranking_reports_b():
     assert any(c.axiom == "b" for c in report.counterexamples)
     bad = next(c for c in report.counterexamples if c.axiom == "b")
     rk = broken_ranking(CTX)
-    assert rk.compare(bad.u, shift_deriv(bad.u, bad.direction, CTX.n)) == 0
+    assert rk.compare(bad.u, shift_deriv(bad.u, bad.direction)) == 0
 
 
 def test_audit_negated_weights_fail():
@@ -153,7 +153,7 @@ def test_axioms_hold_randomized():
             u = gen.rand_deriv(rng, CTX, 5)
             v = gen.rand_deriv(rng, CTX, 5)
             k = rng.randint(1, CTX.n)
-            su, sv = shift_deriv(u, k, CTX.n), shift_deriv(v, k, CTX.n)
+            su, sv = shift_deriv(u, k), shift_deriv(v, k)
             assert rk.compare(u, su) == -1
             if rk.compare(u, v) == -1:
                 assert rk.compare(su, sv) == -1
@@ -173,8 +173,8 @@ def test_derivation_preserves_class_order():
             continue
         for k in range(1, CTX.n + 1):
             d1, d2 = f1.total_derivative(k), f2.total_derivative(k)
-            s1 = shift_deriv(lead1.deriv, k, CTX.n)
-            s2 = shift_deriv(lead2.deriv, k, CTX.n)
+            s1 = shift_deriv(lead1.deriv, k)
+            s2 = shift_deriv(lead2.deriv, k)
             if s1 not in d1.support_derivs() or s2 not in d2.support_derivs():
                 continue
             checked += 1

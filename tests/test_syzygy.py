@@ -55,7 +55,7 @@ def test_module_apply():
     leads = [U(2, 0), U(0, 1)]
     taus = tau_generators(leads)
     assert module_apply(taus[0].vector(2), leads) == {}
-    e1 = ModuleVector.basis(2, 0, 2)
+    e1 = ModuleVector([{mi.zero(2): Fraction(1)}, {}])  # the first basis vector
     assert module_apply(e1, leads) == {U(2, 0): Fraction(1)}
     shift = ModuleVector([{(1, 0): Fraction(1)}])
     assert module_apply(shift, [U(0, 0)]) == {U(1, 0): Fraction(1)}

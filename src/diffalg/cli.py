@@ -77,6 +77,17 @@ def _emit_coincidence(coincidence, pretty: bool) -> int:
     return EXIT_FOR_VERDICT[coincidence.verdict]
 
 
+def _load(file, ranking, max_steps=None, order=None) -> Problem:
+    """The problem with --max-steps and --order, when given, as its bounds:
+    every phase of the command reads one budget."""
+    problem = load_problem(file, ranking)
+    if max_steps is not None:
+        problem.bounds.max_steps = max_steps
+    if order is not None:
+        problem.bounds.order_bound = order
+    return problem
+
+
 def _merged_system(problem: Problem):
     """The merged system for commands with no verdict to report unmerged leads."""
     coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds.max_steps)
@@ -88,13 +99,11 @@ def _merged_system(problem: Problem):
 
 
 def cmd_check(file, ranking, max_steps, pretty, order) -> int:
-    problem = load_problem(file, ranking)
-    order_bound = order if order is not None else problem.bounds.order_bound
-    max_steps = max_steps if max_steps is not None else problem.bounds.max_steps
+    problem = _load(file, ranking, max_steps, order)
     coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds.max_steps)
     if coincidence.system is None:
         return _emit_coincidence(coincidence, pretty)
-    report = is_passive(coincidence.system, order_bound, max_steps)
+    report = is_passive(coincidence.system, problem.bounds.order_bound, problem.bounds.max_steps)
     payload = report.to_json()
     if coincidence.relations:
         payload["coincident_leads"] = coincidence.to_json()
@@ -111,14 +120,13 @@ def cmd_check(file, ranking, max_steps, pretty, order) -> int:
 
 
 def cmd_reduce(file, ranking, max_steps, pretty, target) -> int:
-    problem = load_problem(file, ranking)
-    max_steps = max_steps if max_steps is not None else problem.bounds.max_steps
+    problem = _load(file, ranking, max_steps)
     try:
         target_data = json.loads(target)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"bad --target polynomial: {exc}") from None
     poly = poly_from_json(problem.ctx, target_data, "--target")
-    result = reduce(poly, _merged_system(problem), max_steps)
+    result = reduce(poly, _merged_system(problem), problem.bounds.max_steps)
     payload = {
         "remainder": poly_to_json(result.remainder),
         "trace": [step.to_json() for step in result.trace],
@@ -139,18 +147,16 @@ def cmd_syzygies(file, ranking, pretty) -> int:
 
 
 def cmd_quotient(file, ranking, max_steps, pretty, order) -> int:
-    problem = load_problem(file, ranking)
-    order_bound = order if order is not None else problem.bounds.order_bound
-    max_steps = max_steps if max_steps is not None else problem.bounds.max_steps
+    problem = _load(file, ranking, max_steps, order)
     coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds.max_steps)
     if coincidence.system is None:
         return _emit_coincidence(coincidence, pretty)
-    report = decide_passivity(coincidence.system, max_steps)
+    report = decide_passivity(coincidence.system, problem.bounds.max_steps)
     if report.verdict != PASSIVE:
         payload = {"error": "census requires a passive system", "verdict": report.verdict}
         _emit(payload, [f"not passive: verdict {report.verdict}"], pretty)
         return report.exit_code
-    census = quotient_census(coincidence.system, order_bound)
+    census = quotient_census(coincidence.system, problem.bounds.order_bound)
     lines = [f"order bound {census.order_bound}:"
              f" {len(census.principal)} principal, {len(census.parametric)} parametric"]
     _emit(census.to_json(), lines, pretty)

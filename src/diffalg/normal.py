@@ -166,31 +166,16 @@ class ReduceResult:
     trace: list[ReduceStep]
 
 
-def _principal_support(sys: SolvedSystem, f: DiffPoly) -> list[tuple[Deriv, int, mi.Index]]:
-    out = []
-    for v in f.support_derivs():
-        hit = find_principal(sys, v)
-        if hit is not None:
-            out.append((v, hit[0], hit[1]))
-    return out
-
-
 def reduce(f: DiffPoly, sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> ReduceResult:
     """Divide f by the orbit of the system, greatest principal derivative
     first, and return the remainder with the full rewrite trace."""
-    solv = check_conditionally_solvable(sys)
-    if not solv.ok:
-        raise StructuralError(
-            f"system is not conditionally solvable: {solv.violations}"
-        )
-    if f.ctx != sys.ctx:
-        raise StructuralError("polynomial ambient differs from system ambient")
+    sys.normal_form.require_reducible(f)
     rk = sys.ranking
     trace: list[ReduceStep] = []
     current = f
     steps = 0
     while True:
-        hits = _principal_support(sys, current)
+        hits = [(v, *hit) for v in current.support_derivs() if (hit := find_principal(sys, v)) is not None]
         if not hits:
             return ReduceResult(current, trace)
         steps += 1
@@ -239,13 +224,18 @@ class NormalForm:
                 poly = self._prolonged[(idx, step)]
         return poly
 
-    def __call__(self, f: DiffPoly, max_steps: int = DEFAULT_MAX_STEPS) -> DiffPoly:
+    def require_reducible(self, f: DiffPoly) -> None:
+        """Raise unless the system is conditionally solvable and f shares its
+        ambient: the preconditions of the engine and of reduce alike."""
         if not self.solvability.ok:
             raise StructuralError(
                 f"system is not conditionally solvable: {self.solvability.violations}"
             )
         if f.ctx != self.sys.ctx:
             raise StructuralError("polynomial ambient differs from system ambient")
+
+    def __call__(self, f: DiffPoly, max_steps: int = DEFAULT_MAX_STEPS) -> DiffPoly:
+        self.require_reducible(f)
         steps = 0
 
         def charge(g: DiffPoly) -> list[Deriv]:

@@ -31,7 +31,6 @@ from .normal import (
     SolvabilityReport,
     SolvedForm,
     SolvedSystem,
-    autoreduce,
     iter_orbit,
     normalized_slice,
 )
@@ -46,7 +45,6 @@ PASSIVE = "passive"
 NOT_PASSIVE = "not-passive"
 
 DEFAULT_ORDER_BOUND = 6
-DEFAULT_DEGREE_BOUND = 3
 
 EXIT_FOR_VERDICT = {PASSIVE: 0, NOT_PASSIVE: 2, OBSTRUCTED: 2, INCONSISTENT: 3}
 
@@ -198,12 +196,15 @@ def is_passive(
     """Full passivity decision.
 
     On a passive verdict the report also gets the quotient census and the
-    certified bounded normalized presentation of the autoreduced system.
+    certified bounded normalized presentation.  A passive system gives every
+    polynomial one normal form, the one its autoreduced system gives too, so
+    the slice runs on the decided system and reads the normal forms its pair
+    checks memoized.
     """
     report = decide_passivity(sys, max_steps)
     if report.verdict == PASSIVE:
         report.census = quotient_census(sys, order_bound)
-        report.normalized = normalized_slice(autoreduce(sys, max_steps), order_bound, max_steps)
+        report.normalized = normalized_slice(sys, order_bound, max_steps)
     return report
 
 

@@ -8,7 +8,7 @@ Schema:
       "equations": [
         {"lead": ["u", i, [a, ...]], "tail": [ {"c": "p/q", "m": [...]}, ... ]}
       ],
-      "bounds": {"order_bound": 6, "degree_bound": 3, "max_steps": 100000}
+      "bounds": {"order_bound": 6, "max_steps": 100000}
     }
 
 "ranking", "bounds" and the fields of "bounds" are optional.  Integer fields
@@ -30,14 +30,13 @@ from typing import Optional
 from .algebra import Context, Deriv, poly_from_json, var_from_json
 from .errors import StructuralError
 from .normal import DEFAULT_MAX_STEPS, SolvedForm
-from .passivity import DEFAULT_DEGREE_BOUND, DEFAULT_ORDER_BOUND
+from .passivity import DEFAULT_ORDER_BOUND
 from .ranking import DEFAULT_RANKING, NAMED_RANKINGS, Ranking, shift_violation
 
 
 @dataclass
 class Bounds:
     order_bound: int = DEFAULT_ORDER_BOUND
-    degree_bound: int = DEFAULT_DEGREE_BOUND
     max_steps: int = DEFAULT_MAX_STEPS
 
 
@@ -107,7 +106,7 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
     raw_bounds = data.get("bounds", {})
     if not isinstance(raw_bounds, dict):
         raise StructuralError("problem.bounds: expected object")
-    _known_fields(raw_bounds, ("order_bound", "degree_bound", "max_steps"), "problem.bounds")
+    _known_fields(raw_bounds, ("order_bound", "max_steps"), "problem.bounds")
     for key in raw_bounds:
         value = raw_bounds[key]
         if type(value) is not int or value < 0:

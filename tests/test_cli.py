@@ -140,6 +140,59 @@ def test_resource_limit_exit_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [["check"], ["quotient"], ["reduce", "--target", "[]"]],
+                         ids=["check", "quotient", "reduce"])
+def test_max_steps_reaches_coincident_leads(tmp_path, argv):
+    # the file's budget of 0 cannot reduce the duplicate's difference
+    # u_(0,1) - x1; --max-steps replaces it in every phase, that one included
+    path = tmp_path / "coincident_budget.json"
+    path.write_text(json.dumps({"n": 2, "m": 1, "ranking": "orderly", "bounds": {"max_steps": 0},
+                                "equations": [
+        {"lead": ["u", 1, [1, 0]], "tail": [{"c": "-1", "m": [[["u", 1, [0, 1]], 1]]}]},
+        {"lead": ["u", 1, [0, 1]], "tail": [{"c": "-1", "m": [[["x", 1], 1]]}]},
+        {"lead": ["u", 1, [1, 0]], "tail": [{"c": "-1", "m": [[["x", 1], 1]]}]},
+    ]}))
+    limited = run_cli_full(argv[0], str(path), *argv[1:])
+    assert limited == (4, "", "resource limit: reduction exceeded 0 steps; last state: u[1,(0,1)] - x[1]\n")
+    code, out, err = run_cli_full(argv[0], str(path), *argv[1:], "--max-steps", "100")
+    assert err == "" and code == (0 if argv[0] == "reduce" else 3)
+    if argv[0] == "check":
+        assert json.loads(out)["coincident_leads"]["relations"][0]["status"] == "merged"
+
+
+@pytest.mark.parametrize("command", ["check", "quotient", "reduce"])
+def test_one_engine_per_command(monkeypatch, command):
+    # one NormalForm and one solvability check serve every phase of a command
+    # (coincident leads, pairs, slice, reduce); nothing autoreduces
+    import diffalg.normal as normal
+
+    calls = {"engine": 0, "solvable": 0}
+    init, solvable = normal.NormalForm.__init__, normal.check_conditionally_solvable
+
+    def counted_init(self, sys_):
+        calls["engine"] += 1
+        init(self, sys_)
+
+    def counted_solvable(sys_):
+        calls["solvable"] += 1
+        return solvable(sys_)
+
+    def no_autoreduce(*args):
+        raise AssertionError("a command autoreduced")
+
+    monkeypatch.setattr(normal.NormalForm, "__init__", counted_init)
+    monkeypatch.setattr(normal, "check_conditionally_solvable", counted_solvable)
+    monkeypatch.setattr(normal, "autoreduce", no_autoreduce)
+    for path in sorted(PROBLEMS.glob("*.json")):
+        n = json.loads(path.read_text())["n"]
+        target = json.dumps([{"c": "1", "m": [[["u", 1, [1] * n], 1]]}])
+        extra = ["--target", target] if command == "reduce" else []
+        calls.update(engine=0, solvable=0)
+        code, _, _ = run_cli_full(command, str(path), *extra)
+        assert code in (0, 1, 2, 3), path.name
+        assert calls == {"engine": 1, "solvable": 1}, path.name
+
+
 def test_weight_ranking_audit_gate(tmp_path):
     data = json.loads((PROBLEMS / "heat.json").read_text())
     data["ranking"] = {"weights": [[1, 0, 0]]}  # ignores the exponent: fails (b)
@@ -299,6 +352,7 @@ def test_weight_gate_message(tmp_path):
     pytest.param(lambda d: d.update(n=True), id="n"),
     pytest.param(lambda d: d.update(m=True), id="m"),
     pytest.param(lambda d: d["bounds"].update(order_bound=True), id="order_bound"),
+    # the retired bound is no field at all, whatever its value
     pytest.param(lambda d: d["bounds"].update(degree_bound=False), id="degree_bound"),
     pytest.param(lambda d: d["bounds"].update(max_steps=True), id="max_steps"),
     pytest.param(lambda d: d.update(ranking={"weights": [[0, True, 1], [1, 0, 0], [0, 1, 0]]}),
@@ -321,6 +375,8 @@ def test_booleans_are_not_numbers(tmp_path, edit):
     bad.write_text(json.dumps(data))
     code, out, err = run_cli_full("check", str(bad))
     assert (code, out) == (1, "") and err.startswith("input error: ")
+    if "degree_bound" in data.get("bounds", {}):
+        assert err == "input error: problem.bounds: unknown field 'degree_bound'\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -26,7 +26,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden_corpus.json"
 COMMANDS = {
     "check": [],
     "check --pretty": ["--pretty"],
+    "check --max-steps 0": ["--max-steps", "0"],
     "quotient": [],
+    "quotient --max-steps 0": ["--max-steps", "0"],
     "syzygies": [],
     "reduce": None,  # per file: u^1 differentiated once in every direction
     "ranking-audit --samples 300": ["--samples", "300"],

@@ -321,6 +321,23 @@ def test_incremental_slice_matches_reduce_randomized():
     assert elements >= 800
 
 
+def test_slice_equals_slice_of_autoreduced_randomized():
+    # a passive system and its autoreduced system give every polynomial one
+    # normal form, so is_passive slices the decided system itself
+    draws = random_systems(74, 300, passive_only=True)
+    for path in sorted(PROBLEMS.glob("*.json")):
+        problem = load_problem(str(path))
+        sys_ = coincident_lead_analysis(problem.forms, problem.ranking).system
+        if sys_ is not None and decide_passivity(sys_).verdict == "passive":
+            draws.append((random.Random(path.name), sys_))
+    assert len(draws) >= 305
+    for rng, sys_ in draws:
+        bound = rng.randint(0, 4)
+        expected = normalized_slice(autoreduce(sys_), bound).to_json()
+        assert normalized_slice(sys_, bound).to_json() == expected
+        assert is_passive(sys_, bound).normalized.to_json() == expected
+
+
 def test_engine_step_budget():
     sys_ = obstructed()
     with pytest.raises(ReductionLimitError):

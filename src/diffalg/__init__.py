@@ -7,7 +7,7 @@ from .algebra import (
     Deriv,
     DiffPoly,
     Indep,
-    Monomial,
+    monomial,
     poly_from_json,
     poly_to_json,
     to_text,
@@ -63,7 +63,6 @@ __all__ = [
     "Indep",
     "MembershipInstance",
     "ModuleVector",
-    "Monomial",
     "NormalForm",
     "PassivityReport",
     "Ranking",
@@ -83,6 +82,7 @@ __all__ = [
     "is_passive",
     "membership",
     "module_apply",
+    "monomial",
     "normalized_slice",
     "operator_apply",
     "poly_from_json",

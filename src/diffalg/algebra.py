@@ -6,6 +6,12 @@ alpha a multi-index of length n).  A DiffPoly is a finitely supported
 rational-linear combination of monomials in these variables, kept canonical:
 no zero coefficients, no zero exponents, structural equality.
 
+A monomial is a plain tuple of (variable, positive exponent) pairs sorted by
+var_key, so () is 1 and equal monomials are equal tuples; hashing and
+equality run in C.  monomial() builds one from outside pairs,
+monomial_product() multiplies two, and monomial_sort_key() fixes the
+display order.
+
 Total derivative operators D_k combine the partial derivative with respect
 to x_k with the chain rule over every derivative variable:
 
@@ -20,7 +26,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import multiindex as mi
@@ -99,63 +104,30 @@ class Context:
                 yield Deriv(i, a)
 
 
-class Monomial:
-    """A power product of variables, stored as a tuple of (variable, positive
-    exponent) pairs sorted by var_key."""
+def monomial(pairs: Iterable[tuple[Variable, int]] = ()) -> tuple:
+    """The canonical monomial of outside (variable, exponent) pairs: zero
+    exponents dropped, sorted by var_key; a negative exponent is an error."""
+    pairs = [(v, e) for v, e in pairs if e != 0]
+    if any(e < 0 for _, e in pairs):
+        raise StructuralError("negative exponent in monomial")
+    return tuple(sorted(pairs, key=lambda p: var_key(p[0])))
 
-    __slots__ = ("exps",)
 
-    def __init__(self, exps: Iterable[tuple[Variable, int]] = ()):
-        pairs = [(v, e) for v, e in exps if e != 0]
-        if any(e < 0 for _, e in pairs):
-            raise StructuralError("negative exponent in monomial")
-        pairs.sort(key=lambda p: var_key(p[0]))
-        self.exps = tuple(pairs)
-
-    @classmethod
-    def _raw(cls, exps: tuple[tuple[Variable, int], ...]) -> "Monomial":
-        """Wrap pairs that are already canonical: sorted, exponents positive."""
-        m = object.__new__(cls)
-        m.exps = exps
-        return m
-
-    @classmethod
-    def one(cls) -> "Monomial":
-        return cls._raw(())
-
-    @classmethod
-    def of(cls, v: Variable, e: int = 1) -> "Monomial":
-        return cls(((v, e),))
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __repr__(self):
-        return f"Monomial({self.exps!r})"
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        # Merge the two sorted exponent lists.
-        a, b = self.exps, other.exps
-        out, i, j = [], 0, 0
-        while i < len(a) and j < len(b):
-            ka, kb = var_key(a[i][0]), var_key(b[j][0])
-            if ka == kb:
-                out.append((a[i][0], a[i][1] + b[j][1]))
-                i, j = i + 1, j + 1
-            elif ka < kb:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        return Monomial._raw(tuple(out) + a[i:] + b[j:])
+def monomial_product(a: tuple, b: tuple) -> tuple:
+    """The product of two canonical monomials: their sorted pairs merged."""
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        ka, kb = var_key(a[i][0]), var_key(b[j][0])
+        if ka == kb:
+            out.append((a[i][0], a[i][1] + b[j][1]))
+            i, j = i + 1, j + 1
+        elif ka < kb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def _times_deriv(exps: tuple, w: Deriv) -> tuple:
@@ -169,39 +141,15 @@ def _times_deriv(exps: tuple, w: Deriv) -> tuple:
     return exps + ((w, 1),)
 
 
-def _lex_cmp(a: Monomial, b: Monomial) -> int:
-    # Lexicographic with priority to the greatest variable: walk both
-    # exponent lists from their largest variable down; the first position
-    # where either the variable or its exponent is larger decides.
-    ia, ib = len(a.exps) - 1, len(b.exps) - 1
-    while ia >= 0 or ib >= 0:
-        if ia < 0:
-            return -1
-        if ib < 0:
-            return 1
-        (va, xa), (vb, xb) = a.exps[ia], b.exps[ib]
-        ka, kb = var_key(va), var_key(vb)
-        if ka != kb:
-            return 1 if ka > kb else -1
-        if xa != xb:
-            return 1 if xa > xb else -1
-        ia -= 1
-        ib -= 1
-    return 0
+def monomial_sort_key(m: tuple) -> tuple:
+    """Graded, then lexicographic toward the greatest variable: the pairs are
+    compared from the greatest variable down, by variable, then exponent.  x
+    variables rank below u variables.  Fixes display and serialization order
+    only."""
+    return (sum(e for _, e in m), [(var_key(v), e) for v, e in reversed(m)])
 
 
-def monomial_cmp(a: Monomial, b: Monomial) -> int:
-    """Graded, then lexicographic toward the greatest variable; x variables
-    rank below u variables.  Fixes display and serialization order only."""
-    if a.degree != b.degree:
-        return 1 if a.degree > b.degree else -1
-    return _lex_cmp(a, b)
-
-
-monomial_sort_key = cmp_to_key(monomial_cmp)
-
-
-def _accumulate(res: dict[Monomial, Fraction], m: Monomial, c: Fraction) -> None:
+def _accumulate(res: dict[tuple, Fraction], m: tuple, c: Fraction) -> None:
     """res[m] += c for a nonzero c, keeping res free of zero coefficients."""
     old = res.get(m)
     if old is None:
@@ -215,14 +163,14 @@ def _accumulate(res: dict[Monomial, Fraction], m: Monomial, c: Fraction) -> None
 
 
 class DiffPoly:
-    """Immutable sparse polynomial: Monomial -> nonzero Fraction.  Arithmetic
+    """Immutable sparse polynomial: monomial -> nonzero Fraction.  Arithmetic
     builds each result canonical in one pass and wraps it with _of;
     DiffPoly(ctx, terms) canonicalizes outside input."""
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: Context, terms: Optional[dict[Monomial, Rational]] = None):
-        canonical: dict[Monomial, Fraction] = {}
+    def __init__(self, ctx: Context, terms: Optional[dict[tuple, Rational]] = None):
+        canonical: dict[tuple, Fraction] = {}
         if terms:
             for m, c in terms.items():
                 c = Fraction(c)
@@ -234,7 +182,7 @@ class DiffPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _of(cls, ctx: Context, terms: dict[Monomial, Fraction]) -> "DiffPoly":
+    def _of(cls, ctx: Context, terms: dict[tuple, Fraction]) -> "DiffPoly":
         """Wrap a dict that is already canonical: every value a nonzero Fraction."""
         p = object.__new__(cls)
         p.ctx = ctx
@@ -247,15 +195,11 @@ class DiffPoly:
 
     @classmethod
     def constant(cls, ctx: Context, c: Rational) -> "DiffPoly":
-        return cls(ctx, {Monomial.one(): c})
+        return cls(ctx, {(): c})
 
     @classmethod
     def variable(cls, ctx: Context, v: Variable) -> "DiffPoly":
-        return cls._of(ctx, {Monomial.of(ctx.check_var(v)): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, ctx: Context, m: Monomial, c: Rational = 1) -> "DiffPoly":
-        return cls(ctx, {m: c})
+        return cls._of(ctx, {((ctx.check_var(v), 1),): Fraction(1)})
 
     # -- basics --------------------------------------------------------------
 
@@ -299,10 +243,10 @@ class DiffPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ctx(other)
-        res: dict[Monomial, Fraction] = {}
+        res: dict[tuple, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                _accumulate(res, m1 * m2, c1 * c2)
+                _accumulate(res, monomial_product(m1, m2), c1 * c2)
         return DiffPoly._of(self.ctx, res)
 
     def __rmul__(self, other: Rational) -> "DiffPoly":
@@ -323,17 +267,16 @@ class DiffPoly:
         n = self.ctx.n
         if not 1 <= k <= n:
             raise StructuralError(f"direction {k} out of range 1..{n}")
-        res: dict[Monomial, Fraction] = {}
+        res: dict[tuple, Fraction] = {}
         for m, c in self.terms.items():
-            exps = m.exps
-            for pos, (v, e) in enumerate(exps):
+            for pos, (v, e) in enumerate(m):
                 is_x = isinstance(v, Indep)
                 if is_x and v.j != k:
                     continue
-                head = exps[:pos] + ((v, e - 1),) if e > 1 else exps[:pos]
+                head = m[:pos] + ((v, e - 1),) if e > 1 else m[:pos]
                 # x's sort first, so only u's follow a u
-                rest = exps[pos + 1:] if is_x else _times_deriv(exps[pos + 1:], shift_deriv(v, k))
-                _accumulate(res, Monomial._raw(head + rest), c * e if e > 1 else c)
+                rest = m[pos + 1:] if is_x else _times_deriv(m[pos + 1:], shift_deriv(v, k))
+                _accumulate(res, head + rest, c * e if e > 1 else c)
         return DiffPoly._of(self.ctx, res)
 
     def total_derivative_multi(self, a: mi.Index) -> "DiffPoly":
@@ -366,18 +309,18 @@ class DiffPoly:
                 built.append(built[-1] * images[v])
             return built[e - 1]
 
-        res: dict[Monomial, Fraction] = {}
+        res: dict[tuple, Fraction] = {}
         for m, c in self.terms.items():
-            hits = [(v, e) for v, e in m.exps if v in images]
+            hits = [(v, e) for v, e in m if v in images]
             if not hits:
                 _accumulate(res, m, c)
                 continue
             factor = power(*hits[0])
             for v, e in hits[1:]:
                 factor = factor * power(v, e)
-            rest = Monomial._raw(tuple(p for p in m.exps if p[0] not in images))
+            rest = tuple(p for p in m if p[0] not in images)
             for fm, fc in factor.terms.items():
-                _accumulate(res, rest * fm, c * fc)
+                _accumulate(res, monomial_product(rest, fm), c * fc)
         return DiffPoly._of(self.ctx, res)
 
     def support_derivs(self) -> set[Deriv]:
@@ -385,12 +328,12 @@ class DiffPoly:
         Empty exactly when f lies in the plain polynomial ring over the x's."""
         out: set[Deriv] = set()
         for m in self.terms:
-            for v, _ in m.exps:
+            for v, _ in m:
                 if isinstance(v, Deriv):
                     out.add(v)
         return out
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         """Terms in descending canonical monomial order (leading first)."""
         return sorted(self.terms.items(), key=lambda t: monomial_sort_key(t[0]), reverse=True)
 
@@ -432,7 +375,7 @@ def poly_to_json(p: DiffPoly) -> list:
     leading term first.  Round-trips bit-exactly."""
     out = []
     for m, c in p.sorted_terms():
-        out.append({"c": str(c), "m": [[var_to_json(v), e] for v, e in m.exps]})
+        out.append({"c": str(c), "m": [[var_to_json(v), e] for v, e in m]})
     return out
 
 
@@ -440,7 +383,7 @@ def poly_from_json(ctx: Context, data, where: str = "polynomial") -> DiffPoly:
     """Parse poly_to_json's format; an error in term t names it as where[t]."""
     if not isinstance(data, list):
         raise StructuralError(f"polynomial must be a list of terms, got {type(data).__name__}")
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[tuple, Fraction] = {}
     for t, term in enumerate(data):
         try:
             if not isinstance(term, dict) or "c" not in term or "m" not in term:
@@ -461,7 +404,7 @@ def poly_from_json(ctx: Context, data, where: str = "polynomial") -> DiffPoly:
                 pairs.append((v, e))
         except StructuralError as exc:
             raise StructuralError(f"{where}[{t}]: {exc}") from None
-        m = Monomial(pairs)
+        m = monomial(pairs)
         acc[m] = acc.get(m, Fraction(0)) + c
     return DiffPoly(ctx, acc)
 
@@ -475,11 +418,11 @@ def _var_text(v: Variable) -> str:
     return f"u[{v.i},({','.join(str(e) for e in v.order)})]"
 
 
-def _mono_text(m: Monomial) -> str:
-    if not m.exps:
+def _mono_text(m: tuple) -> str:
+    if not m:
         return "1"
     return "*".join(
-        _var_text(v) + (f"^{e}" if e > 1 else "") for v, e in m.exps
+        _var_text(v) + (f"^{e}" if e > 1 else "") for v, e in m
     )
 
 
@@ -490,9 +433,9 @@ def to_text(p: DiffPoly) -> str:
     for idx, (m, c) in enumerate(p.sorted_terms()):
         neg = c < 0
         mag = -c if neg else c
-        if m.exps and mag == 1:
+        if m and mag == 1:
             body = _mono_text(m)
-        elif m.exps:
+        elif m:
             body = f"{mag}*{_mono_text(m)}"
         else:
             body = str(mag)

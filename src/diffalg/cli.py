@@ -23,7 +23,7 @@ import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import NoReturn, Optional
+from typing import Callable, NoReturn, Optional
 
 from .algebra import poly_from_json, poly_to_json, to_text
 from .errors import ReductionLimitError, StructuralError
@@ -66,14 +66,16 @@ def render(obj, newline: str = "\n") -> str:
     return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
 
 
-def _emit(payload: dict, pretty_lines: list[str], pretty: bool) -> None:
-    print("\n".join(pretty_lines) if pretty else render(payload))
+def _emit(pretty: bool, payload: Callable[[], dict], lines: Callable[[], list[str]]) -> None:
+    """Print lines() under --pretty, else render(payload()): only the printed
+    form is built."""
+    print("\n".join(lines()) if pretty else render(payload()))
 
 
 def _emit_coincidence(coincidence, pretty: bool) -> int:
     """Report coincident leads that do not merge; the verdict sets the exit code."""
-    payload = {"verdict": coincidence.verdict, "coincident_leads": coincidence.to_json()}
-    _emit(payload, [f"verdict: {coincidence.verdict} (coincident leads)"], pretty)
+    _emit(pretty, lambda: {"verdict": coincidence.verdict, "coincident_leads": coincidence.to_json()},
+          lambda: [f"verdict: {coincidence.verdict} (coincident leads)"])
     return EXIT_FOR_VERDICT[coincidence.verdict]
 
 
@@ -104,18 +106,25 @@ def cmd_check(file, ranking, max_steps, pretty, order) -> int:
     if coincidence.system is None:
         return _emit_coincidence(coincidence, pretty)
     report = is_passive(coincidence.system, problem.bounds.order_bound, problem.bounds.max_steps)
-    payload = report.to_json()
-    if coincidence.relations:
-        payload["coincident_leads"] = coincidence.to_json()
-    lines = [f"verdict: {report.verdict}"] + [
-        f"pair ({p.pair[0]}, {p.pair[1]}): {p.status}; remainder = {to_text(p.remainder)}" for p in report.pairs
-    ]
-    if report.census is not None:
-        lines.append(
-            f"parametric derivatives up to order {report.census.order_bound}:"
-            f" {len(report.census.parametric)}"
-        )
-    _emit(payload, lines, pretty)
+
+    def payload() -> dict:
+        out = report.to_json()
+        if coincidence.relations:
+            out["coincident_leads"] = coincidence.to_json()
+        return out
+
+    def lines() -> list[str]:
+        out = [f"verdict: {report.verdict}"] + [
+            f"pair ({p.pair[0]}, {p.pair[1]}): {p.status}; remainder = {to_text(p.remainder)}" for p in report.pairs
+        ]
+        if report.census is not None:
+            out.append(
+                f"parametric derivatives up to order {report.census.order_bound}:"
+                f" {len(report.census.parametric)}"
+            )
+        return out
+
+    _emit(pretty, payload, lines)
     return report.exit_code
 
 
@@ -127,22 +136,18 @@ def cmd_reduce(file, ranking, max_steps, pretty, target) -> int:
         raise StructuralError(f"bad --target polynomial: {exc}") from None
     poly = poly_from_json(problem.ctx, target_data, "--target")
     result = reduce(poly, _merged_system(problem), problem.bounds.max_steps)
-    payload = {
+    _emit(pretty, lambda: {
         "remainder": poly_to_json(result.remainder),
         "trace": [step.to_json() for step in result.trace],
-    }
-    lines = [f"remainder: {to_text(result.remainder)}", f"steps: {len(result.trace)}"]
-    _emit(payload, lines, pretty)
+    }, lambda: [f"remainder: {to_text(result.remainder)}", f"steps: {len(result.trace)}"])
     return 0
 
 
 def cmd_syzygies(file, ranking, pretty) -> int:
     taus = tau_generators(_merged_system(load_problem(file, ranking)).leads())
-    payload = {"taus": [t.to_json() for t in taus]}
-    lines = [
+    _emit(pretty, lambda: {"taus": [t.to_json() for t in taus]}, lambda: [
         f"tau[{t.i},{t.j}]: shifts {tuple(t.shift_i)} / {tuple(t.shift_j)}" for t in taus
-    ] or ["no pairs"]
-    _emit(payload, lines, pretty)
+    ] or ["no pairs"])
     return 0
 
 
@@ -153,20 +158,19 @@ def cmd_quotient(file, ranking, max_steps, pretty, order) -> int:
         return _emit_coincidence(coincidence, pretty)
     report = decide_passivity(coincidence.system, problem.bounds.max_steps)
     if report.verdict != PASSIVE:
-        payload = {"error": "census requires a passive system", "verdict": report.verdict}
-        _emit(payload, [f"not passive: verdict {report.verdict}"], pretty)
+        _emit(pretty, lambda: {"error": "census requires a passive system", "verdict": report.verdict},
+              lambda: [f"not passive: verdict {report.verdict}"])
         return report.exit_code
     census = quotient_census(coincidence.system, problem.bounds.order_bound)
-    lines = [f"order bound {census.order_bound}:"
-             f" {len(census.principal)} principal, {len(census.parametric)} parametric"]
-    _emit(census.to_json(), lines, pretty)
+    _emit(pretty, census.to_json, lambda: [f"order bound {census.order_bound}:"
+                                           f" {len(census.principal)} principal, {len(census.parametric)} parametric"])
     return 0
 
 
 def cmd_ranking_audit(file, ranking, pretty, samples, exhaustive_order, seed) -> int:
     problem = load_problem(file, ranking, gate_ranking=False)
     report = audit_compatibility(problem.ranking, samples, exhaustive_order=exhaustive_order, seed=seed)
-    _emit(report.to_json(), [f"{len(report.counterexamples)} counterexamples"], pretty)
+    _emit(pretty, report.to_json, lambda: [f"{len(report.counterexamples)} counterexamples"])
     return 0
 
 

@@ -168,22 +168,25 @@ class ReduceResult:
 
 def reduce(f: DiffPoly, sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> ReduceResult:
     """Divide f by the orbit of the system, greatest principal derivative
-    first, and return the remainder with the full rewrite trace."""
-    sys.normal_form.require_reducible(f)
+    first, and return the remainder with the full rewrite trace.  The rule
+    of each derivative and each prolonged rule come from the system's
+    engine, which memoizes both."""
+    nf = sys.normal_form
+    nf.require_reducible(f)
     rk = sys.ranking
     trace: list[ReduceStep] = []
     current = f
     steps = 0
     while True:
-        hits = [(v, *hit) for v in current.support_derivs() if (hit := find_principal(sys, v)) is not None]
+        hits = nf._principal(current)
         if not hits:
             return ReduceResult(current, trace)
         steps += 1
         if steps > max_steps:
             raise ReductionLimitError(max_steps, to_text(current))
-        v, idx, shift = max(hits, key=lambda h: (rk.key(h[0]), (h[0].i, h[0].order)))
-        replacement = sys.equations[idx].rhs().total_derivative_multi(shift)
-        current = current.substitute(v, replacement)
+        v = max(hits, key=lambda v: (rk.key(v), (v.i, v.order)))
+        idx, shift = nf._rule[v]
+        current = current.substitute(v, nf.prolongation(idx, shift))
         trace.append(ReduceStep(idx, shift, v))
 
 

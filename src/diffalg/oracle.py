@@ -21,8 +21,8 @@ from .algebra import (
     Deriv,
     DiffPoly,
     Indep,
-    Monomial,
     Variable,
+    monomial,
     monomial_sort_key,
     poly_to_json,
     var_key,
@@ -103,7 +103,7 @@ def _default_pool(inst: MembershipInstance) -> list[Variable]:
     pool: set[Variable] = {Indep(j) for j in range(1, ctx.n + 1)}
     for p in [inst.target, *inst.generators]:
         for mono in p.terms:
-            for v, _ in mono.exps:
+            for v, _ in mono:
                 pool.add(v)
     kept = [
         v
@@ -113,11 +113,11 @@ def _default_pool(inst: MembershipInstance) -> list[Variable]:
     return sorted(kept, key=var_key)
 
 
-def _monomials_over(pool: Sequence[Variable], degree: int) -> list[Monomial]:
-    out = [Monomial.one()]
+def _monomials_over(pool: Sequence[Variable], degree: int) -> list[tuple]:
+    out = [()]
     for d in range(1, degree + 1):
         for combo in combinations_with_replacement(pool, d):
-            out.append(Monomial((v, combo.count(v)) for v in set(combo)))
+            out.append(monomial((v, combo.count(v)) for v in set(combo)))
     return sorted(set(out), key=monomial_sort_key)
 
 
@@ -131,7 +131,7 @@ def membership(inst: MembershipInstance) -> Optional[Certificate]:
     pool = list(inst.pool) if inst.pool is not None else _default_pool(inst)
     basis = _monomials_over(pool, inst.cofactor_degree)
 
-    columns = [(DiffPoly.monomial(ctx, mono) * g).terms for g in inst.generators for mono in basis]
+    columns = [(DiffPoly(ctx, {mono: 1}) * g).terms for g in inst.generators for mono in basis]
     solution = linalg.solve_labeled(columns, inst.target.terms)
     if solution is None:
         return None
@@ -139,7 +139,7 @@ def membership(inst: MembershipInstance) -> Optional[Certificate]:
     cofactors = []
     pos = 0
     for _ in inst.generators:
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[tuple, Fraction] = {}
         for mono in basis:
             c = solution[pos]
             pos += 1

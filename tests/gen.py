@@ -3,14 +3,14 @@
 from fractions import Fraction
 import random
 
-from diffalg import DiffPoly, Monomial, SolvedForm, SolvedSystem
+from diffalg import DiffPoly, SolvedForm, SolvedSystem, monomial
 from diffalg import multiindex as mi
 from diffalg.algebra import Deriv, Indep
 
 
 def degree(f):
     """Total degree of f; 0 for the zero polynomial."""
-    return max((m.degree for m in f.terms), default=0)
+    return max((sum(e for _, e in m) for m in f.terms), default=0)
 
 
 def max_deriv_order(f):
@@ -35,10 +35,10 @@ def partial(f, v):
     """Formal partial derivative of f with respect to the single variable v."""
     acc = {}
     for m, c in f.terms.items():
-        exps = dict(m.exps)
+        exps = dict(m)
         e = exps.pop(v, 0)
         if e:
-            dm = Monomial([*exps.items(), (v, e - 1)])
+            dm = monomial([*exps.items(), (v, e - 1)])
             acc[dm] = acc.get(dm, 0) + c * e
     return DiffPoly(f.ctx, acc)
 
@@ -69,7 +69,7 @@ def rand_monomial(rng, ctx, max_degree, max_order):
     for _ in range(degree):
         v = rand_variable(rng, ctx, max_order)
         factors[v] = factors.get(v, 0) + 1
-    return Monomial(factors.items())
+    return monomial(factors.items())
 
 
 def rand_poly(rng, ctx, terms=4, max_degree=3, max_order=4):
@@ -91,7 +91,7 @@ def rand_poly_over(rng, ctx, pool, terms=3, max_degree=2):
                 break
             v = rng.choice(pool)
             factors[v] = factors.get(v, 0) + 1
-        m = Monomial(factors.items())
+        m = monomial(factors.items())
         acc[m] = acc.get(m, Fraction(0)) + rand_coeff(rng)
     return DiffPoly(ctx, acc)
 

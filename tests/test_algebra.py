@@ -2,19 +2,20 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
 from diffalg import (
     Context,
     DiffPoly,
-    Monomial,
     StructuralError,
+    monomial,
     poly_from_json,
     poly_to_json,
     to_text,
 )
-from diffalg.algebra import monomial_cmp, var_from_json, var_key, var_to_json
+from diffalg.algebra import monomial_product, monomial_sort_key, var_from_json, var_key, var_to_json
 
 import gen
 
@@ -131,15 +132,64 @@ def test_semigroup_action_randomized():
         assert lhs == f.total_derivative_multi(mi.add(a, b))
 
 
+def monomial_cmp_reference(a, b):
+    """The display order as a comparator: graded, then lexicographic with
+    priority to the greatest variable.  Walk both pair lists from their
+    largest variable down; the first position where either the variable or
+    its exponent is larger decides."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return 1 if da > db else -1
+    ia, ib = len(a) - 1, len(b) - 1
+    while ia >= 0 or ib >= 0:
+        if ia < 0:
+            return -1
+        if ib < 0:
+            return 1
+        (va, xa), (vb, xb) = a[ia], b[ib]
+        ka, kb = var_key(va), var_key(vb)
+        if ka != kb:
+            return 1 if ka > kb else -1
+        if xa != xb:
+            return 1 if xa > xb else -1
+        ia -= 1
+        ib -= 1
+    return 0
+
+
 def test_monomial_order():
-    one = Monomial.one()
-    x1 = Monomial.of(CTX.x(1))
-    x2 = Monomial.of(CTX.x(2))
-    u = Monomial.of(CTX.u(1, (0, 0)))
-    assert monomial_cmp(one, x1) < 0  # degree first
-    assert monomial_cmp(x1, x2) < 0  # greater variable wins at equal degree
-    assert monomial_cmp(x2, u) < 0  # x variables rank below u variables
-    assert monomial_cmp(u, u) == 0
+    one = monomial()
+    x1 = monomial([(CTX.x(1), 1)])
+    x2 = monomial([(CTX.x(2), 1)])
+    u = monomial([(CTX.u(1, (0, 0)), 1)])
+    key = monomial_sort_key
+    assert key(one) < key(x1)  # degree first
+    assert key(x1) < key(x2)  # greater variable wins at equal degree
+    assert key(x2) < key(u)  # x variables rank below u variables
+    assert key(u) == key(u)
+
+
+def test_monomial_sort_key_matches_reference_comparator():
+    rng = random.Random(428)
+    for _ in range(60):
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+        monos = list({gen.rand_monomial(rng, ctx, 4, 2) for _ in range(25)})
+        rng.shuffle(monos)
+        assert sorted(monos, key=monomial_sort_key) == sorted(monos, key=cmp_to_key(monomial_cmp_reference))
+        for a in monos[:8]:
+            for b in monos:
+                ka, kb = monomial_sort_key(a), monomial_sort_key(b)
+                assert (ka > kb) - (ka < kb) == monomial_cmp_reference(a, b)
+
+
+def test_monomial_canonicalizes_outside_pairs():
+    x1, x2, u = CTX.x(1), CTX.x(2), CTX.u(1, (1, 0))
+    assert monomial() == ()
+    assert monomial([(u, 2), (x2, 0), (x1, 1)]) == ((x1, 1), (u, 2))
+    assert monomial([(x2, 0)]) == ()
+    assert type(monomial([(x1, 1)])) is tuple
+    with pytest.raises(StructuralError):
+        monomial([(x1, 1), (u, -1)])
 
 
 def test_json_round_trip_examples():
@@ -193,29 +243,30 @@ def substitute_reference(f, v, g):
     powers = {0: DiffPoly.constant(f.ctx, 1)}
     out, untouched = DiffPoly.zero(f.ctx), {}
     for m, c in f.terms.items():
-        e = dict(m.exps).get(v, 0)
+        e = dict(m).get(v, 0)
         if e == 0:
             untouched[m] = c
             continue
         while e not in powers:
             top = max(powers)
             powers[top + 1] = powers[top] * g
-        out = out + DiffPoly.monomial(f.ctx, Monomial((w, x) for w, x in m.exps if w != v), c) * powers[e]
+        out = out + DiffPoly(f.ctx, {monomial((w, x) for w, x in m if w != v): c}) * powers[e]
     return out + DiffPoly(f.ctx, untouched)
 
 
 def assert_canonical(p):
     for m, c in p.terms.items():
+        assert type(m) is tuple
         assert type(c) is Fraction and c != 0
-        assert all(type(e) is int and e > 0 for _, e in m.exps)
-        keys = [var_key(v) for v, _ in m.exps]
+        assert all(type(e) is int and e > 0 for _, e in m)
+        keys = [var_key(v) for v, _ in m]
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def free_of(rng, ctx, keys):
     """A random polynomial whose support avoids every variable in keys."""
     g = gen.rand_poly(rng, ctx, terms=3, max_degree=2, max_order=2)
-    return DiffPoly(ctx, {m: c for m, c in g.terms.items() if not any(v in keys for v, _ in m.exps)})
+    return DiffPoly(ctx, {m: c for m, c in g.terms.items() if not any(v in keys for v, _ in m)})
 
 
 def test_substitute_all_equals_a_fold_of_single_substitutions():
@@ -224,7 +275,7 @@ def test_substitute_all_equals_a_fold_of_single_substitutions():
     for _ in range(240):
         ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
         f = gen.rand_poly(rng, ctx, terms=5, max_degree=3, max_order=2)
-        present = sorted({v for m in f.terms for v, _ in m.exps}, key=var_key)
+        present = sorted({v for m in f.terms for v, _ in m}, key=var_key)
         pool = present + [gen.rand_variable(rng, ctx, 2)]
         keys = set(rng.sample(pool, min(len(pool), rng.randint(1, 3))))
         images = {v: free_of(rng, ctx, keys) for v in keys}
@@ -243,10 +294,10 @@ def test_monomial_product_equals_merged_pairs():
     for _ in range(300):
         ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
         a, b = (gen.rand_monomial(rng, ctx, 4, 2) for _ in range(2))
-        merged = dict(a.exps)
-        for v, e in b.exps:
+        merged = dict(a)
+        for v, e in b:
             merged[v] = merged.get(v, 0) + e
-        assert a * b == Monomial(merged.items())
+        assert monomial_product(a, b) == monomial(merged.items())
 
 
 def test_kernel_results_are_canonical():

@@ -18,9 +18,10 @@ from diffalg import (
     find_principal,
     normalized_slice,
     reduce,
+    to_text,
 )
 
-from diffalg.normal import certify_slice
+from diffalg.normal import ReduceResult, ReduceStep, certify_slice
 
 import gen
 
@@ -131,6 +132,40 @@ def test_remainder_free_of_principal_derivatives():
         f = gen.rand_poly(rng, ctx, terms=3, max_degree=2, max_order=3)
         r = reduce(f, sys_).remainder
         assert all(find_principal(sys_, v) is None for v in r.support_derivs())
+
+
+def reduce_reference(f, sys_):
+    """Greatest-first division the direct way: every step scans the support
+    with find_principal and prolongs the chosen rule afresh."""
+    rk = sys_.ranking
+    trace, current = [], f
+    while True:
+        hits = [(v, *hit) for v in current.support_derivs() if (hit := find_principal(sys_, v)) is not None]
+        if not hits:
+            return ReduceResult(current, trace)
+        v, idx, shift = max(hits, key=lambda h: (rk.key(h[0]), (h[0].i, h[0].order)))
+        replacement = sys_.equations[idx].rhs().total_derivative_multi(shift)
+        current = current.substitute(v, replacement)
+        trace.append(ReduceStep(idx, shift, v))
+
+
+def test_reduce_on_engine_memo_equals_reference():
+    # several targets per system, so later calls read rules and prolongations
+    # the earlier ones memoized
+    rng = random.Random(35)
+    steps = 0
+    for _ in range(80):
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+        rk = rng.choice([Ranking.orderly(ctx), Ranking.elimination(ctx)])
+        sys_ = gen.rand_solved_system(rng, ctx, rk, rng.randint(1, 3))
+        for _ in range(4):
+            f = gen.rand_poly(rng, ctx, terms=4, max_degree=2, max_order=4)
+            expected, got = reduce_reference(f, sys_), reduce(f, sys_)
+            assert got.trace == expected.trace
+            assert got.remainder == expected.remainder
+            assert to_text(got.remainder) == to_text(expected.remainder)
+            steps += len(got.trace)
+    assert steps > 250
 
 
 # ranking with u_(1,0) below u_(0,1): order first, then unknown, then alpha_2;

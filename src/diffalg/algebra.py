@@ -24,7 +24,6 @@ The sum is finite because f has finite support.  All arithmetic is exact
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -66,8 +65,7 @@ def shift_deriv(v: Deriv, k: int) -> Deriv:
     return Deriv(v.i, a[:k - 1] + (a[k - 1] + 1,) + a[k:])
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(NamedTuple("Context", [("n", int), ("m", int)])):
     """Ambient dimensions: n independent variables, m unknowns.
 
     Every polynomial carries its context; mixing contexts is a structural
@@ -75,12 +73,12 @@ class Context:
     checked at the boundary.
     """
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise StructuralError(f"ambient ({self.n}, {self.m}) must be positive")
+    def __new__(cls, n: int, m: int) -> "Context":
+        if n < 1 or m < 1:
+            raise StructuralError(f"ambient ({n}, {m}) must be positive")
+        return super().__new__(cls, n, m)
 
     def x(self, j: int) -> Indep:
         if not 1 <= j <= self.n:
@@ -105,12 +103,15 @@ class Context:
 
 
 def monomial(pairs: Iterable[tuple[Variable, int]] = ()) -> tuple:
-    """The canonical monomial of outside (variable, exponent) pairs: zero
-    exponents dropped, sorted by var_key; a negative exponent is an error."""
-    pairs = [(v, e) for v, e in pairs if e != 0]
-    if any(e < 0 for _, e in pairs):
-        raise StructuralError("negative exponent in monomial")
-    return tuple(sorted(pairs, key=lambda p: var_key(p[0])))
+    """The canonical monomial of outside (variable, exponent) pairs: the
+    exponents of a repeated variable added, zero exponents dropped, sorted by
+    var_key; a negative exponent is an error."""
+    exps: dict[Variable, int] = {}
+    for v, e in pairs:
+        if e < 0:
+            raise StructuralError("negative exponent in monomial")
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: var_key(p[0])))
 
 
 def monomial_product(a: tuple, b: tuple) -> tuple:

@@ -83,11 +83,9 @@ def _load(file, ranking, max_steps=None, order=None) -> Problem:
     """The problem with --max-steps and --order, when given, as its bounds:
     every phase of the command reads one budget."""
     problem = load_problem(file, ranking)
-    if max_steps is not None:
-        problem.bounds.max_steps = max_steps
-    if order is not None:
-        problem.bounds.order_bound = order
-    return problem
+    given = {"max_steps": max_steps, "order_bound": order}
+    return problem._replace(bounds=problem.bounds._replace(
+        **{key: value for key, value in given.items() if value is not None}))
 
 
 def _merged_system(problem: Problem):

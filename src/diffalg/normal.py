@@ -17,9 +17,7 @@ one-shot variant for normalized sets, whose tails mention no lead at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, poly_to_json, shift_deriv, to_text, var_to_json
@@ -29,19 +27,16 @@ from .ranking import Ranking
 DEFAULT_MAX_STEPS = 10**5
 
 
-@dataclass(frozen=True)
-class SolvedForm:
+class SolvedForm(NamedTuple("SolvedForm", [("lead", Deriv), ("tail", DiffPoly)])):
     """f = lead + tail, with tail free of lead."""
 
-    lead: Deriv
-    tail: DiffPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.tail.ctx.check_var(self.lead)
-        if self.lead in self.tail.support_derivs():
-            raise StructuralError(
-                f"tail of solved form depends on its own lead {self.lead}"
-            )
+    def __new__(cls, lead: Deriv, tail: DiffPoly) -> "SolvedForm":
+        tail.ctx.check_var(lead)
+        if lead in tail.support_derivs():
+            raise StructuralError(f"tail of solved form depends on its own lead {lead}")
+        return super().__new__(cls, lead, tail)
 
     @property
     def ctx(self) -> Context:
@@ -55,23 +50,28 @@ class SolvedForm:
         return -self.tail
 
 
-@dataclass(frozen=True)
 class SolvedSystem:
-    """A finite list of solved forms over one ambient, with its ranking."""
+    """A finite list of solved forms over one ambient, with its ranking.
+    Equal when equations and ranking are; the engine is not compared."""
 
-    equations: tuple[SolvedForm, ...]
-    ranking: Ranking
+    __slots__ = ("equations", "ranking", "_engine")
 
-    def __post_init__(self):
-        object.__setattr__(self, "equations", tuple(self.equations))
+    def __init__(self, equations: Sequence[SolvedForm], ranking: Ranking):
+        self.equations = tuple(equations)
+        self.ranking = ranking
+        self._engine = None
         for eq in self.equations:
-            if eq.ctx != self.ranking.ctx:
+            if eq.ctx != ranking.ctx:
                 raise StructuralError("equation ambient differs from ranking ambient")
-        leads = [eq.lead for eq in self.equations]
+        leads = self.leads()
         if len(set(leads)) != len(leads):
             raise StructuralError(
                 "coincident leads; run coincident_lead_analysis on the raw list first"
             )
+
+    def __eq__(self, other):
+        return isinstance(other, SolvedSystem) and (self.equations, self.ranking) == (
+            other.equations, other.ranking)
 
     @property
     def ctx(self) -> Context:
@@ -83,10 +83,12 @@ class SolvedSystem:
     def leads(self) -> list[Deriv]:
         return [eq.lead for eq in self.equations]
 
-    @cached_property
-    def normal_form(self) -> "NormalForm":
+    @property
+    def normal_form(self) -> NormalForm:
         """The system's memoized normal-form engine, built on first use."""
-        return NormalForm(self)
+        if self._engine is None:
+            self._engine = NormalForm(self)
+        return self._engine
 
 
 def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.Index, Deriv]]:
@@ -97,10 +99,9 @@ def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.In
             yield idx, shift, Deriv(eq.lead.i, mi.add(eq.lead.order, shift))
 
 
-@dataclass
-class SolvabilityReport:
+class SolvabilityReport(NamedTuple):
     ok: bool
-    violations: list[dict] = field(default_factory=list)
+    violations: list[dict]
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "violations": self.violations}
@@ -146,8 +147,7 @@ def find_principal(sys: SolvedSystem, v: Deriv) -> Optional[tuple[int, mi.Index]
     return best[1], best[2]
 
 
-@dataclass(frozen=True)
-class ReduceStep:
+class ReduceStep(NamedTuple):
     eq: int
     shift: mi.Index
     eliminated: Deriv
@@ -160,8 +160,7 @@ class ReduceStep:
         }
 
 
-@dataclass
-class ReduceResult:
+class ReduceResult(NamedTuple):
     remainder: DiffPoly
     trace: list[ReduceStep]
 
@@ -178,14 +177,14 @@ def reduce(f: DiffPoly, sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -
     current = f
     steps = 0
     while True:
-        hits = nf._principal(current)
+        hits = [v for v in current.support_derivs() if nf.rule(v) is not None]
         if not hits:
             return ReduceResult(current, trace)
         steps += 1
         if steps > max_steps:
             raise ReductionLimitError(max_steps, to_text(current))
         v = max(hits, key=lambda v: (rk.key(v), (v.i, v.order)))
-        idx, shift = nf._rule[v]
+        idx, shift = nf.rule(v)
         current = current.substitute(v, nf.prolongation(idx, shift))
         trace.append(ReduceStep(idx, shift, v))
 
@@ -208,12 +207,12 @@ class NormalForm:
         zero = mi.zero(sys.ctx.n)
         self._prolonged = {(idx, zero): eq.rhs() for idx, eq in enumerate(sys.equations)}
 
-    def _principal(self, f: DiffPoly) -> list[Deriv]:
-        """The principal derivatives in f's support."""
-        derivs = f.support_derivs()
-        for v in derivs - self._rule.keys():
+    def rule(self, v: Deriv) -> Optional[tuple[int, mi.Index]]:
+        """find_principal(sys, v), memoized: the (equation, shift) whose
+        prolonged rule rewrites v, or None when v is parametric."""
+        if v not in self._rule:
             self._rule[v] = find_principal(self.sys, v)
-        return [v for v in derivs if self._rule[v] is not None]
+        return self._rule[v]
 
     def prolongation(self, idx: int, shift: mi.Index) -> DiffPoly:
         """D^shift of equation idx's rewrite image -tail."""
@@ -243,7 +242,7 @@ class NormalForm:
 
         def charge(g: DiffPoly) -> list[Deriv]:
             nonlocal steps
-            hits = self._principal(g)
+            hits = [v for v in g.support_derivs() if self.rule(v) is not None]
             steps += len(hits)
             if steps > max_steps:
                 raise ReductionLimitError(max_steps, to_text(g))
@@ -319,8 +318,7 @@ def divide_by_normalized(
     return out
 
 
-@dataclass
-class SliceResult:
+class SliceResult(NamedTuple):
     """Bounded normalized presentation of a system's orbit ideal: one solved
     form per orbit derivative within the order bound, tail fully reduced;
     certified when coherent, with leads exactly the principal derivatives up
@@ -394,13 +392,14 @@ def certify_slice(
     principal, and no tail may hold one.  Principal leads that include each
     equation's lead and are closed under v -> v + e_k within the bound are
     that set: a principal w is a lead raised one step at a time to w."""
+    rule = sys.normal_form.rule
     leads = {f.lead for f in forms}
     within = [v for v in leads if mi.order(v.order) < order_bound]
     leads_match_orbit = (
         len(leads) == len(forms)
-        and all(mi.order(v.order) <= order_bound and find_principal(sys, v) is not None for v in leads)
+        and all(mi.order(v.order) <= order_bound and rule(v) is not None for v in leads)
         and all(eq.lead in leads for eq in sys.equations if mi.order(eq.lead.order) <= order_bound)
         and all(shift_deriv(v, k) in leads for v in within for k in range(1, sys.ctx.n + 1))
     )
-    tails_reduced = all(find_principal(sys, w) is None for f in forms for w in f.tail.support_derivs())
+    tails_reduced = all(rule(w) is None for f in forms for w in f.tail.support_derivs())
     return SliceResult(order_bound, forms, mismatches, leads_match_orbit, tails_reduced)

@@ -10,10 +10,9 @@ where the bounds provably dominate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg, multiindex as mi
 from .algebra import (
@@ -63,22 +62,23 @@ def variables_within_class(ctx: Context, rk, class_bound, order_bound: int) -> l
     return sorted(pool, key=var_key)
 
 
-@dataclass
-class MembershipInstance:
-    target: DiffPoly
-    generators: list[DiffPoly]
-    cofactor_degree: int
-    order_bound: int
-    pool: Optional[Sequence[Variable]] = None  # cofactor variables; default inferred
+class MembershipInstance(NamedTuple("MembershipInstance", [
+    ("target", DiffPoly),
+    ("generators", list[DiffPoly]),
+    ("cofactor_degree", int),
+    ("order_bound", int),
+    ("pool", Optional[Sequence[Variable]]),  # cofactor variables; None infers them
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.ctx != self.target.ctx:
+    def __new__(cls, target, generators, cofactor_degree, order_bound, pool=None):
+        for g in generators:
+            if g.ctx != target.ctx:
                 raise StructuralError("generator ambient differs from target ambient")
+        return super().__new__(cls, target, generators, cofactor_degree, order_bound, pool)
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     cofactors: list[DiffPoly]
 
     def expand(self, generators: list[DiffPoly]) -> DiffPoly:

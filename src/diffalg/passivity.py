@@ -19,8 +19,7 @@ the leading derivatives.  Obstructed systems are reported, never repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import multiindex as mi
 from .algebra import Deriv, DiffPoly, poly_to_json, var_to_json
@@ -63,8 +62,7 @@ def _verdict(statuses: set[str], obstructed: str, ok: str) -> str:
     return obstructed if OBSTRUCTED in statuses else ok
 
 
-@dataclass
-class CompatibilityResult:
+class CompatibilityResult(NamedTuple):
     pair: tuple[int, int]
     tau: TauPair
     combination: DiffPoly
@@ -114,8 +112,7 @@ def check_pair(
     )
 
 
-@dataclass
-class Census:
+class Census(NamedTuple):
     order_bound: int
     principal: list[Deriv]
     parametric: list[Deriv]
@@ -148,8 +145,7 @@ def quotient_census(sys: SolvedSystem, order_bound: int) -> Census:
     return Census(order_bound, principal, parametric, counts)
 
 
-@dataclass
-class PassivityReport:
+class PassivityReport(NamedTuple):
     verdict: str
     theta: Optional[ClassKey]
     solvability: SolvabilityReport
@@ -202,17 +198,18 @@ def is_passive(
     checks memoized.
     """
     report = decide_passivity(sys, max_steps)
-    if report.verdict == PASSIVE:
-        report.census = quotient_census(sys, order_bound)
-        report.normalized = normalized_slice(sys, order_bound, max_steps)
-    return report
+    if report.verdict != PASSIVE:
+        return report
+    return report._replace(
+        census=quotient_census(sys, order_bound),
+        normalized=normalized_slice(sys, order_bound, max_steps),
+    )
 
 
 # -- coincident leads ----------------------------------------------------------
 
 
-@dataclass
-class DerivedRelation:
+class DerivedRelation(NamedTuple):
     lead: Deriv
     first_eq: int
     second_eq: int
@@ -229,11 +226,10 @@ class DerivedRelation:
         }
 
 
-@dataclass
-class CoincidenceReport:
+class CoincidenceReport(NamedTuple):
     verdict: str  # "ok", "inconsistent" or "obstructed"
     system: Optional[SolvedSystem]
-    relations: list[DerivedRelation] = field(default_factory=list)
+    relations: list[DerivedRelation]
 
     def to_json(self) -> dict:
         return {
@@ -266,7 +262,7 @@ def coincident_lead_analysis(
             keep.append(form)
     base = SolvedSystem(tuple(keep), ranking)
     if not dupes:
-        return CoincidenceReport("ok", base)
+        return CoincidenceReport("ok", base, [])
 
     nf = base.normal_form
     relations: list[DerivedRelation] = []

@@ -24,8 +24,7 @@ rejected with the same first counterexample the sampled oracle
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import Context, Deriv, poly_from_json, var_from_json
 from .errors import StructuralError
@@ -34,14 +33,12 @@ from .passivity import DEFAULT_ORDER_BOUND
 from .ranking import DEFAULT_RANKING, NAMED_RANKINGS, Ranking, shift_violation
 
 
-@dataclass
-class Bounds:
+class Bounds(NamedTuple):
     order_bound: int = DEFAULT_ORDER_BOUND
     max_steps: int = DEFAULT_MAX_STEPS
 
 
-@dataclass
-class Problem:
+class Problem(NamedTuple):
     ctx: Context
     ranking: Ranking
     forms: list[SolvedForm]
@@ -102,17 +99,14 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
         except StructuralError as exc:
             raise StructuralError(f"{where}: {exc}") from None
 
-    bounds = Bounds()
     raw_bounds = data.get("bounds", {})
     if not isinstance(raw_bounds, dict):
         raise StructuralError("problem.bounds: expected object")
-    _known_fields(raw_bounds, ("order_bound", "max_steps"), "problem.bounds")
-    for key in raw_bounds:
-        value = raw_bounds[key]
+    _known_fields(raw_bounds, Bounds._fields, "problem.bounds")
+    for key, value in raw_bounds.items():
         if type(value) is not int or value < 0:
             raise StructuralError(f"problem.bounds.{key}: expected nonnegative integer")
-        setattr(bounds, key, value)
-    return Problem(ctx, ranking, forms, bounds)
+    return Problem(ctx, ranking, forms, Bounds(**raw_bounds))
 
 
 def load_problem(

@@ -35,16 +35,14 @@ raises: a failed audit is a result, not an error.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import NamedTuple, Optional, Union
 
 from . import linalg
 from . import multiindex as mi
-from .algebra import Context, Deriv, DiffPoly, Rational, shift_deriv, var_to_json
+from .algebra import Context, Deriv, DiffPoly, Rational, _frac_from_str, shift_deriv, var_to_json
 from .errors import StructuralError
 
 
@@ -79,14 +77,25 @@ NAMED_RANKINGS = {
 DEFAULT_RANKING = "orderly"
 
 
-@dataclass(frozen=True)
 class Ranking:
     """A weight matrix over the derivative variables of one ambient.  kind is
-    a label: a built-in's name (integer rows) or "weights" (Fraction rows)."""
+    a label: a built-in's name (integer rows) or "weights" (Fraction rows).
+    Equal when ambient, kind and weights are."""
 
-    ctx: Context
-    kind: str
-    weights: tuple[tuple[Rational, ...], ...]
+    __slots__ = ("ctx", "kind", "weights", "_rows", "_dens")
+
+    def __init__(self, ctx: Context, kind: str, weights: tuple[tuple[Rational, ...], ...]):
+        self.ctx = ctx
+        self.kind = kind
+        self.weights = weights
+        # W as integer rows and one common denominator per row, so a key part
+        # is one integer dot product, not a Fraction product per entry.
+        self._dens = tuple(lcm(*(w.denominator for w in row)) for row in weights)
+        self._rows = tuple(tuple(int(w * d) for w in row) for row, d in zip(weights, self._dens))
+
+    def __eq__(self, other):
+        return isinstance(other, Ranking) and (self.ctx, self.kind, self.weights) == (
+            other.ctx, other.kind, other.weights)
 
     @classmethod
     def orderly(cls, ctx: Context) -> "Ranking":
@@ -109,14 +118,9 @@ class Ranking:
                     f"weight row {r} has {len(row)} entries, expected {ctx.n + 1}"
                     " (one for the unknown index, then one per direction)"
                 )
-            if any(isinstance(x, (float, bool)) for x in row):
-                raise StructuralError(
-                    f"weight row {r}: floats and booleans are not accepted;"
-                    " use integers or 'p/q' strings"
-                )
             try:
-                parsed.append(tuple(Fraction(x) for x in row))
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                parsed.append(tuple(map(_frac_from_str, row)))
+            except StructuralError as exc:
                 raise StructuralError(f"weight row {r}: {exc}") from None
         return cls(ctx, "weights", tuple(parsed))
 
@@ -139,16 +143,8 @@ class Ranking:
         named ranking and Fractions for a weight rule, as ClassKey.to_json shows."""
         self.ctx.check_var(v)
         vec = (v.i,) + v.order
-        rows, dens = self._int_rows
-        dots = tuple(sum(map(mul, row, vec)) for row in rows)
-        return ClassKey(tuple(map(Fraction, dots, dens)) if self.kind == "weights" else dots)
-
-    @cached_property
-    def _int_rows(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """W as integer rows and one common denominator per row, so a key
-        part is one integer dot product, not a Fraction product per entry."""
-        dens = tuple(lcm(*(w.denominator for w in row)) for row in self.weights)
-        return tuple(tuple(int(w * d) for w in row) for row, d in zip(self.weights, dens)), dens
+        dots = tuple(sum(map(mul, row, vec)) for row in self._rows)
+        return ClassKey(tuple(map(Fraction, dots, self._dens)) if self.kind == "weights" else dots)
 
     def compare(self, u: Deriv, v: Deriv) -> int:
         """-1, 0 or 1.  Zero either means u == v or a coarse-ranking tie."""
@@ -179,8 +175,7 @@ class Ranking:
 # -- compatibility audit -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     axiom: str  # "a" or "b"
     u: Deriv
     v: Optional[Deriv]
@@ -208,13 +203,12 @@ def shift_violation(rk: Ranking) -> Optional[Counterexample]:
     return None
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     exhaustive_order: int
     samples: int
-    checked_a: int = 0
-    checked_b: int = 0
-    counterexamples: list[Counterexample] = field(default_factory=list)
+    checked_a: int
+    checked_b: int
+    counterexamples: list[Counterexample]
 
     @property
     def ok(self) -> bool:
@@ -248,26 +242,22 @@ def audit_compatibility(
     if sample_budget < 1:
         raise StructuralError("sample_budget must be >= 1")
     ctx = rk.ctx
-    report = AuditReport(exhaustive_order=exhaustive_order, samples=sample_budget)
-    seen: set[tuple] = set()
+    found: dict[Counterexample, None] = {}  # in first-seen order
+    checked_a = checked_b = 0
 
     def check_b(u: Deriv, k: int) -> None:
-        report.checked_b += 1
+        nonlocal checked_b
+        checked_b += 1
         if rk.compare(u, shift_deriv(u, k)) != -1:
-            key = ("b", u, None, k)
-            if key not in seen:
-                seen.add(key)
-                report.counterexamples.append(Counterexample("b", u, None, k))
+            found.setdefault(Counterexample("b", u, None, k))
 
     def check_a(u: Deriv, v: Deriv, k: int) -> None:
+        nonlocal checked_a
         if rk.compare(u, v) != -1:
             return
-        report.checked_a += 1
+        checked_a += 1
         if rk.compare(shift_deriv(u, k), shift_deriv(v, k)) != -1:
-            key = ("a", u, v, k)
-            if key not in seen:
-                seen.add(key)
-                report.counterexamples.append(Counterexample("a", u, v, k))
+            found.setdefault(Counterexample("a", u, v, k))
 
     pool = list(ctx.derivs(exhaustive_order))
     for u in pool:
@@ -286,4 +276,4 @@ def audit_compatibility(
         k = rng.randint(1, ctx.n)
         check_b(u, k)
         check_a(u, v, k)
-    return report
+    return AuditReport(exhaustive_order, sample_budget, checked_a, checked_b, list(found))

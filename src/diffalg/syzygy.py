@@ -14,9 +14,8 @@ certifies each one as an operator combination of the tau generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg, multiindex as mi
 from .algebra import Deriv, DiffPoly
@@ -96,8 +95,7 @@ class ModuleVector:
                 yield pos, s, c
 
 
-@dataclass(frozen=True)
-class TauPair:
+class TauPair(NamedTuple):
     """Canonical syzygy generator for positions i < j with leads on one
     unknown: X^{shift_i} e_i - X^{shift_j} e_j."""
 
@@ -169,8 +167,7 @@ def operator_apply(d: ModuleVector, sys: SolvedSystem) -> DiffPoly:
 # -- independent generation check ---------------------------------------------
 
 
-@dataclass
-class CertifiedSyzygy:
+class CertifiedSyzygy(NamedTuple):
     syzygy: ModuleVector
     combination: dict[int, OpPoly]  # tau index -> operator cofactor
 
@@ -183,8 +180,7 @@ class CertifiedSyzygy:
         return total
 
 
-@dataclass
-class SyzygyOracleResult:
+class SyzygyOracleResult(NamedTuple):
     degree_bound: int
     taus: list[TauPair]
     spanning: list[ModuleVector]

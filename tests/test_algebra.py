@@ -187,6 +187,8 @@ def test_monomial_canonicalizes_outside_pairs():
     assert monomial() == ()
     assert monomial([(u, 2), (x2, 0), (x1, 1)]) == ((x1, 1), (u, 2))
     assert monomial([(x2, 0)]) == ()
+    assert monomial([(x1, 1), (x1, 2)]) == ((x1, 3),)
+    assert monomial([(u, 1), (x1, 1), (u, 1), (x2, 0)]) == ((x1, 1), (u, 2))
     assert type(monomial([(x1, 1)])) is tuple
     with pytest.raises(StructuralError):
         monomial([(x1, 1), (u, -1)])

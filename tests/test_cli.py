@@ -77,6 +77,21 @@ def test_reduce_plain_target_passthrough():
     assert json.loads(out)["remainder"] == [{"c": "1", "m": [[["x", 1], 1]]}]
 
 
+def test_repeated_factors_merge(tmp_path):
+    target = json.dumps([{"c": "1", "m": [[["x", 1], 1], [["x", 1], 2]]}, {"c": "-1", "m": [[["x", 1], 3]]}])
+    _, out = run_cli("reduce", HEAT, "--target", target)
+    assert json.loads(out)["remainder"] == []
+    data = json.loads(Path(HEAT).read_text())
+    u01 = ["u", 1, [0, 1]]
+    outputs = []
+    for factors in ([[u01, 2]], [[u01, 1], [u01, 1]]):
+        data["equations"][0]["tail"] = [{"c": "-1", "m": factors}]
+        path = tmp_path / f"square{len(factors)}.json"
+        path.write_text(json.dumps(data))
+        outputs.append(run_cli_full("check", str(path)))
+    assert outputs[0] == outputs[1]
+
+
 def test_syzygies_command():
     code, out = run_cli("syzygies", str(PROBLEMS / "gradient_consistent.json"))
     assert code == 0
@@ -230,7 +245,7 @@ def problem_to_dict(problem):
         "m": problem.ctx.m,
         "ranking": {"weights": [[str(x) for x in row] for row in rk.weights]} if rk.kind == "weights" else rk.kind,
         "equations": [{"lead": var_to_json(f.lead), "tail": poly_to_json(f.tail)} for f in problem.forms],
-        "bounds": vars(problem.bounds),
+        "bounds": problem.bounds._asdict(),
     }
 
 
@@ -467,12 +482,13 @@ def test_help_forms(capsys, command, flag):
 
 
 def test_check_path_loads_no_argparse():
-    # argparse's first build loads gettext and locale; a process that runs
-    # one command cannot afford them
+    # argparse's first build loads gettext and locale, and dataclasses loads
+    # inspect; a process that runs one command cannot afford them
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); from diffalg.cli import main;"
         " main(['check', sys.argv[2]]);"
-        " print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)"
+        " print(sorted({'argparse', 'gettext', 'locale', 'dataclasses', 'inspect'} & set(sys.modules)),"
+        " file=sys.stderr)"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", code, src, HEAT], capture_output=True, text=True)
@@ -524,6 +540,11 @@ def test_render_rejects_other_types(obj):
     ([[0, 1, 1], "x"], "weight row 1: expected a list, got str"),
     (3, "weight ranking needs a non-empty list of rows"),
     ([], "weight ranking needs a non-empty list of rows"),
+    ([["1e3", 1, 1]], "weight row 0: bad rational '1e3'; expected a decimal-free 'p' or 'p/q' string"),
+    ([[0, 1, 1], [" 1", 0, 0]], "weight row 1: bad rational ' 1'; expected a decimal-free 'p' or 'p/q' string"),
+    ([[0, "1.5", 1]], "weight row 0: bad rational '1.5'; expected a decimal-free 'p' or 'p/q' string"),
+    ([[0, 1, 1], [0, "1/0", 0]], "weight row 1: bad rational '1/0'; expected a decimal-free 'p' or 'p/q' string"),
+    ([[0, 1.5, 1]], "weight row 0: bad rational 1.5; expected a decimal-free 'p' or 'p/q' string"),
 ])
 def test_weight_ranking_shape(tmp_path, weights, message):
     data = json.loads(Path(HEAT).read_text())

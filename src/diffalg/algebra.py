@@ -360,13 +360,13 @@ def var_from_json(ctx: Context, data) -> Variable:
     return ctx.u(data[1], data[2])
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _frac_from_str(s) -> Fraction:
     if type(s) is int:
         return Fraction(s)
-    if isinstance(s, str) and _RATIONAL_RE.match(s):
+    if isinstance(s, str) and _RATIONAL_RE.fullmatch(s):
         return Fraction(s)
     raise StructuralError(f"bad rational {s!r}; expected a decimal-free 'p' or 'p/q' string")
 

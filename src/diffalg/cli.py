@@ -14,7 +14,9 @@ input bytes produce the same output bytes.
 
 A process runs one command, so the parser is a table and render() replaces
 json.dumps: argparse's first build and the indenting encoder cost more than
-most commands' algebra.
+most commands' algebra.  A report's to_json() tree holds its polynomials and
+variables as DiffPoly, Deriv and Indep objects; render() writes them in
+place, each variable and monomial fragment built once per indent.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NoReturn, Optional
 
-from .algebra import poly_from_json, poly_to_json, to_text
+from .algebra import Deriv, DiffPoly, Indep, poly_from_json, to_text
 from .errors import ReductionLimitError, StructuralError
 from .normal import reduce
 from .passivity import (
@@ -44,25 +46,49 @@ EXIT_INPUT = 1
 EXIT_RESOURCE = 4
 
 
-def render(obj, newline: str = "\n") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for what a
-    report holds: dicts with str keys, lists, tuples, str, int, bool and None.
-    Any other value raises TypeError."""
+def render(obj) -> str:
+    """json.dumps(plain, indent=2, sort_keys=True), byte for byte, where plain
+    is obj with each DiffPoly leaf as poly_to_json gives it and each Deriv or
+    Indep leaf as var_to_json does.  Besides those, obj may hold dicts with
+    str keys, lists, plain tuples, str, int, bool and None; any other value
+    raises TypeError.  The fragment cache lives for this call only."""
+    return _render(obj, "\n", {})
+
+
+def _render(obj, newline: str, cache: dict) -> str:
+    """obj at the indent that newline ends in; cache maps (variable or monomial, indent) to its text."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict):
+    kind, inner = type(obj), newline + "  "
+    if kind is Deriv or kind is Indep:  # tuples, so matched on exact type before the tuple branch
+        text = cache.get((obj, newline))
+        if text is None:
+            if kind is Indep:
+                items = ['"x"', str(obj.j)]
+            else:
+                deep = inner + "  "
+                items = ['"u"', str(obj.i), "[" + deep + ("," + deep).join(map(str, obj.order)) + inner + "]"]
+            text = cache[obj, newline] = "[" + inner + ("," + inner).join(items) + newline + "]"
+        return text
+    if kind is DiffPoly:
+        field, items, ends = inner + "  ", [], "[]"
+        for m, c in obj.sorted_terms():
+            text = cache.get((m, field))
+            if text is None:
+                text = cache[m, field] = _render([[v, e] for v, e in m], field, cache)
+            items.append(f'{{{field}"c": "{c}",{field}"m": {text}{inner}}}')
+    elif isinstance(obj, dict):
         # encode_basestring_ascii raises TypeError on a key that is not a str
-        items = [encode_basestring_ascii(k) + ": " + render(v, inner) for k, v in sorted(obj.items())]
+        items = [encode_basestring_ascii(k) + ": " + _render(v, inner, cache) for k, v in sorted(obj.items())]
         ends = "{}"
-    elif isinstance(obj, (list, tuple)):
-        items, ends = [render(item, inner) for item in obj], "[]"
+    elif kind is list or kind is tuple:
+        items, ends = [_render(item, inner, cache) for item in obj], "[]"
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
 
 
@@ -135,7 +161,7 @@ def cmd_reduce(file, ranking, max_steps, pretty, target) -> int:
     poly = poly_from_json(problem.ctx, target_data, "--target")
     result = reduce(poly, _merged_system(problem), problem.bounds.max_steps)
     _emit(pretty, lambda: {
-        "remainder": poly_to_json(result.remainder),
+        "remainder": result.remainder,
         "trace": [step.to_json() for step in result.trace],
     }, lambda: [f"remainder: {to_text(result.remainder)}", f"steps: {len(result.trace)}"])
     return 0

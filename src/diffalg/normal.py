@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import multiindex as mi
-from .algebra import Context, Deriv, DiffPoly, poly_to_json, shift_deriv, to_text, var_to_json
+from .algebra import Context, Deriv, DiffPoly, shift_deriv, to_text, var_to_json
 from .errors import ReductionLimitError, StructuralError
 from .ranking import Ranking
 
@@ -156,7 +156,7 @@ class ReduceStep(NamedTuple):
         return {
             "eq": self.eq,
             "shift": list(self.shift),
-            "eliminated": var_to_json(self.eliminated),
+            "eliminated": self.eliminated,
         }
 
 
@@ -345,7 +345,7 @@ class SliceResult(NamedTuple):
             "coherent": self.coherent,
             "leads_match_orbit": self.leads_match_orbit,
             "tails_reduced": self.tails_reduced,
-            "generators": [{"lead": var_to_json(f.lead), "tail": poly_to_json(f.tail)} for f in self.forms],
+            "generators": [{"lead": f.lead, "tail": f.tail} for f in self.forms],
         }
 
 
@@ -375,11 +375,11 @@ def normalized_slice(
             prev = Deriv(v.i, a[:k] + (a[k] - 1,) + a[k + 1:]) if a[k] else None
             if prev in orbit:
                 derived = nf(tails[prev].total_derivative(k + 1), max_steps)
-                candidates.append(({"from": var_to_json(prev), "direction": k + 1}, derived))
+                candidates.append(({"from": prev, "direction": k + 1}, derived))
         (first_source, tails[v]), *rest = candidates
         for source, tail in rest:
             if tail != tails[v]:
-                mismatches.append({"lead": var_to_json(v), "first": first_source, "second": source})
+                mismatches.append({"lead": v, "first": first_source, "second": source})
     forms = [SolvedForm(v, tails[v]) for v in sorted(tails, key=lambda v: (v.i, v.order))]
     return certify_slice(sys, order_bound, forms, mismatches)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from . import multiindex as mi
-from .algebra import Deriv, DiffPoly, poly_to_json, var_to_json
+from .algebra import Deriv, DiffPoly
 from .errors import StructuralError
 from .normal import (
     DEFAULT_MAX_STEPS,
@@ -76,8 +76,8 @@ class CompatibilityResult(NamedTuple):
             "j": self.pair[1],
             "shift_i": list(self.tau.shift_i),
             "shift_j": list(self.tau.shift_j),
-            "combination": poly_to_json(self.combination),
-            "remainder": poly_to_json(self.remainder),
+            "combination": self.combination,
+            "remainder": self.remainder,
             "status": self.status,
             "class_bound": self.class_bound.to_json(),
         }
@@ -121,8 +121,8 @@ class Census(NamedTuple):
     def to_json(self) -> dict:
         return {
             "order_bound": self.order_bound,
-            "principal": [var_to_json(v) for v in self.principal],
-            "parametric": [var_to_json(v) for v in self.parametric],
+            "principal": list(self.principal),
+            "parametric": list(self.parametric),
             "counts": {str(o): c for o, c in sorted(self.counts.items())},
             "parametric_total": len(self.parametric),
         }
@@ -218,10 +218,10 @@ class DerivedRelation(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "lead": var_to_json(self.lead),
+            "lead": self.lead,
             "first_eq": self.first_eq,
             "second_eq": self.second_eq,
-            "remainder": poly_to_json(self.remainder),
+            "remainder": self.remainder,
             "status": self.status,
         }
 

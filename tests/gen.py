@@ -3,9 +3,9 @@
 from fractions import Fraction
 import random
 
-from diffalg import DiffPoly, SolvedForm, SolvedSystem, monomial
+from diffalg import Context, DiffPoly, SolvedForm, SolvedSystem, monomial, poly_to_json
 from diffalg import multiindex as mi
-from diffalg.algebra import Deriv, Indep
+from diffalg.algebra import Deriv, Indep, var_to_json
 
 
 def degree(f):
@@ -136,3 +136,36 @@ def rand_solved_system(rng, ctx, ranking, k, max_order=3, tail_terms=2, tail_deg
         pool = [Indep(j) for j in range(1, ctx.n + 1)] + below
         forms.append(SolvedForm(lead, rand_poly_over(rng, ctx, pool, tail_terms, tail_degree)))
     return SolvedSystem(tuple(forms), ranking)
+
+
+def family_problem(rng, family, n, bound):
+    """A problem-file dict of an output-heavy passive family with seeded
+    coefficients: "heat" u_{x1 x1} = sum_k c_k u_{x_k} (n >= 2), "riccati"
+    u_{x_k} = a_k u^2, or "elimination", heat on u^1 and u^2_{x_k} = D_k Q
+    for Q = a u^1_{x1} u^1 + b x_1 u^1_{x_n} under the elimination ranking."""
+    ctx = Context(n, 2 if family == "elimination" else 1)
+    zero = (0,) * n
+
+    def unit(k):
+        return tuple(int(t == k) for t in range(1, n + 1))
+
+    def u(i, a):
+        return DiffPoly.variable(ctx, Deriv(i, a)).scale(rng.choice([1, 2, 3, -1, -2]))
+
+    if family == "riccati":
+        eqs = [(Deriv(1, unit(k)), u(1, zero) * u(1, zero)) for k in range(1, n + 1)]
+    else:
+        tail = DiffPoly.zero(ctx)
+        for k in range(2, n + 1):
+            tail = tail + u(1, unit(k))
+        eqs = [(Deriv(1, (2,) + zero[1:]), tail)]
+        if family == "elimination":
+            q = u(1, unit(1)) * u(1, zero) + DiffPoly.variable(ctx, Indep(1)) * u(1, unit(n))
+            eqs += [(Deriv(2, unit(k)), q.total_derivative(k)) for k in range(1, n + 1)]
+    return {
+        "n": n,
+        "m": ctx.m,
+        "ranking": "elimination" if family == "elimination" else "orderly",
+        "equations": [{"lead": var_to_json(v), "tail": poly_to_json(t)} for v, t in eqs],
+        "bounds": {"order_bound": bound},
+    }

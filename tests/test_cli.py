@@ -11,10 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from diffalg import StructuralError, poly_from_json, poly_to_json
-from diffalg.algebra import var_to_json
+from diffalg import (Context, DiffPoly, Ranking, SolvedForm, StructuralError, coincident_lead_analysis, is_passive,
+                     poly_from_json, poly_to_json, reduce)
+from diffalg import cli
+from diffalg.algebra import Deriv, Indep, var_to_json
 from diffalg.cli import COMMANDS, COMMON, main, render
+from diffalg.ranking import ClassKey
+from diffalg.syzygy import TauPair
 from diffalg.problem import load_problem, problem_from_dict
+
+import gen
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 HEAT = str(PROBLEMS / "heat.json")
@@ -502,20 +508,49 @@ TEXT = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", 
         "\U0001f600", "\ud800"]
 
 
-def random_payload(rng, depth=0):
+def random_payload(rng, depth=0, leaf=None):
+    """A JSON tree to depth 4; with leaf, some scalars are leaf(rng) objects."""
     kind = rng.randrange(7 if depth < 4 else 3)
     if kind == 0:
-        return rng.choice([None, True, False])
+        return leaf(rng) if leaf and rng.random() < 0.7 else rng.choice([None, True, False])
     if kind == 1:
         return rng.choice([0, -1, 2 ** 64 + 1, -(10 ** 30), rng.randint(-10 ** 6, 10 ** 6)])
     if kind == 2:
         return "".join(rng.choice(TEXT) for _ in range(rng.randrange(6)))
-    items = [random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    items = [random_payload(rng, depth + 1, leaf) for _ in range(rng.randrange(4))]
     if kind == 3:
         return items
     if kind == 4:
         return tuple(items)
     return {"".join(rng.choice(TEXT) for _ in range(rng.randrange(4))): item for item in items}
+
+
+def random_leaf(rng):
+    """A DiffPoly, Deriv or Indep over n in 1..3: constants, x-only monomials,
+    exponents above 1 and, scaled, large p/q coefficients of either sign."""
+    ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+    if rng.random() < 0.4:
+        return gen.rand_variable(rng, ctx, 3)
+    f = gen.rand_poly(rng, ctx)
+    return f.scale(Fraction(-(10 ** 30) - 7, 3 ** 40)) if rng.random() < 0.3 else f
+
+
+def plain(obj):
+    """obj with its DiffPoly, Deriv and Indep leaves as poly_to_json and
+    var_to_json give them: the reference that render must match."""
+    if type(obj) is DiffPoly:
+        return poly_to_json(obj)
+    if type(obj) in (Deriv, Indep):
+        return var_to_json(obj)
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return obj
+
+
+def assert_renders_plain(obj):
+    assert render(obj) == json.dumps(plain(obj), indent=2, sort_keys=True)
 
 
 def test_render_matches_json_dumps():
@@ -524,12 +559,68 @@ def test_render_matches_json_dumps():
     payloads += [random_payload(rng) for _ in range(600)]
     for obj in payloads:
         assert render(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    ctx1, ctx = Context(1, 1), Context(2, 2)
+    x1, u = DiffPoly.variable(ctx, Indep(1)), DiffPoly.variable(ctx, Deriv(2, (0, 3)))
+    f = (x1 * x1 * u - DiffPoly.constant(ctx, Fraction(-22, 7))) * u + x1.scale(Fraction(10 ** 20, 3))
+    edges = [
+        DiffPoly.zero(ctx), DiffPoly.constant(ctx, Fraction(-5, 3)), x1 * x1 * DiffPoly.variable(ctx, Indep(2)),
+        f, DiffPoly.variable(ctx1, Deriv(1, (4,))) * DiffPoly.variable(ctx1, Indep(1)), Deriv(1, (2,)), Indep(3),
+    ]
+    # one monomial, and one variable, at several indents in a single call
+    payloads = edges + [edges, {"a": f, "b": [f, [f, {"c": (f, Deriv(2, (0, 3)))}]]}]
+    payloads += [random_payload(rng, leaf=random_leaf) for _ in range(400)]
+    for obj in payloads:
+        assert_renders_plain(obj)
 
 
-@pytest.mark.parametrize("obj", [1.5, {1: "a"}, {"a": {(1,): 2}}, [Fraction(1, 2)], {"a": {1, 2}}])
+@pytest.mark.parametrize("obj", [1.5, {1: "a"}, {"a": {(1,): 2}}, [Fraction(1, 2)], {"a": {1, 2}},
+                                 ClassKey((1, 2)), [TauPair(0, 1, (0, 1), (1, 0))]])
 def test_render_rejects_other_types(obj):
     with pytest.raises(TypeError):
         render(obj)
+
+
+def emitted_payloads(monkeypatch, *argvs):
+    """The JSON tree each command would render, in order."""
+    trees = []
+    monkeypatch.setattr(cli, "_emit", lambda pretty, payload, lines: trees.append(payload()))
+    for argv in argvs:
+        main(list(argv))
+    return trees
+
+
+def test_reports_render_as_their_plain_json(monkeypatch, tmp_path):
+    """Every report renders as json.dumps of its plain tree: the corpus under
+    check, quotient and reduce, output-heavy families and seeded random
+    systems, some with coincident leads."""
+    argvs = []
+    for path in sorted(PROBLEMS.glob("*.json")):
+        n = json.loads(path.read_text())["n"]
+        target = json.dumps([{"c": "1", "m": [[["u", 1, [1] * n], 1]]}, {"c": "-2/3", "m": [[["x", 1], 2]]}])
+        argvs += [("check", str(path)), ("quotient", str(path)), ("reduce", str(path), "--target", target)]
+    rng = random.Random(11)
+    for family, n, bound in [("heat", 4, 4), ("riccati", 3, 4), ("elimination", 2, 4)]:
+        path = tmp_path / f"{family}.json"
+        path.write_text(json.dumps(gen.family_problem(rng, family, n, bound)))
+        argvs += [("check", str(path)), ("quotient", str(path))]
+    trees = emitted_payloads(monkeypatch, *argvs)
+    assert len(trees) == len(argvs) - 1  # reduce exits 1 on coincident_clash.json
+    assert [tree["verdict"] for tree in trees[-6::2]] == ["passive"] * 3
+    for _ in range(40):
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+        system = gen.rand_solved_system(rng, ctx, Ranking.orderly(ctx), rng.randint(1, 4))
+        forms = list(system.equations)
+        xs = [Indep(j) for j in range(1, ctx.n + 1)]
+        forms += [SolvedForm(eq.lead, eq.tail + gen.rand_poly_over(rng, ctx, xs)) for eq in forms[:rng.randint(0, 2)]]
+        coincidence = coincident_lead_analysis(forms, system.ranking)
+        trees.append(coincidence.to_json())
+        if coincidence.system is not None:
+            trees.append(is_passive(coincidence.system, 3).to_json())
+            result = reduce(gen.rand_poly(rng, ctx), coincidence.system)
+            trees.append({"remainder": result.remainder, "trace": [step.to_json() for step in result.trace]})
+    assert any(relation["remainder"] for tree in trees for relation in tree.get("relations", []))
+    for tree in trees:
+        assert_renders_plain(tree)
 
 
 # -- malformed input names where it sits --------------------------------------------
@@ -545,6 +636,7 @@ def test_render_rejects_other_types(obj):
     ([[0, "1.5", 1]], "weight row 0: bad rational '1.5'; expected a decimal-free 'p' or 'p/q' string"),
     ([[0, 1, 1], [0, "1/0", 0]], "weight row 1: bad rational '1/0'; expected a decimal-free 'p' or 'p/q' string"),
     ([[0, 1.5, 1]], "weight row 0: bad rational 1.5; expected a decimal-free 'p' or 'p/q' string"),
+    ([["2\n", 1, 1]], "weight row 0: bad rational '2\\n'; expected a decimal-free 'p' or 'p/q' string"),
 ])
 def test_weight_ranking_shape(tmp_path, weights, message):
     data = json.loads(Path(HEAT).read_text())
@@ -564,6 +656,8 @@ def test_weight_ranking_shape(tmp_path, weights, message):
     ({"c": "1", "m": 5}, "'m' must be a list of factors, got 5"),
     ({"c": "1", "m": [[["u", 1, [0, 1]], 0]]}, "exponent must be a positive integer, got 0"),
     ({"c": "1", "m": [[["u", 7, [0, 1]], 1]]}, "u index 7 out of range 1..1"),
+    ({"c": "2\n", "m": []}, "bad rational '2\\n'; expected a decimal-free 'p' or 'p/q' string"),
+    ({"c": "\u0663", "m": []}, "bad rational '\u0663'; expected a decimal-free 'p' or 'p/q' string"),
 ])
 def test_term_errors_name_their_path(tmp_path, term, message):
     data = json.loads(Path(HEAT).read_text())

@@ -1,5 +1,6 @@
 """Pair compatibility checks, verdicts, coincident leads, and the census."""
 
+import json
 import random
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from diffalg import (
     reduce,
     tau_generators,
 )
+from diffalg.cli import render
 from diffalg.normal import find_principal, iter_orbit
 from diffalg.oracle import prolong_within_class, variables_within_class
 from diffalg.problem import load_problem
@@ -371,6 +373,11 @@ def test_slice_local_coherence_flags_obstruction():
     result = normalized_slice(obstructed(), 3)
     assert not result.coherent
     assert result.mismatches[0] == {
+        "lead": D(2, 1),
+        "first": {"from": D(1, 1), "direction": 1},
+        "second": {"from": D(2, 0), "direction": 2},
+    }
+    assert json.loads(render(result.mismatches[0])) == {
         "lead": ["u", 1, [2, 1]],
         "first": {"from": ["u", 1, [1, 1]], "direction": 1},
         "second": {"from": ["u", 1, [2, 0]], "direction": 2},

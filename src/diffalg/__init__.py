@@ -1,98 +1,38 @@
 """Exact differential-algebra kernel: solved-form systems, Riquier-style
 rankings, orbit division with unique remainders, syzygy pair generators, and
-the passivity decision with its quotient census."""
+the passivity decision with its quotient census.
 
-from .algebra import (
-    Context,
-    Deriv,
-    DiffPoly,
-    Indep,
-    monomial,
-    poly_from_json,
-    poly_to_json,
-    to_text,
-    var_from_json,
-    var_to_json,
-)
-from .errors import ReductionLimitError, StructuralError
-from .normal import (
-    DEFAULT_MAX_STEPS,
-    NormalForm,
-    SolvedForm,
-    SolvedSystem,
-    autoreduce,
-    check_conditionally_solvable,
-    divide_by_normalized,
-    find_principal,
-    normalized_slice,
-    reduce,
-)
-from .oracle import Certificate, MembershipInstance, membership, prolong
-from .passivity import (
-    Census,
-    CompatibilityResult,
-    PassivityReport,
-    check_pair,
-    coincident_lead_analysis,
-    decide_passivity,
-    is_passive,
-    quotient_census,
-)
-from .ranking import BASE, ClassKey, Ranking, audit_compatibility
-from .syzygy import (
-    ModuleVector,
-    TauPair,
-    module_apply,
-    operator_apply,
-    syzygy_oracle,
-    tau_generators,
-)
+Public names load on first access (PEP 562): importing the package loads no
+submodule, so a command compiles and runs only the modules it uses.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASE",
-    "Census",
-    "Certificate",
-    "ClassKey",
-    "CompatibilityResult",
-    "Context",
-    "DEFAULT_MAX_STEPS",
-    "Deriv",
-    "DiffPoly",
-    "Indep",
-    "MembershipInstance",
-    "ModuleVector",
-    "NormalForm",
-    "PassivityReport",
-    "Ranking",
-    "ReductionLimitError",
-    "SolvedForm",
-    "SolvedSystem",
-    "StructuralError",
-    "TauPair",
-    "audit_compatibility",
-    "autoreduce",
-    "check_conditionally_solvable",
-    "check_pair",
-    "coincident_lead_analysis",
-    "decide_passivity",
-    "divide_by_normalized",
-    "find_principal",
-    "is_passive",
-    "membership",
-    "module_apply",
-    "monomial",
-    "normalized_slice",
-    "operator_apply",
-    "poly_from_json",
-    "poly_to_json",
-    "prolong",
-    "quotient_census",
-    "reduce",
-    "syzygy_oracle",
-    "tau_generators",
-    "to_text",
-    "var_from_json",
-    "var_to_json",
-]
+_EXPORTS = {  # submodule -> the public names it defines
+    "algebra": ("Context", "Deriv", "DiffPoly", "Indep", "monomial", "poly_from_json", "poly_to_json",
+                "to_text", "var_from_json", "var_to_json"),
+    "errors": ("ReductionLimitError", "StructuralError"),
+    "normal": ("DEFAULT_MAX_STEPS", "NormalForm", "SolvedForm", "SolvedSystem", "autoreduce",
+               "check_conditionally_solvable", "divide_by_normalized", "find_principal", "normalized_slice",
+               "reduce"),
+    "oracle": ("Certificate", "MembershipInstance", "membership", "prolong"),
+    "passivity": ("Census", "CompatibilityResult", "PassivityReport", "check_pair", "coincident_lead_analysis",
+                  "decide_passivity", "is_passive", "quotient_census"),
+    "ranking": ("BASE", "Ranking", "audit_compatibility"),
+    "syzygy": ("TauPair", "module_apply", "operator_apply", "syzygy_oracle", "tau_generators"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

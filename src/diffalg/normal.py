@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, shift_deriv, to_text, var_to_json
 from .errors import ReductionLimitError, StructuralError
-from .ranking import Ranking
+from .ranking import Ranking, class_to_json
 
 DEFAULT_MAX_STEPS = 10**5
 
@@ -119,8 +119,8 @@ def check_conditionally_solvable(sys: SolvedSystem) -> SolvabilityReport:
                 {
                     "eq": idx,
                     "lead": var_to_json(eq.lead),
-                    "lead_class": lead_key.to_json(),
-                    "tail_class": tail_key.to_json(),
+                    "lead_class": class_to_json(lead_key),
+                    "tail_class": class_to_json(tail_key),
                 }
             )
     return SolvabilityReport(ok=not violations, violations=violations)
@@ -183,7 +183,7 @@ def reduce(f: DiffPoly, sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -
         steps += 1
         if steps > max_steps:
             raise ReductionLimitError(max_steps, to_text(current))
-        v = max(hits, key=lambda v: (rk.key(v), (v.i, v.order)))
+        v = max(hits, key=lambda v: (rk.key(v), v))
         idx, shift = nf.rule(v)
         current = current.substitute(v, nf.prolongation(idx, shift))
         trace.append(ReduceStep(idx, shift, v))
@@ -380,7 +380,7 @@ def normalized_slice(
         for source, tail in rest:
             if tail != tails[v]:
                 mismatches.append({"lead": v, "first": first_source, "second": source})
-    forms = [SolvedForm(v, tails[v]) for v in sorted(tails, key=lambda v: (v.i, v.order))]
+    forms = [SolvedForm(v, tails[v]) for v in sorted(tails)]
     return certify_slice(sys, order_bound, forms, mismatches)
 
 

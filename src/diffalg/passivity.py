@@ -33,7 +33,7 @@ from .normal import (
     iter_orbit,
     normalized_slice,
 )
-from .ranking import ClassKey, Ranking
+from .ranking import Ranking, class_to_json
 from .syzygy import TauPair, tau_generators
 
 SATISFIED = "satisfied"
@@ -68,7 +68,7 @@ class CompatibilityResult(NamedTuple):
     combination: DiffPoly
     remainder: DiffPoly
     status: str
-    class_bound: ClassKey
+    class_bound: tuple
 
     def to_json(self) -> dict:
         return {
@@ -79,7 +79,7 @@ class CompatibilityResult(NamedTuple):
             "combination": self.combination,
             "remainder": self.remainder,
             "status": self.status,
-            "class_bound": self.class_bound.to_json(),
+            "class_bound": class_to_json(self.class_bound),
         }
 
 
@@ -133,21 +133,19 @@ def quotient_census(sys: SolvedSystem, order_bound: int) -> Census:
     (in some lead's orbit) or parametric (free in the quotient).  Up to the
     bound, the principal ones are exactly the shifted leads of iter_orbit."""
     orbit = {v for _, _, v in iter_orbit(sys, order_bound)}
-    principal = list(orbit)
     parametric: list[Deriv] = []
     counts: dict[int, int] = {o: 0 for o in range(order_bound + 1)}
     for v in sys.ctx.derivs(order_bound):
         if v not in orbit:
             parametric.append(v)
             counts[mi.order(v.order)] += 1
-    principal.sort(key=lambda v: (v.i, v.order))
-    parametric.sort(key=lambda v: (v.i, v.order))
-    return Census(order_bound, principal, parametric, counts)
+    parametric.sort()
+    return Census(order_bound, sorted(orbit), parametric, counts)
 
 
 class PassivityReport(NamedTuple):
     verdict: str
-    theta: Optional[ClassKey]
+    theta: Optional[tuple]
     solvability: SolvabilityReport
     pairs: list[CompatibilityResult]
     census: Optional[Census] = None
@@ -160,7 +158,7 @@ class PassivityReport(NamedTuple):
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
-            "theta": self.theta.to_json() if self.theta is not None else None,
+            "theta": class_to_json(self.theta) if self.theta is not None else None,
             "solvable": self.solvability.to_json(),
             "pairs": [p.to_json() for p in self.pairs],
             "census": self.census.to_json() if self.census is not None else None,

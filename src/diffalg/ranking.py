@@ -3,8 +3,9 @@
 A ranking is a total preorder on the derivative variables u^i_alpha, given by
 a weight matrix W: rows of linear functionals on (i, alpha), applied in
 order, first difference decides (Riquier's weight rules).  The key of
-u^i_alpha is the vector W (i, alpha).  The two built-ins are named weight
-matrices, each followed by one unit row per direction:
+u^i_alpha is the vector W (i, alpha), a plain tuple: keys compare as tuples,
+and the empty key BASE sits below every other.  The two built-ins are named
+weight matrices, each followed by one unit row per direction:
 
     orderly      rows [0,1..1], [1,0..0]: compare |alpha|, then i, then alpha
     elimination  rows [1,0..0], [0,1..1]: compare i, then |alpha|, then alpha
@@ -46,24 +47,15 @@ from .algebra import Context, Deriv, DiffPoly, Rational, _frac_from_str, shift_d
 from .errors import StructuralError
 
 
-class ClassKey(NamedTuple):
-    """Totally ordered key of a ranking block.  The empty key is the bottom
-    element ("base"), reserved for polynomials with no derivative variables.
-    Keys order as the tuples (parts,); only keys are compared with keys."""
-
-    parts: tuple = ()
-
-    @property
-    def is_base(self) -> bool:
-        return not self.parts
-
-    def to_json(self):
-        if self.is_base:
-            return "base"
-        return [p if isinstance(p, int) else str(p) for p in self.parts]
+BASE = ()  # the class key of a polynomial with no derivative variables
 
 
-BASE = ClassKey(())
+def class_to_json(key: tuple):
+    """A class key as the reports print it: "base" for BASE, else its parts,
+    Fractions as strings."""
+    if not key:
+        return "base"
+    return [p if isinstance(p, int) else str(p) for p in key]
 
 
 RankingSpec = Union[str, dict]
@@ -138,13 +130,13 @@ class Ranking:
 
     # -- comparison ----------------------------------------------------------
 
-    def key(self, v: Deriv) -> ClassKey:
+    def key(self, v: Deriv) -> tuple:
         """W (i, alpha), one integer dot product per row.  Parts are ints for a
-        named ranking and Fractions for a weight rule, as ClassKey.to_json shows."""
+        named ranking and Fractions for a weight rule, as class_to_json shows."""
         self.ctx.check_var(v)
         vec = (v.i,) + v.order
         dots = tuple(sum(map(mul, row, vec)) for row in self._rows)
-        return ClassKey(tuple(map(Fraction, dots, self._dens)) if self.kind == "weights" else dots)
+        return tuple(map(Fraction, dots, self._dens)) if self.kind == "weights" else dots
 
     def compare(self, u: Deriv, v: Deriv) -> int:
         """-1, 0 or 1.  Zero either means u == v or a coarse-ranking tie."""
@@ -166,7 +158,7 @@ class Ranking:
 
     # -- induced structure on polynomials -------------------------------------
 
-    def class_of(self, f: DiffPoly) -> ClassKey:
+    def class_of(self, f: DiffPoly) -> tuple:
         """The maximal key among the derivative variables of f; base when f
         has none (including f = 0)."""
         return max((self.key(v) for v in f.support_derivs()), default=BASE)

@@ -1,9 +1,11 @@
 """Syzygies of leading-derivative sets.
 
 Leads act as a monomial module: an operator monomial X^nu sends u^i_alpha to
-u^i_{alpha+nu}.  A module vector (one operator polynomial per equation) is a
-syzygy of the lead list when the combined image vanishes.  For two leads on
-the same unknown, the canonical generator pairs the diamond shifts:
+u^i_{alpha+nu}.  A module vector is a finite combination of coordinates
+X^shift e_position, held as a dict {(position, shift): coefficient} without
+zero entries; it is a syzygy of the lead list when the combined image
+vanishes.  For two leads on the same unknown, the canonical generator pairs
+the diamond shifts:
 
     tau_ij = X^{diamond(a_i, a_j)} e_i - X^{diamond(a_j, a_i)} e_j
 
@@ -22,77 +24,7 @@ from .algebra import Deriv, DiffPoly
 from .errors import StructuralError
 from .normal import SolvedSystem
 
-OpPoly = dict[mi.Index, Fraction]  # operator polynomial: shift -> coefficient
-
-
-def _cleanup(p: OpPoly) -> OpPoly:
-    return {s: c for s, c in p.items() if c}
-
-
-class ModuleVector:
-    """k operator polynomials, one per equation position."""
-
-    __slots__ = ("comps",)
-
-    def __init__(self, comps: Sequence[OpPoly]):
-        self.comps = tuple(_cleanup(dict(c)) for c in comps)
-
-    @classmethod
-    def zero(cls, k: int) -> "ModuleVector":
-        return cls([{} for _ in range(k)])
-
-    @property
-    def k(self) -> int:
-        return len(self.comps)
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.comps)
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleVector) and self.comps == other.comps
-
-    def __hash__(self):
-        return hash(tuple(frozenset(c.items()) for c in self.comps))
-
-    def __repr__(self):
-        parts = []
-        for pos, comp in enumerate(self.comps):
-            for shift, c in sorted(comp.items()):
-                parts.append(f"{c}*X^{shift}e{pos}")
-        return "ModuleVector(" + " + ".join(parts or ["0"]) + ")"
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        if self.k != other.k:
-            raise StructuralError("module vector length mismatch")
-        out = []
-        for a, b in zip(self.comps, other.comps):
-            merged = dict(a)
-            for s, c in b.items():
-                merged[s] = merged.get(s, Fraction(0)) + c
-            out.append(merged)
-        return ModuleVector(out)
-
-    def __neg__(self) -> "ModuleVector":
-        return ModuleVector([{s: -c for s, c in comp.items()} for comp in self.comps])
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + (-other)
-
-    def scale(self, c) -> "ModuleVector":
-        c = Fraction(c)
-        return ModuleVector([{s: c * x for s, x in comp.items()} for comp in self.comps])
-
-    def monomial_mul(self, sigma: mi.Index) -> "ModuleVector":
-        """Multiply every component by the operator monomial X^sigma."""
-        return ModuleVector(
-            [{mi.add(sigma, s): c for s, c in comp.items()} for comp in self.comps]
-        )
-
-    def entries(self):
-        """Iterate (position, shift, coefficient)."""
-        for pos, comp in enumerate(self.comps):
-            for s, c in comp.items():
-                yield pos, s, c
+Vector = dict[tuple[int, mi.Index], Fraction]  # (position, shift) -> coefficient, no zeros
 
 
 class TauPair(NamedTuple):
@@ -104,11 +36,8 @@ class TauPair(NamedTuple):
     shift_i: mi.Index
     shift_j: mi.Index
 
-    def vector(self, k: int) -> ModuleVector:
-        comps: list[OpPoly] = [{} for _ in range(k)]
-        comps[self.i] = {self.shift_i: Fraction(1)}
-        comps[self.j] = {self.shift_j: Fraction(-1)}
-        return ModuleVector(comps)
+    def vector(self) -> Vector:
+        return {(self.i, self.shift_i): Fraction(1), (self.j, self.shift_j): Fraction(-1)}
 
     def to_json(self) -> dict:
         return {
@@ -134,13 +63,18 @@ def tau_generators(leads: Sequence[Deriv]) -> list[TauPair]:
     return out
 
 
-def module_apply(d: ModuleVector, leads: Sequence[Deriv]) -> dict[Deriv, Fraction]:
+def _check_positions(d: Vector, k: int, what: str) -> None:
+    for pos, _ in d:
+        if not 0 <= pos < k:
+            raise StructuralError(f"module vector position {pos} is outside 0..{k - 1} for {k} {what}")
+
+
+def module_apply(d: Vector, leads: Sequence[Deriv]) -> dict[Deriv, Fraction]:
     """The formal combination sum_i d_i . lead_i under the shift action,
     collected exactly; an empty dict means d is a syzygy of the leads."""
-    if d.k != len(leads):
-        raise StructuralError(f"module vector has {d.k} components for {len(leads)} leads")
+    _check_positions(d, len(leads), "leads")
     out: dict[Deriv, Fraction] = {}
-    for pos, shift, c in d.entries():
+    for (pos, shift), c in d.items():
         target = Deriv(leads[pos].i, mi.add(shift, leads[pos].order))
         val = out.get(target, Fraction(0)) + c
         if val:
@@ -150,16 +84,13 @@ def module_apply(d: ModuleVector, leads: Sequence[Deriv]) -> dict[Deriv, Fractio
     return out
 
 
-def operator_apply(d: ModuleVector, sys: SolvedSystem) -> DiffPoly:
+def operator_apply(d: Vector, sys: SolvedSystem) -> DiffPoly:
     """Apply the vector to the full equations: operator monomials act as
     iterated total derivatives.  For a syzygy of the leads, every lead-derived
     top term cancels and only derived tails remain."""
-    if d.k != len(sys.equations):
-        raise StructuralError(
-            f"module vector has {d.k} components for {len(sys.equations)} equations"
-        )
+    _check_positions(d, len(sys.equations), "equations")
     total = DiffPoly.zero(sys.ctx)
-    for pos, shift, c in d.entries():
+    for (pos, shift), c in d.items():
         total = total + sys.equations[pos].poly().total_derivative_multi(shift).scale(c)
     return total
 
@@ -168,24 +99,24 @@ def operator_apply(d: ModuleVector, sys: SolvedSystem) -> DiffPoly:
 
 
 class CertifiedSyzygy(NamedTuple):
-    syzygy: ModuleVector
-    combination: dict[int, OpPoly]  # tau index -> operator cofactor
+    syzygy: Vector
+    combination: Vector  # keyed (tau index t, sigma): the sum of c X^sigma tau_t
 
-    def expand(self, taus: Sequence[TauPair], k: int) -> ModuleVector:
-        total = ModuleVector.zero(k)
-        for t, cofactor in self.combination.items():
-            base = taus[t].vector(k)
-            for sigma, c in cofactor.items():
-                total = total + base.monomial_mul(sigma).scale(c)
-        return total
+    def expand(self, taus: Sequence[TauPair]) -> Vector:
+        total: Vector = {}
+        for (t, sigma), c in self.combination.items():
+            for (pos, shift), x in taus[t].vector().items():
+                coord = (pos, mi.add(sigma, shift))
+                total[coord] = total.get(coord, Fraction(0)) + c * x
+        return {coord: c for coord, c in total.items() if c}
 
 
 class SyzygyOracleResult(NamedTuple):
     degree_bound: int
     taus: list[TauPair]
-    spanning: list[ModuleVector]
+    spanning: list[Vector]
     certified: list[CertifiedSyzygy]
-    failures: list[ModuleVector]
+    failures: list[Vector]
 
     @property
     def ok(self) -> bool:
@@ -208,7 +139,7 @@ def _slice_columns(leads: Sequence[Deriv], degree_bound: int):
 
 
 def certify_combination(
-    sv: ModuleVector,
+    sv: Vector,
     taus: Sequence[TauPair],
     leads: Sequence[Deriv],
     degree_bound: int,
@@ -220,16 +151,15 @@ def certify_combination(
     is certified by its own small exact solve.  None when some fiber has no
     bounded combination.
     """
-    k = len(leads)
-    fibers: dict[Deriv, dict[tuple[int, mi.Index], Fraction]] = {}
-    for pos, shift, c in sv.entries():
+    fibers: dict[Deriv, Vector] = {}
+    for (pos, shift), c in sv.items():
         target = Deriv(leads[pos].i, mi.add(shift, leads[pos].order))
         fibers.setdefault(target, {})[(pos, shift)] = c
 
-    combo: dict[int, OpPoly] = {}
-    for target in sorted(fibers, key=lambda d: (d.i, d.order)):
+    combo: Vector = {}
+    for target in sorted(fibers):
         cert_cols: list[tuple[int, mi.Index]] = []
-        col_vectors: list[ModuleVector] = []
+        columns: list[Vector] = []
         for t, tau in enumerate(taus):
             if leads[tau.i].i != target.i:
                 continue
@@ -238,16 +168,13 @@ def certify_combination(
             if sigma is None or mi.order(sigma) > degree_bound:
                 continue
             cert_cols.append((t, sigma))
-            col_vectors.append(tau.vector(k).monomial_mul(sigma))
+            columns.append({(pos, mi.add(sigma, shift)): c for (pos, shift), c in tau.vector().items()})
 
-        columns = [{(pos, shift): c for pos, shift, c in vec.entries()} for vec in col_vectors]
         solution = linalg.solve_labeled(columns, fibers[target])
         if solution is None:
             return None
-        for col, c in enumerate(solution):
-            if c:
-                t, sigma = cert_cols[col]
-                combo.setdefault(t, {})[sigma] = combo.get(t, {}).get(sigma, Fraction(0)) + c
+        # each (t, sigma) maps onto one target, so no column recurs in a later fiber
+        combo.update((col, c) for col, c in zip(cert_cols, solution) if c)
     return CertifiedSyzygy(sv, combo)
 
 
@@ -266,28 +193,22 @@ def syzygy_oracle(leads: Sequence[Deriv], degree_bound: int) -> SyzygyOracleResu
     taus = tau_generators(leads)
     if not leads:
         return SyzygyOracleResult(degree_bound, taus, [], [], [])
-    k = len(leads)
     coords, fibers = _slice_columns(leads, degree_bound)
 
-    spanning: list[ModuleVector] = []
-    for target in sorted(fibers, key=lambda d: (d.i, d.order)):
+    spanning: list[Vector] = []
+    for target in sorted(fibers):
         cols = fibers[target]
         if len(cols) < 2:
             continue
         # one row: the coefficients of every coordinate mapping onto target
         rows = [{t: Fraction(1) for t in range(len(cols))}]
         for vec in linalg.nullspace(rows, len(cols)):
-            comps: list[OpPoly] = [{} for _ in range(k)]
-            for t, c in enumerate(vec):
-                if c:
-                    pos, shift = coords[cols[t]]
-                    comps[pos][shift] = comps[pos].get(shift, Fraction(0)) + c
-            sv = ModuleVector(comps)
-            if not sv.is_zero():
+            sv = {coords[cols[t]]: c for t, c in enumerate(vec) if c}
+            if sv:
                 spanning.append(sv)
 
     certified: list[CertifiedSyzygy] = []
-    failures: list[ModuleVector] = []
+    failures: list[Vector] = []
     for sv in spanning:
         cert = certify_combination(sv, taus, leads, degree_bound)
         if cert is None:

@@ -13,10 +13,10 @@ import pytest
 
 from diffalg import (Context, DiffPoly, Ranking, SolvedForm, StructuralError, coincident_lead_analysis, is_passive,
                      poly_from_json, poly_to_json, reduce)
+import diffalg
 from diffalg import cli
 from diffalg.algebra import Deriv, Indep, var_to_json
 from diffalg.cli import COMMANDS, COMMON, main, render
-from diffalg.ranking import ClassKey
 from diffalg.syzygy import TauPair
 from diffalg.problem import load_problem, problem_from_dict
 
@@ -487,19 +487,50 @@ def test_help_forms(capsys, command, flag):
         assert ("--max-steps" in out) == (command in ("check", "reduce", "quotient"))
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(code, *args):
+    """Run code in a fresh interpreter with src first on the path."""
+    return subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); " + code, SRC, *args],
+                          capture_output=True, text=True)
+
+
 def test_check_path_loads_no_argparse():
     # argparse's first build loads gettext and locale, and dataclasses loads
-    # inspect; a process that runs one command cannot afford them
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); from diffalg.cli import main;"
-        " main(['check', sys.argv[2]]);"
-        " print(sorted({'argparse', 'gettext', 'locale', 'dataclasses', 'inspect'} & set(sys.modules)),"
-        " file=sys.stderr)"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-c", code, src, HEAT], capture_output=True, text=True)
+    # inspect; a process that runs one command cannot afford them, nor the
+    # membership oracle, which only the tests use
+    proc = run_python(
+        "from diffalg.cli import main; main(['check', sys.argv[2]]);"
+        " print(sorted({'argparse', 'gettext', 'locale', 'dataclasses', 'inspect', 'diffalg.oracle'}"
+        " & set(sys.modules)), file=sys.stderr)", HEAT)
     assert proc.returncode == 0 and json.loads(proc.stdout)["verdict"] == "passive"
     assert proc.stderr == "[]\n"
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/trace.py wraps the per-layer functions by module attribute
+    # name, so each one it reads must stay where it is
+    proc = run_python("sys.path.insert(0, sys.argv[2]); from perfbench.trace import Tracer; Tracer().install()",
+                      str(Path(SRC).parent))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_load_lazily():
+    proc = run_python("import diffalg; print(sorted(m for m in sys.modules if m.startswith('diffalg.')))")
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+    namespace = {}
+    exec("from diffalg import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == diffalg.__all__ and len(diffalg.__all__) == 42
+    for name in diffalg.__all__:
+        assert getattr(diffalg, name) is namespace[name]
+        assert name in dir(diffalg)
+    assert not {"ClassKey", "ModuleVector"} & set(diffalg.__all__)
+    with pytest.raises(AttributeError):
+        diffalg.nope
+    with pytest.raises(ImportError):
+        from diffalg import nope  # noqa: F401
 
 
 # -- the JSON renderer ----------------------------------------------------------------
@@ -574,7 +605,7 @@ def test_render_matches_json_dumps():
 
 
 @pytest.mark.parametrize("obj", [1.5, {1: "a"}, {"a": {(1,): 2}}, [Fraction(1, 2)], {"a": {1, 2}},
-                                 ClassKey((1, 2)), [TauPair(0, 1, (0, 1), (1, 0))]])
+                                 [TauPair(0, 1, (0, 1), (1, 0))]])
 def test_render_rejects_other_types(obj):
     with pytest.raises(TypeError):
         render(obj)

@@ -361,7 +361,7 @@ def test_pair_combination_matches_operator_apply():
         if sys_ is None:
             continue
         for tau in tau_generators(sys_.leads()):
-            expected = operator_apply(tau.vector(len(sys_)), sys_)
+            expected = operator_apply(tau.vector(), sys_)
             assert check_pair(sys_, tau).combination == expected
             pairs += 1
     assert pairs >= 5

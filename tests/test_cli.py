@@ -18,7 +18,7 @@ from diffalg import cli
 from diffalg.algebra import Deriv, Indep, var_to_json
 from diffalg.cli import COMMANDS, COMMON, main, render
 from diffalg.syzygy import TauPair
-from diffalg.problem import load_problem, problem_from_dict
+from diffalg.problem import Bounds, load_problem, problem_from_dict
 
 import gen
 
@@ -605,7 +605,7 @@ def test_render_matches_json_dumps():
 
 
 @pytest.mark.parametrize("obj", [1.5, {1: "a"}, {"a": {(1,): 2}}, [Fraction(1, 2)], {"a": {1, 2}},
-                                 [TauPair(0, 1, (0, 1), (1, 0))]])
+                                 Bounds(), [TauPair(0, 1, (0, 1), (1, 0))]])
 def test_render_rejects_other_types(obj):
     with pytest.raises(TypeError):
         render(obj)

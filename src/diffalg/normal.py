@@ -10,9 +10,10 @@ reduce() eliminates, greatest first, every derivative variable lying in some
 equation's orbit (the principal derivatives), by substituting the prolonged
 rewrite rule.  The remainder depends only on the x's and the parametric
 derivatives, and is the fixpoint of the substitution find_principal() fixes:
-rewrite order changes only the trace.  NormalForm computes that fixpoint with
-memoized normal forms, one engine per system.  divide_by_normalized() is the
-one-shot variant for normalized sets, whose tails mention no lead at all.
+rewrite order changes only the trace.  SolvedSystem.normal_form() computes
+that fixpoint from normal forms memoized on the system itself.
+divide_by_normalized() is the one-shot variant for normalized sets, whose
+tails mention no lead at all.
 """
 
 from __future__ import annotations
@@ -51,15 +52,17 @@ class SolvedForm(NamedTuple("SolvedForm", [("lead", Deriv), ("tail", DiffPoly)])
 
 
 class SolvedSystem:
-    """A finite list of solved forms over one ambient, with its ranking.
-    Equal when equations and ranking are; the engine is not compared."""
+    """A finite list of solved forms over one ambient, with its ranking, and
+    the memoized normal form modulo its orbit.  Conditional solvability is
+    checked once, on construction.  Equal when equations and ranking are;
+    the memos are not compared.
+    """
 
-    __slots__ = ("equations", "ranking", "_engine")
+    __slots__ = ("equations", "ranking", "solvability", "_rule", "_nf", "_prolonged")
 
     def __init__(self, equations: Sequence[SolvedForm], ranking: Ranking):
         self.equations = tuple(equations)
         self.ranking = ranking
-        self._engine = None
         for eq in self.equations:
             if eq.ctx != ranking.ctx:
                 raise StructuralError("equation ambient differs from ranking ambient")
@@ -68,6 +71,11 @@ class SolvedSystem:
             raise StructuralError(
                 "coincident leads; run coincident_lead_analysis on the raw list first"
             )
+        self.solvability = check_conditionally_solvable(self)
+        self._rule: dict[Deriv, Optional[tuple[int, mi.Index]]] = {}
+        self._nf: dict[Deriv, DiffPoly] = {}
+        zero = mi.zero(ranking.ctx.n)
+        self._prolonged = {(idx, zero): eq.rhs() for idx, eq in enumerate(self.equations)}
 
     def __eq__(self, other):
         return isinstance(other, SolvedSystem) and (self.equations, self.ranking) == (
@@ -83,12 +91,77 @@ class SolvedSystem:
     def leads(self) -> list[Deriv]:
         return [eq.lead for eq in self.equations]
 
-    @property
-    def normal_form(self) -> NormalForm:
-        """The system's memoized normal-form engine, built on first use."""
-        if self._engine is None:
-            self._engine = NormalForm(self)
-        return self._engine
+    def rule(self, v: Deriv) -> Optional[tuple[int, mi.Index]]:
+        """find_principal(self, v), memoized: the (equation, shift) whose
+        prolonged rule rewrites v, or None when v is parametric."""
+        if v not in self._rule:
+            self._rule[v] = find_principal(self, v)
+        return self._rule[v]
+
+    def prolongation(self, idx: int, shift: mi.Index) -> DiffPoly:
+        """D^shift of equation idx's rewrite image -tail."""
+        step = mi.zero(len(shift))
+        poly = self._prolonged[(idx, step)]
+        for k, reps in enumerate(shift):
+            for _ in range(reps):
+                step = step[:k] + (step[k] + 1,) + step[k + 1:]
+                if (idx, step) not in self._prolonged:
+                    self._prolonged[(idx, step)] = poly.total_derivative(k + 1)
+                poly = self._prolonged[(idx, step)]
+        return poly
+
+    def require_reducible(self, f: DiffPoly) -> None:
+        """Raise unless the system is conditionally solvable and f shares its
+        ambient: the preconditions of normal_form and of reduce alike."""
+        if not self.solvability.ok:
+            raise StructuralError(
+                f"system is not conditionally solvable: {self.solvability.violations}"
+            )
+        if f.ctx != self.ctx:
+            raise StructuralError("polynomial ambient differs from system ambient")
+
+    def normal_form(self, f: DiffPoly, max_steps: int = DEFAULT_MAX_STEPS) -> DiffPoly:
+        """reduce(f, self).remainder: f with every principal v replaced by
+        NF(v) = NF(D^shift rhs), for find_principal's (equation, shift) of v.
+        NF(v) is memoized per principal v, and each prolongation D^shift(rhs)
+        is built as D_k of a cached predecessor.  max_steps bounds the
+        substitutions of one call, memo fills included.
+        """
+        self.require_reducible(f)
+        steps = 0
+
+        def charge(g: DiffPoly) -> list[Deriv]:
+            nonlocal steps
+            hits = [v for v in g.support_derivs() if self.rule(v) is not None]
+            steps += len(hits)
+            if steps > max_steps:
+                raise ReductionLimitError(max_steps, to_text(g))
+            return hits
+
+        # Explicit stack: a derivative's first visit charges its image's
+        # substitutions and pushes the normal forms still missing, its second
+        # fills its own.  A rewrite cycle (no ranking has one) recharges until
+        # the budget runs out.
+        top = charge(f)
+        stack: list[tuple[Deriv, Optional[list[Deriv]]]] = [(v, None) for v in top]
+        while stack:
+            v, hits = stack.pop()
+            if v in self._nf:
+                continue
+            image = self.prolongation(*self._rule[v])
+            if hits is None:
+                hits = charge(image)
+                stack.append((v, hits))
+                stack.extend((w, None) for w in hits if w not in self._nf)
+            else:
+                self._nf[v] = self._substitute(image, hits)
+        return self._substitute(f, top)
+
+    def _substitute(self, g: DiffPoly, hits: list[Deriv]) -> DiffPoly:
+        # One simultaneous substitution equals substituting the hits one by
+        # one: every image is a normal form, so it holds no principal
+        # derivative that a later hit would rewrite.
+        return g.substitute_all({v: self._nf[v] for v in hits}) if hits else g
 
 
 def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.Index, Deriv]]:
@@ -169,109 +242,23 @@ def reduce(f: DiffPoly, sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -
     """Divide f by the orbit of the system, greatest principal derivative
     first, and return the remainder with the full rewrite trace.  The rule
     of each derivative and each prolonged rule come from the system's
-    engine, which memoizes both."""
-    nf = sys.normal_form
-    nf.require_reducible(f)
+    memos (SolvedSystem.rule and .prolongation)."""
+    sys.require_reducible(f)
     rk = sys.ranking
     trace: list[ReduceStep] = []
     current = f
     steps = 0
     while True:
-        hits = [v for v in current.support_derivs() if nf.rule(v) is not None]
+        hits = [v for v in current.support_derivs() if sys.rule(v) is not None]
         if not hits:
             return ReduceResult(current, trace)
         steps += 1
         if steps > max_steps:
             raise ReductionLimitError(max_steps, to_text(current))
         v = max(hits, key=lambda v: (rk.key(v), v))
-        idx, shift = nf.rule(v)
-        current = current.substitute(v, nf.prolongation(idx, shift))
+        idx, shift = sys.rule(v)
+        current = current.substitute(v, sys.prolongation(idx, shift))
         trace.append(ReduceStep(idx, shift, v))
-
-
-class NormalForm:
-    """Memoized normal form modulo the orbit of one solved system.
-
-    engine(f) equals reduce(f).remainder: f with every principal v replaced
-    by NF(v) = NF(D^shift rhs), for find_principal's (equation, shift) of v.
-    NF(v) is memoized per principal v, and each prolongation D^shift(rhs) is
-    built as D_k of a cached predecessor.  max_steps bounds the substitutions
-    of one call, memo fills included.
-    """
-
-    def __init__(self, sys: SolvedSystem):
-        self.sys = sys
-        self.solvability = check_conditionally_solvable(sys)
-        self._rule: dict[Deriv, Optional[tuple[int, mi.Index]]] = {}
-        self._nf: dict[Deriv, DiffPoly] = {}
-        zero = mi.zero(sys.ctx.n)
-        self._prolonged = {(idx, zero): eq.rhs() for idx, eq in enumerate(sys.equations)}
-
-    def rule(self, v: Deriv) -> Optional[tuple[int, mi.Index]]:
-        """find_principal(sys, v), memoized: the (equation, shift) whose
-        prolonged rule rewrites v, or None when v is parametric."""
-        if v not in self._rule:
-            self._rule[v] = find_principal(self.sys, v)
-        return self._rule[v]
-
-    def prolongation(self, idx: int, shift: mi.Index) -> DiffPoly:
-        """D^shift of equation idx's rewrite image -tail."""
-        step = mi.zero(len(shift))
-        poly = self._prolonged[(idx, step)]
-        for k, reps in enumerate(shift):
-            for _ in range(reps):
-                step = step[:k] + (step[k] + 1,) + step[k + 1:]
-                if (idx, step) not in self._prolonged:
-                    self._prolonged[(idx, step)] = poly.total_derivative(k + 1)
-                poly = self._prolonged[(idx, step)]
-        return poly
-
-    def require_reducible(self, f: DiffPoly) -> None:
-        """Raise unless the system is conditionally solvable and f shares its
-        ambient: the preconditions of the engine and of reduce alike."""
-        if not self.solvability.ok:
-            raise StructuralError(
-                f"system is not conditionally solvable: {self.solvability.violations}"
-            )
-        if f.ctx != self.sys.ctx:
-            raise StructuralError("polynomial ambient differs from system ambient")
-
-    def __call__(self, f: DiffPoly, max_steps: int = DEFAULT_MAX_STEPS) -> DiffPoly:
-        self.require_reducible(f)
-        steps = 0
-
-        def charge(g: DiffPoly) -> list[Deriv]:
-            nonlocal steps
-            hits = [v for v in g.support_derivs() if self.rule(v) is not None]
-            steps += len(hits)
-            if steps > max_steps:
-                raise ReductionLimitError(max_steps, to_text(g))
-            return hits
-
-        # Explicit stack: a derivative's first visit charges its image's
-        # substitutions and pushes the normal forms still missing, its second
-        # fills its own.  A rewrite cycle (no ranking has one) recharges until
-        # the budget runs out.
-        top = charge(f)
-        stack: list[tuple[Deriv, Optional[list[Deriv]]]] = [(v, None) for v in top]
-        while stack:
-            v, hits = stack.pop()
-            if v in self._nf:
-                continue
-            image = self.prolongation(*self._rule[v])
-            if hits is None:
-                hits = charge(image)
-                stack.append((v, hits))
-                stack.extend((w, None) for w in hits if w not in self._nf)
-            else:
-                self._nf[v] = self._substitute(image, hits)
-        return self._substitute(f, top)
-
-    def _substitute(self, g: DiffPoly, hits: list[Deriv]) -> DiffPoly:
-        # One simultaneous substitution equals substituting the hits one by
-        # one: every image is a normal form, so it holds no principal
-        # derivative that a later hit would rewrite.
-        return g.substitute_all({v: self._nf[v] for v in hits}) if hits else g
 
 
 def autoreduce(sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> SolvedSystem:
@@ -360,7 +347,6 @@ def normalized_slice(
     the orbit.  Every candidate must agree with the first; disagreements are
     recorded as mismatches (the local coherence check of Riquier/Janet).
     """
-    nf = sys.normal_form
     lead_eq = {eq.lead: idx for idx, eq in enumerate(sys.equations)}
     orbit = {v for _, _, v in iter_orbit(sys, order_bound)}
     tails: dict[Deriv, DiffPoly] = {}
@@ -369,12 +355,12 @@ def normalized_slice(
         candidates = []
         if v in lead_eq:
             tail = sys.equations[lead_eq[v]].tail
-            candidates.append(({"eq": lead_eq[v]}, nf(tail, max_steps)))
+            candidates.append(({"eq": lead_eq[v]}, sys.normal_form(tail, max_steps)))
         a = v.order
         for k in range(len(a)):
             prev = Deriv(v.i, a[:k] + (a[k] - 1,) + a[k + 1:]) if a[k] else None
             if prev in orbit:
-                derived = nf(tails[prev].total_derivative(k + 1), max_steps)
+                derived = sys.normal_form(tails[prev].total_derivative(k + 1), max_steps)
                 candidates.append(({"from": prev, "direction": k + 1}, derived))
         (first_source, tails[v]), *rest = candidates
         for source, tail in rest:
@@ -392,7 +378,7 @@ def certify_slice(
     principal, and no tail may hold one.  Principal leads that include each
     equation's lead and are closed under v -> v + e_k within the bound are
     that set: a principal w is a lead raised one step at a time to w."""
-    rule = sys.normal_form.rule
+    rule = sys.rule
     leads = {f.lead for f in forms}
     within = [v for v in leads if mi.order(v.order) < order_bound]
     leads_match_orbit = (

@@ -90,18 +90,17 @@ def check_pair(
 
     The generator applied to the equations, D^{s_i} eq_i - D^{s_j} eq_j,
     loses the shifted join of the two leads identically; what is left,
-    D^{s_j} rhs_j - D^{s_i} rhs_i from the engine's cached prolongations, is
+    D^{s_j} rhs_j - D^{s_i} rhs_i from the system's cached prolongations, is
     reduced and classified by its remainder.
     """
-    nf = sys.normal_form
-    combination = nf.prolongation(tau.j, tau.shift_j) - nf.prolongation(tau.i, tau.shift_i)
+    combination = sys.prolongation(tau.j, tau.shift_j) - sys.prolongation(tau.i, tau.shift_i)
     lead_i = sys.equations[tau.i].lead
     join = Deriv(lead_i.i, mi.add(lead_i.order, tau.shift_i))
     if join in combination.support_derivs():
         raise StructuralError(
             f"pair ({tau.i}, {tau.j}): top derivative {join} failed to cancel"
         )
-    remainder = nf(combination, max_steps)
+    remainder = sys.normal_form(combination, max_steps)
     return CompatibilityResult(
         pair=(tau.i, tau.j),
         tau=tau,
@@ -173,7 +172,7 @@ def decide_passivity(sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> P
     raises class, so the orbit minimum is attained on the equations
     themselves.
     """
-    solvability = sys.normal_form.solvability
+    solvability = sys.solvability
     theta = min((sys.ranking.key(eq.lead) for eq in sys.equations), default=None)
     if not solvability.ok:
         return PassivityReport(NOT_PASSIVE, theta, solvability, [])
@@ -192,8 +191,8 @@ def is_passive(
     On a passive verdict the report also gets the quotient census and the
     certified bounded normalized presentation.  A passive system gives every
     polynomial one normal form, the one its autoreduced system gives too, so
-    the slice runs on the decided system and reads the normal forms its pair
-    checks memoized.
+    the slice runs on the decided system itself and reuses the normal forms
+    that its pair checks memoized there.
     """
     report = decide_passivity(sys, max_steps)
     if report.verdict != PASSIVE:
@@ -262,11 +261,10 @@ def coincident_lead_analysis(
     if not dupes:
         return CoincidenceReport("ok", base, [])
 
-    nf = base.normal_form
     relations: list[DerivedRelation] = []
     for first_idx, dup_idx, form in dupes:
         diff = form.tail - raw[first_idx].tail
-        remainder = nf(diff, max_steps) if nf.solvability.ok else diff
+        remainder = base.normal_form(diff, max_steps) if base.solvability.ok else diff
         status = _status(remainder, "merged")
         relations.append(DerivedRelation(form.lead, first_idx, dup_idx, remainder, status))
     verdict = _verdict({r.status for r in relations}, OBSTRUCTED, "ok")

@@ -183,16 +183,17 @@ def test_max_steps_reaches_coincident_leads(tmp_path, argv):
 
 @pytest.mark.parametrize("command", ["check", "quotient", "reduce"])
 def test_one_engine_per_command(monkeypatch, command):
-    # one NormalForm and one solvability check serve every phase of a command
-    # (coincident leads, pairs, slice, reduce); nothing autoreduces
+    # one system, with its memos and its one solvability check, serves every
+    # phase of a command (coincident leads, pairs, slice, reduce); nothing
+    # autoreduces
     import diffalg.normal as normal
 
-    calls = {"engine": 0, "solvable": 0}
-    init, solvable = normal.NormalForm.__init__, normal.check_conditionally_solvable
+    calls = {"system": 0, "solvable": 0}
+    init, solvable = normal.SolvedSystem.__init__, normal.check_conditionally_solvable
 
-    def counted_init(self, sys_):
-        calls["engine"] += 1
-        init(self, sys_)
+    def counted_init(self, *args):
+        calls["system"] += 1
+        init(self, *args)
 
     def counted_solvable(sys_):
         calls["solvable"] += 1
@@ -201,17 +202,17 @@ def test_one_engine_per_command(monkeypatch, command):
     def no_autoreduce(*args):
         raise AssertionError("a command autoreduced")
 
-    monkeypatch.setattr(normal.NormalForm, "__init__", counted_init)
+    monkeypatch.setattr(normal.SolvedSystem, "__init__", counted_init)
     monkeypatch.setattr(normal, "check_conditionally_solvable", counted_solvable)
     monkeypatch.setattr(normal, "autoreduce", no_autoreduce)
     for path in sorted(PROBLEMS.glob("*.json")):
         n = json.loads(path.read_text())["n"]
         target = json.dumps([{"c": "1", "m": [[["u", 1, [1] * n], 1]]}])
         extra = ["--target", target] if command == "reduce" else []
-        calls.update(engine=0, solvable=0)
+        calls.update(system=0, solvable=0)
         code, _, _ = run_cli_full(command, str(path), *extra)
         assert code in (0, 1, 2, 3), path.name
-        assert calls == {"engine": 1, "solvable": 1}, path.name
+        assert calls == {"system": 1, "solvable": 1}, path.name
 
 
 def test_weight_ranking_audit_gate(tmp_path):
@@ -522,15 +523,17 @@ def test_package_exports_load_lazily():
     namespace = {}
     exec("from diffalg import *", namespace)
     del namespace["__builtins__"]
-    assert sorted(namespace) == diffalg.__all__ and len(diffalg.__all__) == 42
+    assert sorted(namespace) == diffalg.__all__ and len(diffalg.__all__) == 41
     for name in diffalg.__all__:
         assert getattr(diffalg, name) is namespace[name]
         assert name in dir(diffalg)
-    assert not {"ClassKey", "ModuleVector"} & set(diffalg.__all__)
+    assert not {"ClassKey", "ModuleVector", "NormalForm"} & set(diffalg.__all__)
     with pytest.raises(AttributeError):
         diffalg.nope
     with pytest.raises(ImportError):
         from diffalg import nope  # noqa: F401
+    with pytest.raises(ImportError):
+        from diffalg import NormalForm  # noqa: F401
 
 
 # -- the JSON renderer ----------------------------------------------------------------

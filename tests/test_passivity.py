@@ -1,5 +1,6 @@
 """Pair compatibility checks, verdicts, coincident leads, and the census."""
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -10,7 +11,6 @@ from diffalg import (
     Context,
     DiffPoly,
     MembershipInstance,
-    NormalForm,
     Ranking,
     ReductionLimitError,
     SolvedForm,
@@ -292,8 +292,30 @@ def test_engine_matches_reduce_randomized():
             f = gen.rand_poly(rng, sys_.ctx, terms=3, max_degree=2, max_order=4)
             expected = reduce(f, sys_).remainder
             assert sys_.normal_form(f) == expected  # memo warm from earlier calls
-            assert NormalForm(sys_)(f) == expected  # memo cold
+            assert SolvedSystem(sys_.equations, sys_.ranking).normal_form(f) == expected  # memo cold
     assert verdicts == {"passive", "not-passive", "inconsistent"}
+
+
+def test_memo_state_is_invisible_randomized():
+    # the memos live on a value compared by equations and ranking: warm or
+    # left half filled by an exceeded budget, they change neither equality
+    # nor any output byte
+    partial_fills = 0
+    for rng, sys_ in random_systems(75, 60):
+        sys_.normal_form(gen.rand_poly(rng, sys_.ctx, terms=3, max_degree=2, max_order=3))
+        f = gen.rand_poly(rng, sys_.ctx, terms=3, max_degree=2, max_order=6)
+        for budget in itertools.count():
+            filled = len(sys_._nf) + len(sys_._prolonged)
+            try:
+                sys_.normal_form(f, max_steps=budget)
+                break
+            except ReductionLimitError:
+                partial_fills += len(sys_._nf) + len(sys_._prolonged) > filled
+        fresh = SolvedSystem(sys_.equations, sys_.ranking)
+        assert sys_ == fresh
+        bound = rng.randint(0, 3)
+        assert render(is_passive(sys_, bound).to_json()) == render(is_passive(fresh, bound).to_json())
+    assert partial_fills >= 10
 
 
 def test_census_matches_find_principal_randomized():

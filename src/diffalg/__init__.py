@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {  # submodule -> the public names it defines
     "algebra": ("Context", "Deriv", "DiffPoly", "Indep", "monomial", "poly_from_json", "poly_to_json",
                 "to_text", "var_from_json", "var_to_json"),
-    "errors": ("ReductionLimitError", "StructuralError"),
+    "errors": ("EnumerationLimitError", "ReductionLimitError", "StructuralError"),
     "normal": ("DEFAULT_MAX_STEPS", "SolvedForm", "SolvedSystem", "autoreduce",
                "check_conditionally_solvable", "divide_by_normalized", "find_principal", "normalized_slice",
                "reduce"),

@@ -9,8 +9,8 @@ Commands:
     ranking-audit  check the ranking's shift-compatibility axioms
 
 Exit codes: 0 passive / success, 1 input or structural error, 2 obstructed,
-3 inconsistent, 4 step budget exceeded.  Output is deterministic: the same
-input bytes produce the same output bytes.
+3 inconsistent, 4 step or enumeration budget exceeded.  Output is
+deterministic: the same input bytes produce the same output bytes.
 
 A process runs one command, so the parser is a table and render() replaces
 json.dumps: argparse's first build and the indenting encoder cost more than
@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, NoReturn, Optional
 
 from .algebra import Deriv, DiffPoly, Indep, poly_from_json, to_text
-from .errors import ReductionLimitError, StructuralError
+from .errors import EnumerationLimitError, ReductionLimitError, StructuralError
 from .normal import reduce
 from .passivity import (
     EXIT_FOR_VERDICT,
@@ -56,24 +56,26 @@ def render(obj) -> str:
 
 
 def _render(obj, newline: str, cache: dict) -> str:
-    """obj at the indent that newline ends in; cache maps (variable or monomial, indent) to its text."""
+    """obj at the indent that newline ends in; cache maps (variable or
+    monomial, indent) to its text and (order length, indent) to a Deriv's
+    template."""
+    kind = type(obj)
+    if kind is Deriv or kind is Indep:  # tuples, so matched on exact type before the tuple branch
+        text = cache.get((obj, newline))
+        if text is None:
+            if kind is Indep:
+                text = "[" + newline + '  "x",' + newline + "  " + str(obj.j) + newline + "]"
+            else:
+                text = _deriv_template(len(obj.order), newline, cache) % (obj.i, *obj.order)
+            cache[obj, newline] = text
+        return text
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    kind, inner = type(obj), newline + "  "
-    if kind is Deriv or kind is Indep:  # tuples, so matched on exact type before the tuple branch
-        text = cache.get((obj, newline))
-        if text is None:
-            if kind is Indep:
-                items = ['"x"', str(obj.j)]
-            else:
-                deep = inner + "  "
-                items = ['"u"', str(obj.i), "[" + deep + ("," + deep).join(map(str, obj.order)) + inner + "]"]
-            text = cache[obj, newline] = "[" + inner + ("," + inner).join(items) + newline + "]"
-        return text
+    inner = newline + "  "
     if kind is DiffPoly:
         field, items, ends = inner + "  ", [], "[]"
         for m, c in obj.sorted_terms():
@@ -90,6 +92,19 @@ def _render(obj, newline: str, cache: dict) -> str:
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
+
+
+def _deriv_template(length: int, newline: str, cache: dict) -> str:
+    """The %-template of a Deriv whose order has this length, at the indent
+    that newline ends in; cached under the int length, which no variable or
+    monomial key equals."""
+    template = cache.get((length, newline))
+    if template is None:
+        inner = newline + "  "
+        deep = inner + "  "
+        order = "[" + deep + ("," + deep).join(["%d"] * length) + inner + "]"
+        template = cache[length, newline] = "[" + inner + '"u",' + inner + "%d," + inner + order + newline + "]"
+    return template
 
 
 def _emit(pretty: bool, payload: Callable[[], dict], lines: Callable[[], list[str]]) -> None:
@@ -129,7 +144,8 @@ def cmd_check(file, ranking, max_steps, pretty, order) -> int:
     coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds.max_steps)
     if coincidence.system is None:
         return _emit_coincidence(coincidence, pretty)
-    report = is_passive(coincidence.system, problem.bounds.order_bound, problem.bounds.max_steps)
+    bounds = problem.bounds
+    report = is_passive(coincidence.system, bounds.order_bound, bounds.max_steps, bounds.max_enumeration)
 
     def payload() -> dict:
         out = report.to_json()
@@ -185,7 +201,7 @@ def cmd_quotient(file, ranking, max_steps, pretty, order) -> int:
         _emit(pretty, lambda: {"error": "census requires a passive system", "verdict": report.verdict},
               lambda: [f"not passive: verdict {report.verdict}"])
         return report.exit_code
-    census = quotient_census(coincidence.system, problem.bounds.order_bound)
+    census = quotient_census(coincidence.system, problem.bounds.order_bound, problem.bounds.max_enumeration)
     _emit(pretty, census.to_json, lambda: [f"order bound {census.order_bound}:"
                                            f" {len(census.principal)} principal, {len(census.parametric)} parametric"])
     return 0
@@ -311,7 +327,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except StructuralError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ReductionLimitError as exc:
+    except (ReductionLimitError, EnumerationLimitError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -17,3 +17,14 @@ class ReductionLimitError(RuntimeError):
         super().__init__(f"reduction exceeded {steps} steps; last state: {state}")
         self.steps = steps
         self.state = state
+
+
+class EnumerationLimitError(RuntimeError):
+    """A census or slice would walk more derivatives than its budget: the
+    size is m * C(n + order_bound, n), every derivative up to the bound."""
+
+    def __init__(self, phase: str, size: int, limit: int):
+        super().__init__(f"{phase} would enumerate {size} derivatives, above max_enumeration {limit}")
+        self.phase = phase
+        self.size = size
+        self.limit = limit

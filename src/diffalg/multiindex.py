@@ -7,7 +7,8 @@ raises a to the componentwise join of a and b.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations_with_replacement
+from operator import sub
 from typing import Iterator, Optional
 
 from .errors import StructuralError
@@ -72,11 +73,12 @@ def try_subtract(a: Index, b: Index) -> Optional[Index]:
 
 def iter_up_to_order(n: int, bound: int) -> Iterator[Index]:
     """All multi-indices of length n with total order <= bound, graded then
-    lexicographic, ascending.  Each index of order t is read off one choice
-    of n - 1 bar positions among t + n - 1 slots (stars and bars), and
-    combinations() yields those choices in exactly this order, so the cost is
-    linear in the output."""
+    lexicographic, ascending.  An index a of order t is the difference
+    sequence of its partial sums c = (a_1, a_1 + a_2, ...), a nondecreasing
+    choice of n - 1 values in 0..t that combinations_with_replacement()
+    yields in exactly this order; each index costs O(n) in C and grades are
+    produced lazily, so the cost is linear in the output."""
     for total in range(bound + 1):
-        for bars in combinations(range(total + n - 1), n - 1):
-            edges = (-1, *bars, total + n - 1)
-            yield tuple(edges[t + 1] - edges[t] - 1 for t in range(n))
+        top = (total,)
+        for c in combinations_with_replacement(range(total + 1), n - 1):
+            yield tuple(map(sub, c + top, (0,) + c))

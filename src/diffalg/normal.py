@@ -18,14 +18,17 @@ tails mention no lead at all.
 
 from __future__ import annotations
 
+from math import comb
+from operator import add, le, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, shift_deriv, to_text, var_to_json
-from .errors import ReductionLimitError, StructuralError
+from .errors import EnumerationLimitError, ReductionLimitError, StructuralError
 from .ranking import Ranking, class_to_json
 
 DEFAULT_MAX_STEPS = 10**5
+DEFAULT_MAX_ENUMERATION = 10**6
 
 
 class SolvedForm(NamedTuple("SolvedForm", [("lead", Deriv), ("tail", DiffPoly)])):
@@ -168,8 +171,17 @@ def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.In
     """Every (equation index, shift, shifted lead) whose shifted lead has
     total order at most order_bound; equations in order, shifts graded."""
     for idx, eq in enumerate(sys.equations):
-        for shift in mi.iter_up_to_order(sys.ctx.n, order_bound - mi.order(eq.lead.order)):
-            yield idx, shift, Deriv(eq.lead.i, mi.add(eq.lead.order, shift))
+        i, a = eq.lead
+        for shift in mi.iter_up_to_order(sys.ctx.n, order_bound - sum(a)):
+            yield idx, shift, Deriv(i, tuple(map(add, a, shift)))
+
+
+def require_enumerable(ctx: Context, order_bound: int, max_enumeration: int, phase: str) -> None:
+    """Refuse, naming the phase, the m * C(n + order_bound, n) derivatives up
+    to the bound when they exceed max_enumeration."""
+    size = ctx.m * comb(ctx.n + order_bound, ctx.n)
+    if size > max_enumeration:
+        raise EnumerationLimitError(phase, size, max_enumeration)
 
 
 class SolvabilityReport(NamedTuple):
@@ -203,18 +215,22 @@ def find_principal(sys: SolvedSystem, v: Deriv) -> Optional[tuple[int, mi.Index]
     """The equation whose lead's orbit contains v, with the shift.
 
     Among several matches the smallest |shift| wins, ties broken
-    lexicographically on the shift.  None when v is parametric.
+    lexicographically on the shift.  None when v is parametric.  A lead of
+    v's unknown whose order has another length than v's is a StructuralError.
     """
     best = None
-    for idx, eq in enumerate(sys.equations):
-        if eq.lead.i != v.i:
+    i, b = v
+    for idx, (lead, _) in enumerate(sys.equations):
+        if lead.i != i:
             continue
-        shift = mi.try_subtract(eq.lead.order, v.order)
-        if shift is None:
-            continue
-        rank = (mi.order(shift), shift)
-        if best is None or rank < best[0]:
-            best = (rank, idx, shift)
+        a = lead.order
+        if len(a) != len(b):
+            raise StructuralError(f"multi-index length mismatch: {a} vs {b}")
+        if all(map(le, a, b)):
+            shift = tuple(map(sub, b, a))
+            rank = (sum(shift), shift)
+            if best is None or rank < best[0]:
+                best = (rank, idx, shift)
     if best is None:
         return None
     return best[1], best[2]
@@ -337,7 +353,8 @@ class SliceResult(NamedTuple):
 
 
 def normalized_slice(
-    sys: SolvedSystem, order_bound: int, max_steps: int = DEFAULT_MAX_STEPS
+    sys: SolvedSystem, order_bound: int, max_steps: int = DEFAULT_MAX_STEPS,
+    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
 ) -> SliceResult:
     """Normalized presentation within the order bound; defined for passive
     systems, where every way of reaching an orbit derivative gives one tail.
@@ -347,6 +364,7 @@ def normalized_slice(
     the orbit.  Every candidate must agree with the first; disagreements are
     recorded as mismatches (the local coherence check of Riquier/Janet).
     """
+    require_enumerable(sys.ctx, order_bound, max_enumeration, "normalized slice")
     lead_eq = {eq.lead: idx for idx, eq in enumerate(sys.equations)}
     orbit = {v for _, _, v in iter_orbit(sys, order_bound)}
     tails: dict[Deriv, DiffPoly] = {}

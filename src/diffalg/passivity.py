@@ -19,12 +19,15 @@ the leading derivatives.  Obstructed systems are reported, never repaired.
 
 from __future__ import annotations
 
+from itertools import filterfalse, repeat
+from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from . import multiindex as mi
 from .algebra import Deriv, DiffPoly
 from .errors import StructuralError
 from .normal import (
+    DEFAULT_MAX_ENUMERATION,
     DEFAULT_MAX_STEPS,
     SliceResult,
     SolvabilityReport,
@@ -32,6 +35,7 @@ from .normal import (
     SolvedSystem,
     iter_orbit,
     normalized_slice,
+    require_enumerable,
 )
 from .ranking import Ranking, class_to_json
 from .syzygy import TauPair, tau_generators
@@ -127,18 +131,24 @@ class Census(NamedTuple):
         }
 
 
-def quotient_census(sys: SolvedSystem, order_bound: int) -> Census:
+def quotient_census(
+    sys: SolvedSystem, order_bound: int, max_enumeration: int = DEFAULT_MAX_ENUMERATION
+) -> Census:
     """Classify every derivative variable up to the order bound as principal
     (in some lead's orbit) or parametric (free in the quotient).  Up to the
-    bound, the principal ones are exactly the shifted leads of iter_orbit."""
+    bound, the principal ones are exactly the shifted leads of iter_orbit, so
+    order t holds m * C(n + t - 1, t) derivatives less the orbit's.  The
+    multi-indices are enumerated once for all m unknowns."""
+    require_enumerable(sys.ctx, order_bound, max_enumeration, "census")
+    n, m = sys.ctx
     orbit = {v for _, _, v in iter_orbit(sys, order_bound)}
+    indices = sorted(mi.iter_up_to_order(n, order_bound))
     parametric: list[Deriv] = []
-    counts: dict[int, int] = {o: 0 for o in range(order_bound + 1)}
-    for v in sys.ctx.derivs(order_bound):
-        if v not in orbit:
-            parametric.append(v)
-            counts[mi.order(v.order)] += 1
-    parametric.sort()
+    for i in range(1, m + 1):
+        parametric += filterfalse(orbit.__contains__, map(Deriv, repeat(i), indices))
+    counts = {t: m * comb(n + t - 1, t) for t in range(order_bound + 1)}
+    for _, a in orbit:
+        counts[sum(a)] -= 1
     return Census(order_bound, sorted(orbit), parametric, counts)
 
 
@@ -185,6 +195,7 @@ def is_passive(
     sys: SolvedSystem,
     order_bound: int = DEFAULT_ORDER_BOUND,
     max_steps: int = DEFAULT_MAX_STEPS,
+    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
 ) -> PassivityReport:
     """Full passivity decision.
 
@@ -198,8 +209,8 @@ def is_passive(
     if report.verdict != PASSIVE:
         return report
     return report._replace(
-        census=quotient_census(sys, order_bound),
-        normalized=normalized_slice(sys, order_bound, max_steps),
+        census=quotient_census(sys, order_bound, max_enumeration),
+        normalized=normalized_slice(sys, order_bound, max_steps, max_enumeration),
     )
 
 

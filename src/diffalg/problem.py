@@ -8,7 +8,7 @@ Schema:
       "equations": [
         {"lead": ["u", i, [a, ...]], "tail": [ {"c": "p/q", "m": [...]}, ... ]}
       ],
-      "bounds": {"order_bound": 6, "max_steps": 100000}
+      "bounds": {"order_bound": 6, "max_steps": 100000, "max_enumeration": 1000000}
     }
 
 "ranking", "bounds" and the fields of "bounds" are optional.  Integer fields
@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import Context, Deriv, poly_from_json, var_from_json
 from .errors import StructuralError
-from .normal import DEFAULT_MAX_STEPS, SolvedForm
+from .normal import DEFAULT_MAX_ENUMERATION, DEFAULT_MAX_STEPS, SolvedForm
 from .passivity import DEFAULT_ORDER_BOUND
 from .ranking import DEFAULT_RANKING, NAMED_RANKINGS, Ranking, shift_violation
 
@@ -36,6 +36,7 @@ from .ranking import DEFAULT_RANKING, NAMED_RANKINGS, Ranking, shift_violation
 class Bounds(NamedTuple):
     order_bound: int = DEFAULT_ORDER_BOUND
     max_steps: int = DEFAULT_MAX_STEPS
+    max_enumeration: int = DEFAULT_MAX_ENUMERATION
 
 
 class Problem(NamedTuple):

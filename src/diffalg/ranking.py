@@ -70,24 +70,29 @@ DEFAULT_RANKING = "orderly"
 
 
 class Ranking:
-    """A weight matrix over the derivative variables of one ambient.  kind is
-    a label: a built-in's name (integer rows) or "weights" (Fraction rows).
-    Equal when ambient, kind and weights are."""
+    """A weight matrix over the derivative variables of one ambient: the rows
+    of weights, then, when units is set, one unit row per direction, kept
+    implicit so that a ranking costs O(n) to build and a key O(n) to compute.
+    kind is a label: a built-in's name (integer rows) or "weights" (Fraction
+    rows).  Equal when ambient, kind, weights and units are."""
 
-    __slots__ = ("ctx", "kind", "weights", "_rows", "_dens")
+    __slots__ = ("ctx", "kind", "weights", "units", "_rows", "_dens")
 
-    def __init__(self, ctx: Context, kind: str, weights: tuple[tuple[Rational, ...], ...]):
+    def __init__(
+        self, ctx: Context, kind: str, weights: tuple[tuple[Rational, ...], ...], units: bool = False
+    ):
         self.ctx = ctx
         self.kind = kind
         self.weights = weights
+        self.units = units
         # W as integer rows and one common denominator per row, so a key part
         # is one integer dot product, not a Fraction product per entry.
         self._dens = tuple(lcm(*(w.denominator for w in row)) for row in weights)
         self._rows = tuple(tuple(int(w * d) for w in row) for row, d in zip(weights, self._dens))
 
     def __eq__(self, other):
-        return isinstance(other, Ranking) and (self.ctx, self.kind, self.weights) == (
-            other.ctx, other.kind, other.weights)
+        return isinstance(other, Ranking) and (self.ctx, self.kind, self.weights, self.units) == (
+            other.ctx, other.kind, other.weights, other.units)
 
     @classmethod
     def orderly(cls, ctx: Context) -> "Ranking":
@@ -119,8 +124,7 @@ class Ranking:
     @classmethod
     def from_spec(cls, ctx: Context, spec: RankingSpec) -> "Ranking":
         if isinstance(spec, str) and spec in NAMED_RANKINGS:
-            rows = NAMED_RANKINGS[spec](ctx.n) + [[0, *mi.unit(ctx.n, k)] for k in range(1, ctx.n + 1)]
-            return cls(ctx, spec, tuple(map(tuple, rows)))
+            return cls(ctx, spec, tuple(map(tuple, NAMED_RANKINGS[spec](ctx.n))), units=True)
         if isinstance(spec, dict) and set(spec) == {"weights"}:
             return cls.from_weights(ctx, spec["weights"])
         raise StructuralError(
@@ -131,12 +135,15 @@ class Ranking:
     # -- comparison ----------------------------------------------------------
 
     def key(self, v: Deriv) -> tuple:
-        """W (i, alpha), one integer dot product per row.  Parts are ints for a
-        named ranking and Fractions for a weight rule, as class_to_json shows."""
+        """W (i, alpha), one integer dot product per row of weights, then alpha
+        itself for the unit rows.  Parts are ints for a named ranking and
+        Fractions for a weight rule, as class_to_json shows."""
         self.ctx.check_var(v)
         vec = (v.i,) + v.order
         dots = tuple(sum(map(mul, row, vec)) for row in self._rows)
-        return tuple(map(Fraction, dots, self._dens)) if self.kind == "weights" else dots
+        if self.kind == "weights":
+            dots = tuple(map(Fraction, dots, self._dens))
+        return dots + v.order if self.units else dots
 
     def compare(self, u: Deriv, v: Deriv) -> int:
         """-1, 0 or 1.  Zero either means u == v or a coarse-ranking tie."""
@@ -153,8 +160,9 @@ class Ranking:
         keys to imply equal variables for every number of unknowns m.  A
         rank-deficient W can still separate the variables when m is small
         (with m = 1 the column of the unknown index never matters)."""
-        cols = self.ctx.n + 1
-        return linalg.rank([dict(enumerate(row)) for row in self.weights], cols) == cols
+        n = self.ctx.n
+        units = [(0, *mi.unit(n, k)) for k in range(1, n + 1)] if self.units else []
+        return linalg.rank([dict(enumerate(row)) for row in (*self.weights, *units)], n + 1) == n + 1
 
     # -- induced structure on polynomials -------------------------------------
 
@@ -189,7 +197,7 @@ def shift_violation(rk: Ranking) -> Optional[Counterexample]:
     first counterexample audit_compatibility reports for the same rule,
     since its exhaustive pass starts with axiom (b) on u^1_0, k = 1..n."""
     for k in range(1, rk.ctx.n + 1):
-        first = next((row[k] for row in rk.weights if row[k]), 0)
+        first = next((row[k] for row in rk.weights if row[k]), int(rk.units))
         if first <= 0:
             return Counterexample("b", Deriv(1, mi.zero(rk.ctx.n)), None, k)
     return None

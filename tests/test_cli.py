@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -161,6 +162,25 @@ def test_resource_limit_exit_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["check", "quotient"])
+def test_max_enumeration_refuses_a_census_too_large(tmp_path, command):
+    # C(4002, 2) derivatives up to order 2 in 4000 directions: refused before
+    # the census enumerates any, under the default budget of 10^6
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 4000, "m": 1, "equations": [], "bounds": {"order_bound": 2}}))
+    start = perf_counter()
+    limited = run_cli_full(command, str(path))
+    assert perf_counter() - start < 1
+    assert limited == (4, "", "resource limit: census would enumerate 8006001 derivatives,"
+                              " above max_enumeration 1000000\n")
+    # the budget is m * C(n + order_bound, n), at most as large as allowed
+    path.write_text(json.dumps({"n": 3, "m": 2, "equations": [], "bounds": {"order_bound": 2, "max_enumeration": 20}}))
+    code, out, err = run_cli_full(command, str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out).get("census", json.loads(out))["parametric_total"] == 20
+    assert run_cli_full(command, str(path), "--order", "3")[0] == 4
+
+
 @pytest.mark.parametrize("argv", [["check"], ["quotient"], ["reduce", "--target", "[]"]],
                          ids=["check", "quotient", "reduce"])
 def test_max_steps_reaches_coincident_leads(tmp_path, argv):
@@ -285,6 +305,7 @@ def test_problem_validation():
         problem_from_dict({"n": 2, "m": 1, "equations": [{"lead": ["u", 5, [2, 0]], "tail": []}]})
     problem = problem_from_dict({"n": 2, "m": 1, "equations": []})
     assert problem.bounds.order_bound == 6 and problem.bounds.max_steps == 100000
+    assert problem.bounds.max_enumeration == 10 ** 6
 
 
 def test_console_entry_point():
@@ -377,6 +398,7 @@ def test_weight_gate_message(tmp_path):
     # the retired bound is no field at all, whatever its value
     pytest.param(lambda d: d["bounds"].update(degree_bound=False), id="degree_bound"),
     pytest.param(lambda d: d["bounds"].update(max_steps=True), id="max_steps"),
+    pytest.param(lambda d: d["bounds"].update(max_enumeration=True), id="max_enumeration"),
     pytest.param(lambda d: d.update(ranking={"weights": [[0, True, 1], [1, 0, 0], [0, 1, 0]]}),
                  id="weight"),
     pytest.param(lambda d: d["equations"][0].update(lead=["u", True, [2, 0]]), id="u_index"),
@@ -523,7 +545,7 @@ def test_package_exports_load_lazily():
     namespace = {}
     exec("from diffalg import *", namespace)
     del namespace["__builtins__"]
-    assert sorted(namespace) == diffalg.__all__ and len(diffalg.__all__) == 41
+    assert sorted(namespace) == diffalg.__all__ and len(diffalg.__all__) == 42
     for name in diffalg.__all__:
         assert getattr(diffalg, name) is namespace[name]
         assert name in dir(diffalg)
@@ -603,6 +625,15 @@ def test_render_matches_json_dumps():
     # one monomial, and one variable, at several indents in a single call
     payloads = edges + [edges, {"a": f, "b": [f, [f, {"c": (f, Deriv(2, (0, 3)))}]]}]
     payloads += [random_payload(rng, leaf=random_leaf) for _ in range(400)]
+    # Derivs of order lengths 2 and 3 next to Indep(2) and Indep(3) at one
+    # indent, bare and inside monomials: a Deriv template is cached under its
+    # order length, which must not meet a fragment cached under a variable
+    ctx3 = Context(3, 2)
+    d2, d3 = Deriv(1, (0, 3)), Deriv(2, (1, 0, 2))
+    p2 = DiffPoly.variable(ctx, d2) * DiffPoly.variable(ctx, Indep(2)) + DiffPoly.variable(ctx, Deriv(1, (3, 0)))
+    p3 = DiffPoly.variable(ctx3, d3) * DiffPoly.variable(ctx3, Indep(3)) - DiffPoly.variable(ctx3, Deriv(1, (0, 3, 0)))
+    mixed = [d2, Indep(2), d3, Indep(3), p2, p3, Deriv(1, (3, 0)), Deriv(1, (0, 3, 0))]
+    payloads += [mixed, {"a": mixed, "b": [p3, d3, Indep(3), p2, d2, Indep(2)], "c": (d2, [d3, [Indep(2)]])}]
     for obj in payloads:
         assert_renders_plain(obj)
 

@@ -1,6 +1,8 @@
 """Monoid arithmetic of exponent multi-indices."""
 
-from itertools import product
+import tracemalloc
+from itertools import islice, product
+from time import perf_counter
 
 import pytest
 
@@ -98,3 +100,26 @@ def test_iter_up_to_order_linear_in_output():
     got = list(mi.iter_up_to_order(40, 2))
     assert len(got) == 1 + 40 + 40 * 41 // 2
     assert got[-1] == (2,) + (0,) * 39
+
+
+def test_iter_up_to_order_is_lazy_and_output_linear():
+    # grade 2 at n = 4000 holds C(4001, 2) indices; a lazy enumeration
+    # yields the first ones without building the rest of the grade
+    start = perf_counter()
+    assert next(mi.iter_up_to_order(4000, 2)) == (0,) * 4000
+    assert perf_counter() - start < 1
+    start = perf_counter()
+    head = islice(mi.iter_up_to_order(4000, 2), 5000)
+    kept = {t: a for t, a in enumerate(head) if t in (1, 4000, 4001, 4002)}
+    assert perf_counter() - start < 10
+    assert kept == {1: (0,) * 3999 + (1,), 4000: (1,) + (0,) * 3999,
+                    4001: (0,) * 3998 + (0, 2), 4002: (0,) * 3998 + (1, 1)}
+    # memory follows the indices taken, not the grade
+    tracemalloc.start()
+    try:
+        for a in islice(mi.iter_up_to_order(4000, 2), 1000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10 ** 6

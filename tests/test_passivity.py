@@ -10,6 +10,7 @@ import pytest
 from diffalg import (
     Context,
     DiffPoly,
+    EnumerationLimitError,
     MembershipInstance,
     Ranking,
     ReductionLimitError,
@@ -30,6 +31,8 @@ from diffalg import (
     reduce,
     tau_generators,
 )
+from diffalg import multiindex as mi
+from diffalg.algebra import Deriv
 from diffalg.cli import render
 from diffalg.normal import find_principal, iter_orbit
 from diffalg.oracle import prolong_within_class, variables_within_class
@@ -319,9 +322,17 @@ def test_memo_state_is_invisible_randomized():
 
 
 def test_census_matches_find_principal_randomized():
-    # the census reads the orbit set; find_principal is the per-variable reference
-    for rng, sys_ in random_systems(73, 60):
-        bound = rng.randint(0, 4)
+    # the census reads the orbit set; find_principal is the per-variable
+    # reference, and counts tally the parametric derivatives order by order
+    draws = [(sys_, rng.randint(0, 4)) for rng, sys_ in random_systems(73, 60)]
+    rng = random.Random(77)
+    for _ in range(30):
+        ctx = Context(rng.randint(1, 3), 2)
+        rk = Ranking.orderly(ctx) if rng.random() < 0.5 else Ranking.elimination(ctx)
+        draws.append((gen.rand_solved_system(rng, ctx, rk, rng.randint(1, 4)), rng.randint(0, 4)))
+    wide = Context(9, 2)
+    draws.append((SolvedSystem((), Ranking.orderly(wide)), 3))
+    for sys_, bound in draws:
         census = quotient_census(sys_, bound)
         derivs = list(sys_.ctx.derivs(bound))
         assert census.principal == sorted(
@@ -330,6 +341,74 @@ def test_census_matches_find_principal_randomized():
         assert census.parametric == sorted(
             (v for v in derivs if find_principal(sys_, v) is None), key=lambda v: (v.i, v.order)
         )
+        assert census.counts == {t: sum(sum(v.order) == t for v in census.parametric) for t in range(bound + 1)}
+    assert quotient_census(*draws[-1]).to_json()["parametric_total"] == 2 * 220
+
+
+def test_max_enumeration_refuses_census_and_slice():
+    # m * C(n + bound, n) = 2 * C(5, 3) = 20 derivatives up to order 2
+    ctx = Context(3, 2)
+    sys_ = SolvedSystem((SolvedForm(ctx.u(1, (1, 0, 0)), DiffPoly.zero(ctx)),), Ranking.orderly(ctx))
+    assert is_passive(sys_, 2, max_enumeration=20) == is_passive(sys_, 2)
+    for phase, run in [("census", lambda: quotient_census(sys_, 2, 19)),
+                       ("normalized slice", lambda: normalized_slice(sys_, 2, max_enumeration=19)),
+                       ("census", lambda: is_passive(sys_, 2, max_enumeration=19))]:
+        with pytest.raises(EnumerationLimitError) as caught:
+            run()
+        assert (caught.value.phase, caught.value.size, caught.value.limit) == (phase, 20, 19)
+        assert str(caught.value) == f"{phase} would enumerate 20 derivatives, above max_enumeration 19"
+    # the verdict itself enumerates nothing: a not-passive system keeps its report
+    bad = SolvedSystem((SolvedForm(ctx.u(1, (0, 1, 0)), -DiffPoly.variable(ctx, ctx.u(1, (2, 0, 0)))),),
+                       Ranking.orderly(ctx))
+    assert is_passive(bad, 2, max_enumeration=0).verdict == "not-passive"
+
+
+def find_principal_reference(sys_, v):
+    """find_principal as a try_subtract scan of every equation: the smallest
+    |shift| wins, ties broken lexicographically on the shift."""
+    best = None
+    for idx, eq in enumerate(sys_.equations):
+        if eq.lead.i != v.i:
+            continue
+        shift = mi.try_subtract(eq.lead.order, v.order)
+        if shift is None:
+            continue
+        rank = (mi.order(shift), shift)
+        if best is None or rank < best[0]:
+            best = (rank, idx, shift)
+    return None if best is None else (best[1], best[2])
+
+
+def test_find_principal_matches_reference():
+    found = 0
+    for _, sys_ in random_systems(76, 60):
+        for v in sys_.ctx.derivs(4):
+            expected = find_principal_reference(sys_, v)
+            assert find_principal(sys_, v) == expected
+            found += expected is not None
+    assert found >= 500
+    ctx = Context(3, 2)
+    zero = DiffPoly.zero(ctx)
+    # u_(0,1,0) and u_(1,0,0) both reach u_(1,1,0) by a shift of order 1:
+    # the lexicographically smaller shift (0,1,0) picks the second equation
+    tie = SolvedSystem((SolvedForm(ctx.u(1, (0, 1, 0)), zero), SolvedForm(ctx.u(1, (1, 0, 0)), zero)),
+                       Ranking.orderly(ctx))
+    # u_(1,0,0) divides u_(2,1,0), which divides u_(3,1,1): the nearer lead wins
+    nested = SolvedSystem((SolvedForm(ctx.u(1, (1, 0, 0)), zero), SolvedForm(ctx.u(1, (2, 1, 0)), zero)),
+                          Ranking.orderly(ctx))
+    cases = [(tie, (1, 1, 0), (1, (0, 1, 0))), (tie, (2, 2, 1), (1, (1, 2, 1))),
+             (nested, (2, 1, 0), (1, (0, 0, 0))), (nested, (3, 1, 1), (1, (1, 0, 1))),
+             (nested, (3, 0, 2), (0, (2, 0, 2))), (nested, (0, 4, 4), None)]
+    for sys_, order, expected in cases:
+        v = ctx.u(1, order)
+        assert find_principal(sys_, v) == find_principal_reference(sys_, v) == expected
+        assert find_principal(sys_, ctx.u(2, order)) is None
+    # a derivative of the wrong length is an error wherever a lead of its
+    # unknown is compared with it, and parametric where none is
+    for finder in (find_principal, find_principal_reference):
+        with pytest.raises(StructuralError):
+            finder(tie, Deriv(1, (1, 1)))
+        assert finder(tie, Deriv(2, (1, 1))) is None
 
 
 def test_incremental_slice_matches_reduce_randomized():

@@ -9,8 +9,8 @@ import pytest
 
 from diffalg import BASE, Context, DiffPoly, Ranking, StructuralError, audit_compatibility
 from diffalg import multiindex as mi
-from diffalg.algebra import shift_deriv
-from diffalg.ranking import Counterexample, class_to_json, shift_violation
+from diffalg.algebra import Deriv, shift_deriv
+from diffalg.ranking import NAMED_RANKINGS, Counterexample, class_to_json, shift_violation
 
 import gen
 
@@ -294,6 +294,30 @@ def test_builtins_pass_the_column_test_by_computation():
     relabelled = Ranking(CTX, "orderly", ((Fraction(0), Fraction(1), Fraction(-1)),))
     assert shift_violation(relabelled) == Counterexample("b", D(1, 0, 0), None, 2)
     assert Ranking.from_spec(CTX, "orderly") == Ranking.orderly(CTX)
+
+
+def test_builtin_unit_rows_stay_implicit():
+    # a built-in holds its two leading rows and implicit unit rows: keys, rank
+    # and shift verdict equal those of the full matrix written out
+    for n, m in [(1, 1), (2, 2), (3, 1), (4, 2)]:
+        ctx = Context(n, m)
+        for name, leading in NAMED_RANKINGS.items():
+            named = Ranking.from_spec(ctx, name)
+            full = Ranking.from_weights(ctx, leading(n) + [[0, *mi.unit(n, k)] for k in range(1, n + 1)])
+            assert len(named.weights) == 2 and named.units and not full.units
+            assert named.is_total and full.is_total
+            assert shift_violation(named) is None and shift_violation(full) is None
+            assert all(named.key(v) == full.key(v) for v in ctx.derivs(3))
+    # a unit row settles a column the weight rows leave at zero
+    assert shift_violation(Ranking(CTX, "orderly", ((1, 0, 0),), units=True)) is None
+    assert shift_violation(Ranking(CTX, "orderly", ((1, 0, 0),))) == Counterexample("b", D(1, 0, 0), None, 1)
+    assert Ranking(CTX, "orderly", ((1, 0, 0),), units=True).is_total
+    assert not Ranking(CTX, "orderly", ((0, 1, 1),), units=True).is_total
+    assert Ranking(CTX, "orderly", ORD.weights, units=False) != ORD
+    # 4000 directions: two rows of 4001 entries, not 4002
+    wide = Ranking.orderly(Context(4000, 1))
+    assert sum(map(len, wide.weights)) == 2 * 4001
+    assert wide.key(Deriv(1, (0,) * 3999 + (2,))) == (2, 1) + (0,) * 3999 + (2,)
 
 
 def test_is_total_is_full_column_rank():

@@ -8,7 +8,7 @@ raises a to the componentwise join of a and b.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from operator import sub
+from operator import add as _add, le, sub
 from typing import Iterator, Optional
 
 from .errors import StructuralError
@@ -48,7 +48,7 @@ def order(a: Index) -> int:
 
 def add(a: Index, b: Index) -> Index:
     _same_length(a, b)
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def join(a: Index, b: Index) -> Index:
@@ -66,9 +66,7 @@ def diamond(a: Index, b: Index) -> Index:
 def try_subtract(a: Index, b: Index) -> Optional[Index]:
     """b - a when b dominates a componentwise, else None."""
     _same_length(a, b)
-    if any(y < x for x, y in zip(a, b)):
-        return None
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a)) if all(map(le, a, b)) else None
 
 
 def iter_up_to_order(n: int, bound: int) -> Iterator[Index]:

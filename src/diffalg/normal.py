@@ -19,7 +19,6 @@ tails mention no lead at all.
 from __future__ import annotations
 
 from math import comb
-from operator import add, le, sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import multiindex as mi
@@ -172,8 +171,8 @@ def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.In
     total order at most order_bound; equations in order, shifts graded."""
     for idx, eq in enumerate(sys.equations):
         i, a = eq.lead
-        for shift in mi.iter_up_to_order(sys.ctx.n, order_bound - sum(a)):
-            yield idx, shift, Deriv(i, tuple(map(add, a, shift)))
+        for shift in mi.iter_up_to_order(sys.ctx.n, order_bound - mi.order(a)):
+            yield idx, shift, Deriv(i, mi.add(a, shift))
 
 
 def require_enumerable(ctx: Context, order_bound: int, max_enumeration: int, phase: str) -> None:
@@ -219,18 +218,15 @@ def find_principal(sys: SolvedSystem, v: Deriv) -> Optional[tuple[int, mi.Index]
     v's unknown whose order has another length than v's is a StructuralError.
     """
     best = None
-    i, b = v
     for idx, (lead, _) in enumerate(sys.equations):
-        if lead.i != i:
+        if lead.i != v.i:
             continue
-        a = lead.order
-        if len(a) != len(b):
-            raise StructuralError(f"multi-index length mismatch: {a} vs {b}")
-        if all(map(le, a, b)):
-            shift = tuple(map(sub, b, a))
-            rank = (sum(shift), shift)
-            if best is None or rank < best[0]:
-                best = (rank, idx, shift)
+        shift = mi.try_subtract(lead.order, v.order)
+        if shift is None:
+            continue
+        rank = (mi.order(shift), shift)
+        if best is None or rank < best[0]:
+            best = (rank, idx, shift)
     if best is None:
         return None
     return best[1], best[2]

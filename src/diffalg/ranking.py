@@ -70,29 +70,27 @@ DEFAULT_RANKING = "orderly"
 
 
 class Ranking:
-    """A weight matrix over the derivative variables of one ambient: the rows
-    of weights, then, when units is set, one unit row per direction, kept
-    implicit so that a ranking costs O(n) to build and a key O(n) to compute.
-    kind is a label: a built-in's name (integer rows) or "weights" (Fraction
-    rows).  Equal when ambient, kind, weights and units are."""
+    """A weight matrix over the derivative variables of one ambient.  kind is
+    a built-in's name (integer rows, then one unit row per direction, kept
+    implicit in units so that a ranking costs O(n) to build and a key O(n) to
+    compute) or "weights" (Fraction rows, all given).  Equal when ambient,
+    kind and weights are."""
 
     __slots__ = ("ctx", "kind", "weights", "units", "_rows", "_dens")
 
-    def __init__(
-        self, ctx: Context, kind: str, weights: tuple[tuple[Rational, ...], ...], units: bool = False
-    ):
+    def __init__(self, ctx: Context, kind: str, weights: tuple[tuple[Rational, ...], ...]):
         self.ctx = ctx
         self.kind = kind
         self.weights = weights
-        self.units = units
+        self.units = kind != "weights"
         # W as integer rows and one common denominator per row, so a key part
         # is one integer dot product, not a Fraction product per entry.
         self._dens = tuple(lcm(*(w.denominator for w in row)) for row in weights)
         self._rows = tuple(tuple(int(w * d) for w in row) for row, d in zip(weights, self._dens))
 
     def __eq__(self, other):
-        return isinstance(other, Ranking) and (self.ctx, self.kind, self.weights, self.units) == (
-            other.ctx, other.kind, other.weights, other.units)
+        return isinstance(other, Ranking) and (self.ctx, self.kind, self.weights) == (
+            other.ctx, other.kind, other.weights)
 
     @classmethod
     def orderly(cls, ctx: Context) -> "Ranking":
@@ -124,7 +122,7 @@ class Ranking:
     @classmethod
     def from_spec(cls, ctx: Context, spec: RankingSpec) -> "Ranking":
         if isinstance(spec, str) and spec in NAMED_RANKINGS:
-            return cls(ctx, spec, tuple(map(tuple, NAMED_RANKINGS[spec](ctx.n))), units=True)
+            return cls(ctx, spec, tuple(map(tuple, NAMED_RANKINGS[spec](ctx.n))))
         if isinstance(spec, dict) and set(spec) == {"weights"}:
             return cls.from_weights(ctx, spec["weights"])
         raise StructuralError(
@@ -141,9 +139,7 @@ class Ranking:
         self.ctx.check_var(v)
         vec = (v.i,) + v.order
         dots = tuple(sum(map(mul, row, vec)) for row in self._rows)
-        if self.kind == "weights":
-            dots = tuple(map(Fraction, dots, self._dens))
-        return dots + v.order if self.units else dots
+        return dots + v.order if self.units else tuple(map(Fraction, dots, self._dens))
 
     def compare(self, u: Deriv, v: Deriv) -> int:
         """-1, 0 or 1.  Zero either means u == v or a coarse-ranking tie."""

@@ -364,16 +364,21 @@ def test_max_enumeration_refuses_census_and_slice():
 
 
 def find_principal_reference(sys_, v):
-    """find_principal as a try_subtract scan of every equation: the smallest
-    |shift| wins, ties broken lexicographically on the shift."""
+    """find_principal as a scan of every equation with the generator-based
+    try_subtract it used before: a length check, then dominance and the
+    shift entry by entry; the smallest |shift| wins, ties broken
+    lexicographically on the shift."""
     best = None
     for idx, eq in enumerate(sys_.equations):
+        a, b = eq.lead.order, v.order
         if eq.lead.i != v.i:
             continue
-        shift = mi.try_subtract(eq.lead.order, v.order)
-        if shift is None:
+        if len(a) != len(b):
+            raise StructuralError(f"multi-index length mismatch: {a} vs {b}")
+        if any(y < x for x, y in zip(a, b)):
             continue
-        rank = (mi.order(shift), shift)
+        shift = tuple(y - x for x, y in zip(a, b))
+        rank = (sum(shift), shift)
         if best is None or rank < best[0]:
             best = (rank, idx, shift)
     return None if best is None else (best[1], best[2])

@@ -308,12 +308,15 @@ def test_builtin_unit_rows_stay_implicit():
             assert named.is_total and full.is_total
             assert shift_violation(named) is None and shift_violation(full) is None
             assert all(named.key(v) == full.key(v) for v in ctx.derivs(3))
-    # a unit row settles a column the weight rows leave at zero
-    assert shift_violation(Ranking(CTX, "orderly", ((1, 0, 0),), units=True)) is None
-    assert shift_violation(Ranking(CTX, "orderly", ((1, 0, 0),))) == Counterexample("b", D(1, 0, 0), None, 1)
-    assert Ranking(CTX, "orderly", ((1, 0, 0),), units=True).is_total
-    assert not Ranking(CTX, "orderly", ((0, 1, 1),), units=True).is_total
-    assert Ranking(CTX, "orderly", ORD.weights, units=False) != ORD
+    # under a built-in's name a unit row settles a column the weight rows
+    # leave at zero; a weight rule has only the rows it gives
+    assert shift_violation(Ranking(CTX, "orderly", ((1, 0, 0),))) is None
+    assert shift_violation(Ranking(CTX, "weights", ((1, 0, 0),))) == Counterexample("b", D(1, 0, 0), None, 1)
+    assert Ranking(CTX, "orderly", ((1, 0, 0),)).is_total
+    assert not Ranking(CTX, "weights", ((1, 0, 0),)).is_total
+    assert not Ranking(CTX, "orderly", ((0, 1, 1),)).is_total
+    assert Ranking(CTX, "weights", ORD.weights) != ORD
+    assert Ranking(CTX, "weights", ORD.weights).key(D(1, 2, 0)) == ORD.key(D(1, 2, 0))[:2]
     # 4000 directions: two rows of 4001 entries, not 4002
     wide = Ranking.orderly(Context(4000, 1))
     assert sum(map(len, wide.weights)) == 2 * 4001

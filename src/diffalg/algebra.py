@@ -6,9 +6,12 @@ alpha a multi-index of length n).  A DiffPoly is a finitely supported
 rational-linear combination of monomials in these variables, kept canonical:
 no zero coefficients, no zero exponents, structural equality.
 
-A monomial is a plain tuple of (variable, positive exponent) pairs sorted by
-var_key, so () is 1 and equal monomials are equal tuples; hashing and
-equality run in C.  monomial() builds one from outside pairs,
+Variables are tuples that carry the canonical order: x_j is (0, j) and
+u^i_alpha is (i, alpha) with i >= 1, so plain tuple comparison puts the x's
+first by index, then the u's by (unknown, exponent).  A monomial is a plain
+tuple of (variable, positive exponent) pairs sorted in that order, so () is
+1 and equal monomials are equal tuples; hashing, equality and sorting run
+in C.  monomial() builds one from outside pairs,
 monomial_product() multiplies two, and monomial_sort_key() fixes the
 display order.
 
@@ -31,11 +34,18 @@ from . import multiindex as mi
 from .errors import StructuralError
 
 
-class Indep(NamedTuple):
-    """The independent variable x_j.  A tuple, so hashing and equality run in
-    C; no dict or set holds both variables and plain tuples."""
+class Indep(NamedTuple("Indep", [("i", int), ("j", int)])):
+    """The independent variable x_j, as the tuple (i, j) = (0, j): below
+    every Deriv, whose unknown index i is at least 1.  No dict or set holds
+    both variables and plain tuples."""
 
-    j: int
+    __slots__ = ()
+
+    def __new__(cls, j: int) -> "Indep":
+        return super().__new__(cls, 0, j)
+
+    def __getnewargs__(self) -> tuple:
+        return (self.j,)
 
 
 class Deriv(NamedTuple):
@@ -48,15 +58,6 @@ class Deriv(NamedTuple):
 Variable = Union[Indep, Deriv]
 
 Rational = Union[Fraction, int]
-
-
-def var_key(v: Variable) -> tuple:
-    """Canonical structural order on variables: x's first by index, then u's
-    by (unknown, exponent).  Used for monomial layout and display, independent
-    of any ranking."""
-    if isinstance(v, Indep):
-        return (0, v.j)
-    return (1, v.i) + v.order
 
 
 def shift_deriv(v: Deriv, k: int) -> Deriv:
@@ -104,25 +105,25 @@ class Context(NamedTuple("Context", [("n", int), ("m", int)])):
 
 def monomial(pairs: Iterable[tuple[Variable, int]] = ()) -> tuple:
     """The canonical monomial of outside (variable, exponent) pairs: the
-    exponents of a repeated variable added, zero exponents dropped, sorted by
-    var_key; a negative exponent is an error."""
+    exponents of a repeated variable added, zero exponents dropped, sorted;
+    a negative exponent is an error."""
     exps: dict[Variable, int] = {}
     for v, e in pairs:
         if e < 0:
             raise StructuralError("negative exponent in monomial")
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: var_key(p[0])))
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
 
 
 def monomial_product(a: tuple, b: tuple) -> tuple:
     """The product of two canonical monomials: their sorted pairs merged."""
     out, i, j = [], 0, 0
     while i < len(a) and j < len(b):
-        ka, kb = var_key(a[i][0]), var_key(b[j][0])
-        if ka == kb:
-            out.append((a[i][0], a[i][1] + b[j][1]))
+        va, vb = a[i][0], b[j][0]
+        if va == vb:
+            out.append((va, a[i][1] + b[j][1]))
             i, j = i + 1, j + 1
-        elif ka < kb:
+        elif va < vb:
             out.append(a[i])
             i += 1
         else:
@@ -132,8 +133,8 @@ def monomial_product(a: tuple, b: tuple) -> tuple:
 
 
 def _times_deriv(exps: tuple, w: Deriv) -> tuple:
-    """Canonical pairs of exps times w, where every variable in exps is a
-    Deriv: two Derivs compare as tuples exactly as var_key orders them."""
+    """Canonical pairs of exps times the one variable w: an insert, cheaper
+    than monomial_product's general merge."""
     for t, (v, e) in enumerate(exps):
         if v >= w:
             if v == w:
@@ -147,7 +148,7 @@ def monomial_sort_key(m: tuple) -> tuple:
     compared from the greatest variable down, by variable, then exponent.  x
     variables rank below u variables.  Fixes display and serialization order
     only."""
-    return (sum(e for _, e in m), [(var_key(v), e) for v, e in reversed(m)])
+    return (sum(e for _, e in m), m[::-1])
 
 
 def _accumulate(res: dict[tuple, Fraction], m: tuple, c: Fraction) -> None:
@@ -222,7 +223,7 @@ class DiffPoly:
         )
 
     def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.terms.items(), key=lambda t: monomial_sort_key(t[0])))))
+        return hash((self.ctx, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"DiffPoly({to_text(self)})"
@@ -336,7 +337,8 @@ class DiffPoly:
 
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         """Terms in descending canonical monomial order (leading first)."""
-        return sorted(self.terms.items(), key=lambda t: monomial_sort_key(t[0]), reverse=True)
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(terms, key=monomial_sort_key, reverse=True)]
 
 
 # -- serialization -----------------------------------------------------------
@@ -405,9 +407,9 @@ def poly_from_json(ctx: Context, data, where: str = "polynomial") -> DiffPoly:
                 pairs.append((v, e))
         except StructuralError as exc:
             raise StructuralError(f"{where}[{t}]: {exc}") from None
-        m = monomial(pairs)
-        acc[m] = acc.get(m, Fraction(0)) + c
-    return DiffPoly(ctx, acc)
+        if c:
+            _accumulate(acc, monomial(pairs), c)
+    return DiffPoly._of(ctx, acc)
 
 
 # -- human-readable rendering (logs only, never parsed back) ------------------

@@ -16,15 +16,17 @@ A process runs one command, so the parser is a table and render() replaces
 json.dumps: argparse's first build and the indenting encoder cost more than
 most commands' algebra.  A report's to_json() tree holds its polynomials and
 variables as DiffPoly, Deriv and Indep objects; render() writes them in
-place, each variable and monomial fragment built once per indent.
+place, each monomial fragment built once per indent.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii
+from math import comb
 from typing import Callable, NoReturn, Optional
 
 from .algebra import Deriv, DiffPoly, Indep, poly_from_json, to_text
@@ -39,7 +41,7 @@ from .passivity import (
     quotient_census,
 )
 from .problem import Problem, load_problem
-from .ranking import audit_compatibility
+from .ranking import SAMPLE_ORDER, audit_compatibility
 from .syzygy import tau_generators
 
 EXIT_INPUT = 1
@@ -56,19 +58,13 @@ def render(obj) -> str:
 
 
 def _render(obj, newline: str, cache: dict) -> str:
-    """obj at the indent that newline ends in; cache maps (variable or
-    monomial, indent) to its text and (order length, indent) to a Deriv's
-    template."""
+    """obj at the indent that newline ends in; cache maps (monomial, indent)
+    to its text."""
     kind = type(obj)
-    if kind is Deriv or kind is Indep:  # tuples, so matched on exact type before the tuple branch
-        text = cache.get((obj, newline))
-        if text is None:
-            if kind is Indep:
-                text = "[" + newline + '  "x",' + newline + "  " + str(obj.j) + newline + "]"
-            else:
-                text = _deriv_template(len(obj.order), newline, cache) % (obj.i, *obj.order)
-            cache[obj, newline] = text
-        return text
+    if kind is Deriv:  # tuples, so matched on exact type before the tuple branch
+        return _deriv_template(len(obj.order), newline) % (obj.i, *obj.order)
+    if kind is Indep:
+        return "[" + newline + '  "x",' + newline + "  " + str(obj.j) + newline + "]"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
@@ -94,17 +90,14 @@ def _render(obj, newline: str, cache: dict) -> str:
     return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
 
 
-def _deriv_template(length: int, newline: str, cache: dict) -> str:
+@functools.cache
+def _deriv_template(length: int, newline: str) -> str:
     """The %-template of a Deriv whose order has this length, at the indent
-    that newline ends in; cached under the int length, which no variable or
-    monomial key equals."""
-    template = cache.get((length, newline))
-    if template is None:
-        inner = newline + "  "
-        deep = inner + "  "
-        order = "[" + deep + ("," + deep).join(["%d"] * length) + inner + "]"
-        template = cache[length, newline] = "[" + inner + '"u",' + inner + "%d," + inner + order + newline + "]"
-    return template
+    that newline ends in."""
+    inner = newline + "  "
+    deep = inner + "  "
+    order = "[" + deep + ("," + deep).join(["%d"] * length) + inner + "]"
+    return "[" + inner + '"u",' + inner + "%d," + inner + order + newline + "]"
 
 
 def _emit(pretty: bool, payload: Callable[[], dict], lines: Callable[[], list[str]]) -> None:
@@ -209,6 +202,12 @@ def cmd_quotient(file, ranking, max_steps, pretty, order) -> int:
 
 def cmd_ranking_audit(file, ranking, pretty, samples, exhaustive_order, seed) -> int:
     problem = load_problem(file, ranking, gate_ranking=False)
+    n, m, limit = problem.ctx.n, problem.ctx.m, problem.bounds.max_enumeration
+    pool = m * comb(n + exhaustive_order, n)  # the exhaustive pass compares every pair in every direction
+    for phase, size, items in (("ranking audit exhaustive pass", pool * pool * n, "(u, v, direction) triples"),
+                               ("ranking audit sampled pass", comb(n + SAMPLE_ORDER, n), "multi-indices")):
+        if size > limit:
+            raise EnumerationLimitError(phase, size, limit, items)
     report = audit_compatibility(problem.ranking, samples, exhaustive_order=exhaustive_order, seed=seed)
     _emit(pretty, report.to_json, lambda: [f"{len(report.counterexamples)} counterexamples"])
     return 0

@@ -20,11 +20,11 @@ class ReductionLimitError(RuntimeError):
 
 
 class EnumerationLimitError(RuntimeError):
-    """A census or slice would walk more derivatives than its budget: the
-    size is m * C(n + order_bound, n), every derivative up to the bound."""
+    """A phase would walk more items than its budget: for a census or slice,
+    the m * C(n + order_bound, n) derivatives up to the bound."""
 
-    def __init__(self, phase: str, size: int, limit: int):
-        super().__init__(f"{phase} would enumerate {size} derivatives, above max_enumeration {limit}")
+    def __init__(self, phase: str, size: int, limit: int, items: str = "derivatives"):
+        super().__init__(f"{phase} would enumerate {size} {items}, above max_enumeration {limit}")
         self.phase = phase
         self.size = size
         self.limit = limit

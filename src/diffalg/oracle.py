@@ -24,7 +24,6 @@ from .algebra import (
     monomial,
     monomial_sort_key,
     poly_to_json,
-    var_key,
 )
 from .errors import StructuralError
 from .normal import SolvedSystem, iter_orbit
@@ -59,7 +58,7 @@ def variables_within_class(ctx: Context, rk, class_bound, order_bound: int) -> l
     order bound."""
     pool: list[Variable] = [Indep(j) for j in range(1, ctx.n + 1)]
     pool += [v for v in ctx.derivs(order_bound) if rk.key(v) <= class_bound]
-    return sorted(pool, key=var_key)
+    return sorted(pool)
 
 
 class MembershipInstance(NamedTuple("MembershipInstance", [
@@ -110,7 +109,7 @@ def _default_pool(inst: MembershipInstance) -> list[Variable]:
         for v in pool
         if not isinstance(v, Deriv) or mi.order(v.order) <= inst.order_bound
     ]
-    return sorted(kept, key=var_key)
+    return sorted(kept)
 
 
 def _monomials_over(pool: Sequence[Variable], degree: int) -> list[tuple]:

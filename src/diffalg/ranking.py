@@ -221,17 +221,14 @@ class AuditReport(NamedTuple):
         }
 
 
-def audit_compatibility(
-    rk: Ranking,
-    sample_budget: int,
-    exhaustive_order: int = 3,
-    sample_order: int = 8,
-    seed: int = 0,
-) -> AuditReport:
+SAMPLE_ORDER = 8  # the sampled pass draws derivatives of order at most this
+
+
+def audit_compatibility(rk: Ranking, sample_budget: int, exhaustive_order: int = 3, seed: int = 0) -> AuditReport:
     """Check axioms (a) and (b) for every shift direction.
 
     Exhaustive part: all derivative variables of order <= exhaustive_order.
-    Sampled part: sample_budget random pairs of order <= sample_order.
+    Sampled part: sample_budget random pairs of order <= SAMPLE_ORDER.
     Counterexamples are recorded verbatim; duplicates are not deduplicated
     beyond the first occurrence per (axiom, u, v, direction).
     """
@@ -265,7 +262,7 @@ def audit_compatibility(
                 check_a(u, v, k)
 
     rng = random.Random(seed)
-    indices = list(mi.iter_up_to_order(ctx.n, sample_order))
+    indices = list(mi.iter_up_to_order(ctx.n, SAMPLE_ORDER))
     for _ in range(sample_budget):
         u = Deriv(rng.randint(1, ctx.m), rng.choice(indices))
         v = Deriv(rng.randint(1, ctx.m), rng.choice(indices))

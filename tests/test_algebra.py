@@ -1,5 +1,7 @@
 """Ring arithmetic, derivations, substitution, and serialization."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -15,7 +17,7 @@ from diffalg import (
     poly_to_json,
     to_text,
 )
-from diffalg.algebra import monomial_product, monomial_sort_key, var_from_json, var_key, var_to_json
+from diffalg.algebra import Deriv, Indep, monomial_product, monomial_sort_key, var_from_json, var_to_json
 
 import gen
 
@@ -132,6 +134,38 @@ def test_semigroup_action_randomized():
         assert lhs == f.total_derivative_multi(mi.add(a, b))
 
 
+def var_key(v):
+    """The canonical variable order spelled out: x's first by index, then u's
+    by (unknown, exponent).  Variables compare as tuples in this order."""
+    if isinstance(v, Indep):
+        return (0, v.j)
+    return (1, v.i) + v.order
+
+
+def test_variable_tuple_order_matches_var_key():
+    rng = random.Random(431)
+    mixed = 0
+    for _ in range(400):
+        ctx = Context(rng.randint(1, 4), rng.randint(1, 3))
+        a, b = (gen.rand_variable(rng, ctx, 3) for _ in range(2))
+        assert (a < b) == (var_key(a) < var_key(b))
+        assert (a == b) == (var_key(a) == var_key(b))
+        mixed += type(a) is not type(b)
+    assert mixed > 100
+
+
+def test_indep_copies_and_pickles():
+    ctx = Context(2, 1)
+    x = Indep(2)
+    f = DiffPoly.variable(ctx, x) * U(1, 0) - C(Fraction(1, 3))
+    for clone in (copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+        y = clone(x)
+        assert y == x and type(y) is Indep and y.j == 2 and y < Deriv(1, (0, 0))
+        g = clone(f)
+        assert g == f and hash(g) == hash(f)
+        assert {type(v) for m in g.terms for v, _ in m} == {Indep, Deriv}
+
+
 def monomial_cmp_reference(a, b):
     """The display order as a comparator: graded, then lexicographic with
     priority to the greatest variable.  Walk both pair lists from their
@@ -209,6 +243,16 @@ def test_json_round_trip_randomized():
         ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
         f = gen.rand_poly(rng, ctx)
         assert poly_from_json(ctx, poly_to_json(f)) == f
+
+
+def test_json_merges_repeated_monomials_and_drops_zero_terms():
+    x1, u = ["x", 1], ["u", 1, [1, 0]]
+    data = [{"c": "0", "m": [[u, 1]]}, {"c": "2/3", "m": [[u, 1], [x1, 2]]}, {"c": 3, "m": []},
+            {"c": "-2/3", "m": [[x1, 1], [u, 1], [x1, 1]]}, {"c": "1/2", "m": [[x1, 1]]}]
+    p = poly_from_json(CTX, data)
+    assert p == C(Fraction(1, 2)) * X(1) + C(3)
+    assert_canonical(p)
+    assert poly_from_json(CTX, data[:1]).terms == {}
 
 
 def test_var_json():

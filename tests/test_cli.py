@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from diffalg.problem import Bounds, load_problem, problem_from_dict
 import gen
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+SRC = PROBLEMS.parent / "src"
 HEAT = str(PROBLEMS / "heat.json")
 
 
@@ -122,6 +124,28 @@ def test_ranking_audit_command():
     assert code == 0
     report = json.loads(out)
     assert report["ok"] is True and report["counterexamples"] == []
+
+
+def test_ranking_audit_refuses_an_audit_too_large(tmp_path):
+    # 680 derivatives up to order 3 in 14 directions: 680^2 * 14 pair checks,
+    # refused before the audit enumerates any, under the default budget
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 14, "m": 1, "equations": []}))
+    start = perf_counter()
+    limited = run_cli_full("ranking-audit", str(path))
+    assert perf_counter() - start < 2
+    assert limited == (4, "", "resource limit: ranking audit exhaustive pass would enumerate 6473600"
+                              " (u, v, direction) triples, above max_enumeration 1000000\n")
+    # the sampled pass draws from the C(2 + 8, 2) = 45 indices up to order 8
+    path.write_text(json.dumps({"n": 2, "m": 1, "equations": [], "bounds": {"max_enumeration": 45}}))
+    assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "1", "--samples", "50")[0] == 0
+    assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "2", "--samples", "50") == (
+        4, "", "resource limit: ranking audit exhaustive pass would enumerate 72 (u, v, direction) triples,"
+               " above max_enumeration 45\n")
+    path.write_text(json.dumps({"n": 2, "m": 1, "equations": [], "bounds": {"max_enumeration": 44}}))
+    assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "0", "--samples", "50") == (
+        4, "", "resource limit: ranking audit sampled pass would enumerate 45 multi-indices,"
+               " above max_enumeration 44\n")
 
 
 def test_ranking_override():
@@ -313,6 +337,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "diffalg", "check", str(PROBLEMS / "heat.json")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "passive"

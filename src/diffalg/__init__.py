@@ -15,13 +15,13 @@ _EXPORTS = {  # submodule -> the public names it defines
                 "to_text", "var_from_json", "var_to_json"),
     "errors": ("EnumerationLimitError", "ReductionLimitError", "StructuralError"),
     "normal": ("DEFAULT_MAX_STEPS", "SolvedForm", "SolvedSystem", "autoreduce",
-               "check_conditionally_solvable", "divide_by_normalized", "find_principal", "normalized_slice",
-               "reduce"),
-    "oracle": ("Certificate", "MembershipInstance", "membership", "prolong"),
+               "check_conditionally_solvable", "find_principal", "normalized_slice", "reduce"),
+    "oracle": ("Certificate", "MembershipInstance", "divide_by_normalized", "membership", "prolong",
+               "syzygy_oracle"),
     "passivity": ("Census", "CompatibilityResult", "PassivityReport", "check_pair", "coincident_lead_analysis",
                   "decide_passivity", "is_passive", "quotient_census"),
     "ranking": ("BASE", "Ranking", "audit_compatibility"),
-    "syzygy": ("TauPair", "module_apply", "operator_apply", "syzygy_oracle", "tau_generators"),
+    "syzygy": ("TauPair", "module_apply", "operator_apply", "tau_generators"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

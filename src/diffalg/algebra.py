@@ -27,14 +27,15 @@ The sum is finite because f has finite support.  All arithmetic is exact
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import multiindex as mi
 from .errors import StructuralError
 
 
-class Indep(NamedTuple("Indep", [("i", int), ("j", int)])):
+class Indep(namedtuple("Indep", "i j")):
     """The independent variable x_j, as the tuple (i, j) = (0, j): below
     every Deriv, whose unknown index i is at least 1.  No dict or set holds
     both variables and plain tuples."""
@@ -48,11 +49,8 @@ class Indep(NamedTuple("Indep", [("i", int), ("j", int)])):
         return (self.j,)
 
 
-class Deriv(NamedTuple):
-    """The derivative variable u^i_alpha (a tuple, like Indep)."""
-
-    i: int
-    order: mi.Index
+# The derivative variable u^i_alpha (a tuple, like Indep).
+Deriv = namedtuple("Deriv", "i order")
 
 
 Variable = Union[Indep, Deriv]
@@ -66,7 +64,7 @@ def shift_deriv(v: Deriv, k: int) -> Deriv:
     return Deriv(v.i, a[:k - 1] + (a[k - 1] + 1,) + a[k:])
 
 
-class Context(NamedTuple("Context", [("n", int), ("m", int)])):
+class Context(namedtuple("Context", "n m")):
     """Ambient dimensions: n independent variables, m unknowns.
 
     Every polynomial carries its context; mixing contexts is a structural

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -30,7 +31,7 @@ from math import comb
 from typing import Callable, NoReturn, Optional
 
 from .algebra import Deriv, DiffPoly, Indep, poly_from_json, to_text
-from .errors import EnumerationLimitError, ReductionLimitError, StructuralError
+from .errors import EnumerationLimitError, NestingError, ReductionLimitError, StructuralError
 from .normal import reduce
 from .passivity import (
     EXIT_FOR_VERDICT,
@@ -40,7 +41,7 @@ from .passivity import (
     is_passive,
     quotient_census,
 )
-from .problem import Problem, load_problem
+from .problem import Problem, load_problem, parse_json
 from .ranking import SAMPLE_ORDER, audit_compatibility
 from .syzygy import tau_generators
 
@@ -100,10 +101,23 @@ def _deriv_template(length: int, newline: str) -> str:
     return "[" + inner + '"u",' + inner + "%d," + inner + order + newline + "]"
 
 
+def _write(text: str) -> None:
+    """Print text.  A reader that closes the pipe early (`| head`) does not
+    turn the command into a traceback: stdout is pointed at os.devnull, so
+    the flush at exit stays quiet, and the command keeps its exit code."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(pretty: bool, payload: Callable[[], dict], lines: Callable[[], list[str]]) -> None:
-    """Print lines() under --pretty, else render(payload()): only the printed
+    """Write lines() under --pretty, else render(payload()): only the printed
     form is built."""
-    print("\n".join(lines()) if pretty else render(payload()))
+    _write("\n".join(lines()) if pretty else render(payload()))
 
 
 def _emit_coincidence(coincidence, pretty: bool) -> int:
@@ -164,7 +178,7 @@ def cmd_check(file, ranking, max_steps, pretty, order) -> int:
 def cmd_reduce(file, ranking, max_steps, pretty, target) -> int:
     problem = _load(file, ranking, max_steps)
     try:
-        target_data = json.loads(target)
+        target_data = parse_json(target, "--target")
     except json.JSONDecodeError as exc:
         raise StructuralError(f"bad --target polynomial: {exc}") from None
     poly = poly_from_json(problem.ctx, target_data, "--target")
@@ -251,8 +265,8 @@ def _usage(command: str) -> str:
 
 def _help(command: Optional[str]) -> NoReturn:
     """Print the help of one command, or of all, from the table and exit 0."""
-    print(f"usage: {_usage(command)}" if command else
-          "usage: diffalg <cmd> file [options]\n\n" + "\n".join(map(_usage, COMMANDS)))
+    _write(f"usage: {_usage(command)}" if command else
+           "usage: diffalg <cmd> file [options]\n\n" + "\n".join(map(_usage, COMMANDS)))
     raise SystemExit(0)
 
 
@@ -319,6 +333,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return handler(**kwargs)
     except json.JSONDecodeError as exc:
         print(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
+        return EXIT_INPUT
+    except NestingError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FileNotFoundError as exc:
         print(f"cannot open {exc.filename}", file=sys.stderr)

@@ -6,6 +6,13 @@ class StructuralError(ValueError):
     indices, coincident leads, or a violated operation precondition."""
 
 
+class NestingError(ValueError):
+    """JSON input nested deeper than the decoder's recursion limit."""
+
+    def __init__(self, source: str):
+        super().__init__(f"JSON nested too deeply in {source}")
+
+
 class ReductionLimitError(RuntimeError):
     """A rewriting loop exceeded its step budget.
 

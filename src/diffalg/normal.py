@@ -12,14 +12,13 @@ rewrite rule.  The remainder depends only on the x's and the parametric
 derivatives, and is the fixpoint of the substitution find_principal() fixes:
 rewrite order changes only the trace.  SolvedSystem.normal_form() computes
 that fixpoint from normal forms memoized on the system itself.
-divide_by_normalized() is the one-shot variant for normalized sets, whose
-tails mention no lead at all.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, shift_deriv, to_text, var_to_json
@@ -30,7 +29,7 @@ DEFAULT_MAX_STEPS = 10**5
 DEFAULT_MAX_ENUMERATION = 10**6
 
 
-class SolvedForm(NamedTuple("SolvedForm", [("lead", Deriv), ("tail", DiffPoly)])):
+class SolvedForm(namedtuple("SolvedForm", "lead tail")):
     """f = lead + tail, with tail free of lead."""
 
     __slots__ = ()
@@ -183,9 +182,8 @@ def require_enumerable(ctx: Context, order_bound: int, max_enumeration: int, pha
         raise EnumerationLimitError(phase, size, max_enumeration)
 
 
-class SolvabilityReport(NamedTuple):
-    ok: bool
-    violations: list[dict]
+class SolvabilityReport(namedtuple("SolvabilityReport", "ok violations")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "violations": self.violations}
@@ -232,10 +230,8 @@ def find_principal(sys: SolvedSystem, v: Deriv) -> Optional[tuple[int, mi.Index]
     return best[1], best[2]
 
 
-class ReduceStep(NamedTuple):
-    eq: int
-    shift: mi.Index
-    eliminated: Deriv
+class ReduceStep(namedtuple("ReduceStep", "eq shift eliminated")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -245,9 +241,7 @@ class ReduceStep(NamedTuple):
         }
 
 
-class ReduceResult(NamedTuple):
-    remainder: DiffPoly
-    trace: list[ReduceStep]
+ReduceResult = namedtuple("ReduceResult", "remainder trace")  # trace: the ReduceSteps in order
 
 
 def reduce(f: DiffPoly, sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> ReduceResult:
@@ -288,46 +282,13 @@ def autoreduce(sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> SolvedS
     return SolvedSystem(tuple(eqs), sys.ranking)
 
 
-def divide_by_normalized(
-    f: DiffPoly,
-    forms: Sequence[SolvedForm],
-    order: Optional[Sequence[int]] = None,
-) -> DiffPoly:
-    """Remainder of f modulo a normalized set: pairwise-distinct leads, every
-    tail free of every lead.  Substitution order is irrelevant to the result;
-    an explicit order may be passed to exercise exactly that."""
-    leads = [b.lead for b in forms]
-    if len(set(leads)) != len(leads):
-        raise StructuralError("normalized set has coincident leads")
-    lead_set = set(leads)
-    for pos, b in enumerate(forms):
-        if f.ctx != b.ctx:
-            raise StructuralError("ambient mismatch in normalized set")
-        overlap = b.tail.support_derivs() & lead_set
-        if overlap:
-            raise StructuralError(
-                f"set is not normalized: tail {pos} mentions lead(s) {sorted((v.i, v.order) for v in overlap)}"
-            )
-    seq = list(order) if order is not None else list(range(len(forms)))
-    if sorted(seq) != list(range(len(forms))):
-        raise StructuralError("order must be a permutation of the form indices")
-    out = f
-    for pos in seq:
-        out = out.substitute(forms[pos].lead, forms[pos].rhs())
-    return out
-
-
-class SliceResult(NamedTuple):
+class SliceResult(namedtuple("SliceResult", "order_bound forms mismatches leads_match_orbit tails_reduced")):
     """Bounded normalized presentation of a system's orbit ideal: one solved
     form per orbit derivative within the order bound, tail fully reduced;
     certified when coherent, with leads exactly the principal derivatives up
     to the bound and no principal in a tail."""
 
-    order_bound: int
-    forms: list[SolvedForm]
-    mismatches: list[dict]
-    leads_match_orbit: bool
-    tails_reduced: bool
+    __slots__ = ()
 
     @property
     def coherent(self) -> bool:

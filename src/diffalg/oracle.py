@@ -1,18 +1,26 @@
-"""Brute-force bounded ideal-membership certificates.
+"""Independent cross-checks used by the tests; no command loads this module.
 
-This is the independent cross-check used by the tests: membership of a target
-in the ideal spanned by a finite generator list is decided, at explicit
-bounds, by solving one exact linear system for the cofactors.  A certificate
-is checkable by plain polynomial arithmetic; a refusal only means "not at
-these bounds" and is treated as non-membership solely in negative controls
-where the bounds provably dominate.
+Bounded ideal membership: membership of a target in the ideal spanned by a
+finite generator list is decided, at explicit bounds, by solving one exact
+linear system for the cofactors.  A certificate is checkable by plain
+polynomial arithmetic; a refusal only means "not at these bounds" and is
+treated as non-membership solely in negative controls where the bounds
+provably dominate.
+
+The syzygy oracle: syzygy_oracle() recomputes every syzygy of a lead list in
+a bounded slice by exact linear algebra and certifies each one as an
+operator combination of syzygy.tau_generators().
+
+divide_by_normalized() is the one-shot division by a normalized set, whose
+tails mention no lead at all, that SolvedSystem.normal_form() must agree with.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg, multiindex as mi
 from .algebra import (
@@ -26,7 +34,8 @@ from .algebra import (
     poly_to_json,
 )
 from .errors import StructuralError
-from .normal import SolvedSystem, iter_orbit
+from .normal import SolvedForm, SolvedSystem, iter_orbit
+from .syzygy import TauPair, Vector, tau_generators
 
 
 def prolong(sys: SolvedSystem, order_bound: int) -> list[DiffPoly]:
@@ -61,13 +70,9 @@ def variables_within_class(ctx: Context, rk, class_bound, order_bound: int) -> l
     return sorted(pool)
 
 
-class MembershipInstance(NamedTuple("MembershipInstance", [
-    ("target", DiffPoly),
-    ("generators", list[DiffPoly]),
-    ("cofactor_degree", int),
-    ("order_bound", int),
-    ("pool", Optional[Sequence[Variable]]),  # cofactor variables; None infers them
-])):
+class MembershipInstance(namedtuple("MembershipInstance", "target generators cofactor_degree order_bound pool")):
+    """pool holds the cofactor variables; None infers them."""
+
     __slots__ = ()
 
     def __new__(cls, target, generators, cofactor_degree, order_bound, pool=None):
@@ -77,8 +82,8 @@ class MembershipInstance(NamedTuple("MembershipInstance", [
         return super().__new__(cls, target, generators, cofactor_degree, order_bound, pool)
 
 
-class Certificate(NamedTuple):
-    cofactors: list[DiffPoly]
+class Certificate(namedtuple("Certificate", "cofactors")):
+    __slots__ = ()
 
     def expand(self, generators: list[DiffPoly]) -> DiffPoly:
         total = DiffPoly.zero(generators[0].ctx) if generators else None
@@ -146,3 +151,155 @@ def membership(inst: MembershipInstance) -> Optional[Certificate]:
                 terms[mono] = terms.get(mono, Fraction(0)) + c
         cofactors.append(DiffPoly(ctx, terms))
     return Certificate(cofactors)
+
+
+# -- division by a normalized set ---------------------------------------------
+
+
+def divide_by_normalized(
+    f: DiffPoly,
+    forms: Sequence[SolvedForm],
+    order: Optional[Sequence[int]] = None,
+) -> DiffPoly:
+    """Remainder of f modulo a normalized set: pairwise-distinct leads, every
+    tail free of every lead.  Substitution order is irrelevant to the result;
+    an explicit order may be passed to exercise exactly that."""
+    leads = [b.lead for b in forms]
+    if len(set(leads)) != len(leads):
+        raise StructuralError("normalized set has coincident leads")
+    lead_set = set(leads)
+    for pos, b in enumerate(forms):
+        if f.ctx != b.ctx:
+            raise StructuralError("ambient mismatch in normalized set")
+        overlap = b.tail.support_derivs() & lead_set
+        if overlap:
+            raise StructuralError(
+                f"set is not normalized: tail {pos} mentions lead(s) {sorted((v.i, v.order) for v in overlap)}"
+            )
+    seq = list(order) if order is not None else list(range(len(forms)))
+    if sorted(seq) != list(range(len(forms))):
+        raise StructuralError("order must be a permutation of the form indices")
+    out = f
+    for pos in seq:
+        out = out.substitute(forms[pos].lead, forms[pos].rhs())
+    return out
+
+
+# -- independent generation check ---------------------------------------------
+
+
+class CertifiedSyzygy(namedtuple("CertifiedSyzygy", "syzygy combination")):
+    """combination is keyed (tau index t, sigma): the sum of c X^sigma tau_t."""
+
+    __slots__ = ()
+
+    def expand(self, taus: Sequence[TauPair]) -> Vector:
+        total: Vector = {}
+        for (t, sigma), c in self.combination.items():
+            for (pos, shift), x in taus[t].vector().items():
+                coord = (pos, mi.add(sigma, shift))
+                total[coord] = total.get(coord, Fraction(0)) + c * x
+        return {coord: c for coord, c in total.items() if c}
+
+
+class SyzygyOracleResult(namedtuple("SyzygyOracleResult", "degree_bound taus spanning certified failures")):
+    __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def _slice_columns(leads: Sequence[Deriv], degree_bound: int):
+    """Coordinates (position, shift) with |shift| <= bound, grouped by the
+    target derivative they map to."""
+    n = len(leads[0].order)
+    coords: list[tuple[int, mi.Index]] = []
+    fibers: dict[Deriv, list[int]] = {}
+    for pos, lead in enumerate(leads):
+        for shift in mi.iter_up_to_order(n, degree_bound):
+            col = len(coords)
+            coords.append((pos, shift))
+            target = Deriv(lead.i, mi.add(shift, lead.order))
+            fibers.setdefault(target, []).append(col)
+    return coords, fibers
+
+
+def certify_combination(
+    sv: Vector,
+    taus: Sequence[TauPair],
+    leads: Sequence[Deriv],
+    degree_bound: int,
+) -> Optional[CertifiedSyzygy]:
+    """Express sv as sum_{t, sigma} c X^sigma tau_t with |sigma| bounded.
+
+    Both coordinates of any column X^sigma tau_t map onto the same target
+    derivative, so the module equation splits exactly by target: each fiber
+    is certified by its own small exact solve.  None when some fiber has no
+    bounded combination.
+    """
+    fibers: dict[Deriv, Vector] = {}
+    for (pos, shift), c in sv.items():
+        target = Deriv(leads[pos].i, mi.add(shift, leads[pos].order))
+        fibers.setdefault(target, {})[(pos, shift)] = c
+
+    combo: Vector = {}
+    for target in sorted(fibers):
+        cert_cols: list[tuple[int, mi.Index]] = []
+        columns: list[Vector] = []
+        for t, tau in enumerate(taus):
+            if leads[tau.i].i != target.i:
+                continue
+            join_order = mi.add(leads[tau.i].order, tau.shift_i)
+            sigma = mi.try_subtract(join_order, target.order)
+            if sigma is None or mi.order(sigma) > degree_bound:
+                continue
+            cert_cols.append((t, sigma))
+            columns.append({(pos, mi.add(sigma, shift)): c for (pos, shift), c in tau.vector().items()})
+
+        solution = linalg.solve_labeled(columns, fibers[target])
+        if solution is None:
+            return None
+        # each (t, sigma) maps onto one target, so no column recurs in a later fiber
+        combo.update((col, c) for col, c in zip(cert_cols, solution) if c)
+    return CertifiedSyzygy(sv, combo)
+
+
+def syzygy_oracle(leads: Sequence[Deriv], degree_bound: int) -> SyzygyOracleResult:
+    """Recompute, by exact linear algebra, every syzygy with operator degree
+    at most degree_bound, and certify each as a bounded operator combination
+    of the tau generators.
+
+    The action matrix is graded by target derivative, so its kernel is the
+    direct sum of per-target kernels; each fiber contributes one small exact
+    system.  An uncertifiable syzygy is recorded as a failure together with
+    the offending vector.
+    """
+    if degree_bound < 0:
+        raise StructuralError("degree_bound must be >= 0")
+    taus = tau_generators(leads)
+    if not leads:
+        return SyzygyOracleResult(degree_bound, taus, [], [], [])
+    coords, fibers = _slice_columns(leads, degree_bound)
+
+    spanning: list[Vector] = []
+    for target in sorted(fibers):
+        cols = fibers[target]
+        if len(cols) < 2:
+            continue
+        # one row: the coefficients of every coordinate mapping onto target
+        rows = [{t: Fraction(1) for t in range(len(cols))}]
+        for vec in linalg.nullspace(rows, len(cols)):
+            sv = {coords[cols[t]]: c for t, c in enumerate(vec) if c}
+            if sv:
+                spanning.append(sv)
+
+    certified: list[CertifiedSyzygy] = []
+    failures: list[Vector] = []
+    for sv in spanning:
+        cert = certify_combination(sv, taus, leads, degree_bound)
+        if cert is None:
+            failures.append(sv)
+        else:
+            certified.append(cert)
+    return SyzygyOracleResult(degree_bound, taus, spanning, certified, failures)

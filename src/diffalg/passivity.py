@@ -19,9 +19,10 @@ the leading derivatives.  Obstructed systems are reported, never repaired.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import filterfalse, repeat
 from math import comb
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
 from . import multiindex as mi
 from .algebra import Deriv, DiffPoly
@@ -29,8 +30,6 @@ from .errors import StructuralError
 from .normal import (
     DEFAULT_MAX_ENUMERATION,
     DEFAULT_MAX_STEPS,
-    SliceResult,
-    SolvabilityReport,
     SolvedForm,
     SolvedSystem,
     iter_orbit,
@@ -66,13 +65,8 @@ def _verdict(statuses: set[str], obstructed: str, ok: str) -> str:
     return obstructed if OBSTRUCTED in statuses else ok
 
 
-class CompatibilityResult(NamedTuple):
-    pair: tuple[int, int]
-    tau: TauPair
-    combination: DiffPoly
-    remainder: DiffPoly
-    status: str
-    class_bound: tuple
+class CompatibilityResult(namedtuple("CompatibilityResult", "pair tau combination remainder status class_bound")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -115,11 +109,10 @@ def check_pair(
     )
 
 
-class Census(NamedTuple):
-    order_bound: int
-    principal: list[Deriv]
-    parametric: list[Deriv]
-    counts: dict[int, int]  # total order -> number of parametric derivatives
+class Census(namedtuple("Census", "order_bound principal parametric counts")):
+    """counts maps a total order to its number of parametric derivatives."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -152,13 +145,9 @@ def quotient_census(
     return Census(order_bound, sorted(orbit), parametric, counts)
 
 
-class PassivityReport(NamedTuple):
-    verdict: str
-    theta: Optional[tuple]
-    solvability: SolvabilityReport
-    pairs: list[CompatibilityResult]
-    census: Optional[Census] = None
-    normalized: Optional[SliceResult] = None
+class PassivityReport(namedtuple("PassivityReport", "verdict theta solvability pairs census normalized",
+                                 defaults=(None, None))):
+    __slots__ = ()
 
     @property
     def exit_code(self) -> int:
@@ -217,12 +206,10 @@ def is_passive(
 # -- coincident leads ----------------------------------------------------------
 
 
-class DerivedRelation(NamedTuple):
-    lead: Deriv
-    first_eq: int
-    second_eq: int
-    remainder: DiffPoly
-    status: str  # "merged", "inconsistent" or "obstructed"
+class DerivedRelation(namedtuple("DerivedRelation", "lead first_eq second_eq remainder status")):
+    """status is "merged", "inconsistent" or "obstructed"."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -234,10 +221,11 @@ class DerivedRelation(NamedTuple):
         }
 
 
-class CoincidenceReport(NamedTuple):
-    verdict: str  # "ok", "inconsistent" or "obstructed"
-    system: Optional[SolvedSystem]
-    relations: list[DerivedRelation]
+class CoincidenceReport(namedtuple("CoincidenceReport", "verdict system relations")):
+    """verdict is "ok", "inconsistent" or "obstructed"; system is the merged
+    SolvedSystem, None unless the verdict is "ok"."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -24,26 +24,29 @@ rejected with the same first counterexample the sampled oracle
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from typing import Optional
 
 from .algebra import Context, Deriv, poly_from_json, var_from_json
-from .errors import StructuralError
+from .errors import NestingError, StructuralError
 from .normal import DEFAULT_MAX_ENUMERATION, DEFAULT_MAX_STEPS, SolvedForm
 from .passivity import DEFAULT_ORDER_BOUND
 from .ranking import DEFAULT_RANKING, NAMED_RANKINGS, Ranking, shift_violation
 
 
-class Bounds(NamedTuple):
-    order_bound: int = DEFAULT_ORDER_BOUND
-    max_steps: int = DEFAULT_MAX_STEPS
-    max_enumeration: int = DEFAULT_MAX_ENUMERATION
+Bounds = namedtuple("Bounds", "order_bound max_steps max_enumeration",
+                    defaults=(DEFAULT_ORDER_BOUND, DEFAULT_MAX_STEPS, DEFAULT_MAX_ENUMERATION))
+
+Problem = namedtuple("Problem", "ctx ranking forms bounds")  # forms: the SolvedForms in file order
 
 
-class Problem(NamedTuple):
-    ctx: Context
-    ranking: Ranking
-    forms: list[SolvedForm]
-    bounds: Bounds
+def parse_json(text: str, source: str):
+    """json.loads(text), with JSON nested past the decoder's recursion limit
+    raised as a NestingError that names its source."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise NestingError(source) from None
 
 
 def _require(data: dict, key: str, kind, where: str):
@@ -118,7 +121,7 @@ def load_problem(
     the compatibility gate so the audit command itself can examine a failing
     rule."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = parse_json(handle.read(), path)
     if ranking_override is not None:
         if not isinstance(data, dict):
             raise StructuralError("problem file must be a JSON object")
@@ -126,7 +129,7 @@ def load_problem(
             data["ranking"] = ranking_override
         else:
             try:
-                data["ranking"] = json.loads(ranking_override)
+                data["ranking"] = parse_json(ranking_override, "--ranking")
             except json.JSONDecodeError as exc:
                 raise StructuralError(f"bad --ranking value: {exc}") from None
     return problem_from_dict(data, gate_ranking)

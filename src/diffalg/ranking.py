@@ -36,12 +36,12 @@ raises: a failed audit is a result, not an error.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
-from . import linalg
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, Rational, _frac_from_str, shift_deriv, var_to_json
 from .errors import StructuralError
@@ -155,7 +155,10 @@ class Ranking:
         """Whether W has full column rank: exactly the condition for equal
         keys to imply equal variables for every number of unknowns m.  A
         rank-deficient W can still separate the variables when m is small
-        (with m = 1 the column of the unknown index never matters)."""
+        (with m = 1 the column of the unknown index never matters).  No
+        command asks, so linalg loads only here."""
+        from . import linalg
+
         n = self.ctx.n
         units = [(0, *mi.unit(n, k)) for k in range(1, n + 1)] if self.units else []
         return linalg.rank([dict(enumerate(row)) for row in (*self.weights, *units)], n + 1) == n + 1
@@ -171,11 +174,10 @@ class Ranking:
 # -- compatibility audit -------------------------------------------------------
 
 
-class Counterexample(NamedTuple):
-    axiom: str  # "a" or "b"
-    u: Deriv
-    v: Optional[Deriv]
-    direction: int
+class Counterexample(namedtuple("Counterexample", "axiom u v direction")):
+    """axiom is "a" or "b"; v is None for axiom (b)."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -199,12 +201,8 @@ def shift_violation(rk: Ranking) -> Optional[Counterexample]:
     return None
 
 
-class AuditReport(NamedTuple):
-    exhaustive_order: int
-    samples: int
-    checked_a: int
-    checked_b: int
-    counterexamples: list[Counterexample]
+class AuditReport(namedtuple("AuditReport", "exhaustive_order samples checked_a checked_b counterexamples")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -245,21 +243,23 @@ def audit_compatibility(rk: Ranking, sample_budget: int, exhaustive_order: int =
             found.setdefault(Counterexample("b", u, None, k))
 
     def check_a(u: Deriv, v: Deriv, k: int) -> None:
+        """Axiom (a) in direction k for a pair already known to have u < v."""
         nonlocal checked_a
-        if rk.compare(u, v) != -1:
-            return
         checked_a += 1
         if rk.compare(shift_deriv(u, k), shift_deriv(v, k)) != -1:
             found.setdefault(Counterexample("a", u, v, k))
 
     pool = list(ctx.derivs(exhaustive_order))
+    directions = range(1, ctx.n + 1)
     for u in pool:
-        for k in range(1, ctx.n + 1):
+        for k in directions:
             check_b(u, k)
-    for u in pool:
-        for v in pool:
-            for k in range(1, ctx.n + 1):
-                check_a(u, v, k)
+    keys = list(map(rk.key, pool))  # u < v decided once per pair, not once per direction
+    for u, ku in zip(pool, keys):
+        for v, kv in zip(pool, keys):
+            if ku < kv:
+                for k in directions:
+                    check_a(u, v, k)
 
     rng = random.Random(seed)
     indices = list(mi.iter_up_to_order(ctx.n, SAMPLE_ORDER))
@@ -268,5 +268,6 @@ def audit_compatibility(rk: Ranking, sample_budget: int, exhaustive_order: int =
         v = Deriv(rng.randint(1, ctx.m), rng.choice(indices))
         k = rng.randint(1, ctx.n)
         check_b(u, k)
-        check_a(u, v, k)
+        if rk.compare(u, v) == -1:
+            check_a(u, v, k)
     return AuditReport(exhaustive_order, sample_budget, checked_a, checked_b, list(found))

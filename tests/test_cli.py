@@ -1,8 +1,10 @@
 """The command-line surface: parsing, verdicts, exit codes, determinism."""
 
+import copy
 import io
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -13,8 +15,8 @@ from time import perf_counter
 
 import pytest
 
-from diffalg import (Context, DiffPoly, Ranking, SolvedForm, StructuralError, coincident_lead_analysis, is_passive,
-                     poly_from_json, poly_to_json, reduce)
+from diffalg import (Context, DiffPoly, Ranking, SolvedForm, SolvedSystem, StructuralError, coincident_lead_analysis,
+                     is_passive, poly_from_json, poly_to_json, reduce)
 import diffalg
 from diffalg import cli
 from diffalg.algebra import Deriv, Indep, var_to_json
@@ -23,6 +25,7 @@ from diffalg.syzygy import TauPair
 from diffalg.problem import Bounds, load_problem, problem_from_dict
 
 import gen
+from test_golden import COMMANDS as GOLDEN_COMMANDS, _argv as golden_argv
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SRC = PROBLEMS.parent / "src"
@@ -162,6 +165,19 @@ def test_malformed_json_exit_1(tmp_path, capsys):
     assert main(["check", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err and "column" in err
+
+
+DEEP = "[" * 200_000
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path):
+    # the JSON decoder recurses once per level; its RecursionError is a parse
+    # error, whichever input nests: the file, --target or an inline --ranking
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    for argv, source in ((["check", str(deep)], deep), (["reduce", HEAT, "--target", DEEP], "--target"),
+                         (["check", HEAT, "--ranking", DEEP], "--ranking")):
+        assert run_cli_full(*argv) == (1, "", f"parse error: JSON nested too deeply in {source}\n")
 
 
 def test_missing_file_exit_1():
@@ -332,15 +348,33 @@ def test_problem_validation():
     assert problem.bounds.max_enumeration == 10 ** 6
 
 
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "diffalg", "check", str(PROBLEMS / "heat.json")],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))},
+        env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "passive"
+
+
+@pytest.mark.parametrize("argv, code", [(["check", HEAT], 0), (["check", str(PROBLEMS / "obstructed.json")], 2),
+                                        (["ranking-audit", HEAT], 0), (["check", HEAT, "--pretty"], 0), (["-h"], 0)])
+def test_closed_stdout_is_not_a_traceback(argv, code):
+    # `diffalg check f.json | head -c 10`, made certain: the reader is gone
+    # before the command writes
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "diffalg", *argv], stdout=write, stderr=subprocess.PIPE,
+                              text=True, env=SRC_ENV)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 def test_pretty_mode_runs():
@@ -538,10 +572,10 @@ def test_help_forms(capsys, command, flag):
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_python(code, *args):
+def run_python(code, *args, **kwargs):
     """Run code in a fresh interpreter with src first on the path."""
     return subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); " + code, SRC, *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, **kwargs)
 
 
 def test_check_path_loads_no_argparse():
@@ -581,6 +615,71 @@ def test_package_exports_load_lazily():
         from diffalg import nope  # noqa: F401
     with pytest.raises(ImportError):
         from diffalg import NormalForm  # noqa: F401
+
+
+# -- start-up ---------------------------------------------------------------------
+
+
+def test_cli_import_leaves_out_the_oracles():
+    # the syzygy oracle, divide_by_normalized and exact linear algebra serve
+    # the tests and Ranking.is_total; a command compiles none of them
+    proc = run_python("import diffalg.cli; print(sorted({'diffalg.oracle', 'diffalg.linalg'} & set(sys.modules)))")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    proc = run_python("from diffalg import syzygy_oracle, divide_by_normalized;"
+                      " print(syzygy_oracle.__module__, divide_by_normalized.__module__)")
+    assert (proc.returncode, proc.stdout) == (0, "diffalg.oracle diffalg.oracle\n"), proc.stderr
+
+
+def test_commands_import_nothing_at_run_time():
+    # the benchmark forks after `import diffalg.cli`, so a module a command
+    # imported late would be compiled again in every child
+    argvs = [golden_argv(label, path) for label in GOLDEN_COMMANDS for path in sorted(PROBLEMS.glob("*.json"))
+             if label.split()[0] in ("check", "quotient", "reduce", "syzygies")]
+    proc = run_python(
+        "import io, json; from contextlib import redirect_stderr, redirect_stdout; import diffalg.cli;"
+        " before = set(sys.modules)\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()): diffalg.cli.main(argv)\n"
+        "print(sorted(set(sys.modules) - before))", json.dumps(argvs), cwd=PROBLEMS.parent)
+    assert len(argvs) == 70 and (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def records():
+    """One instance of every record type of the CLI's import closure, from
+    real runs."""
+    problem = load_problem(str(PROBLEMS / "gradient_consistent.json"))
+    system = SolvedSystem(problem.forms, problem.ranking)
+    report = is_passive(system)
+    merged = coincident_lead_analysis(load_problem(str(PROBLEMS / "coincident_merge.json")).forms, problem.ranking)
+    result = reduce(DiffPoly.variable(problem.ctx, Deriv(1, (2, 1))), system)
+    audit = diffalg.audit_compatibility(Ranking.from_weights(problem.ctx, [[1, -1, 0]]), 5)
+    return [Indep(2), problem.forms[0].lead, problem.ctx, problem.forms[0], system.solvability,
+            result.trace[0], result, report.normalized, report.pairs[0], report.census, report,
+            merged.relations[0], merged, problem.bounds, problem, audit.counterexamples[0], audit,
+            report.pairs[0].tau]
+
+
+def test_records_behave_as_plain_tuples():
+    cases = records()
+    assert len({type(r) for r in cases}) == 18
+    for r in cases:
+        kind, plain = type(r), tuple(r)
+        assert not hasattr(r, "__dict__") and "__annotations__" not in vars(kind), kind
+        assert r == plain and plain == r and len(r._fields) == len(plain) == len(kind._fields)
+        assert r._asdict() == dict(zip(r._fields, plain))
+        for same in (r._replace(), copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(same) is kind and same == r, kind
+        assert r._replace(**{r._fields[-1]: None})[:-1] == plain[:-1]
+        try:
+            expected = hash(plain)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(r)
+        else:
+            assert hash(r) == expected
+    # the hot constructors are the generated ones, or one __new__ over them
+    assert Deriv.__bases__ == (tuple,) and Deriv(1, (0,)) == (1, (0,))
+    assert Indep(3) == (0, 3) and Context(2, 1) == (2, 1)
 
 
 # -- the JSON renderer ----------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from diffalg import BASE, Context, DiffPoly, Ranking, StructuralError, audit_compatibility
 from diffalg import multiindex as mi
 from diffalg.algebra import Deriv, shift_deriv
-from diffalg.ranking import NAMED_RANKINGS, Counterexample, class_to_json, shift_violation
+from diffalg.ranking import NAMED_RANKINGS, SAMPLE_ORDER, AuditReport, Counterexample, class_to_json, shift_violation
 
 import gen
 
@@ -336,3 +336,70 @@ def test_is_total_is_full_column_rank():
     one = Context(2, 1)
     keys = {Ranking.from_weights(one, rows).key(v) for v in one.derivs(4)}
     assert len(keys) == len(list(one.derivs(4)))
+
+
+def reference_audit(rk: Ranking, sample_budget: int, exhaustive_order: int = 3, seed: int = 0):
+    """audit_compatibility as it was first written: u < v is decided again in
+    every direction.  The reference for the per-pair loop."""
+    ctx = rk.ctx
+    found = {}
+    checked_a = checked_b = 0
+
+    def check_b(u, k):
+        nonlocal checked_b
+        checked_b += 1
+        if rk.compare(u, shift_deriv(u, k)) != -1:
+            found.setdefault(Counterexample("b", u, None, k))
+
+    def check_a(u, v, k):
+        nonlocal checked_a
+        if rk.compare(u, v) != -1:
+            return
+        checked_a += 1
+        if rk.compare(shift_deriv(u, k), shift_deriv(v, k)) != -1:
+            found.setdefault(Counterexample("a", u, v, k))
+
+    pool = list(ctx.derivs(exhaustive_order))
+    for u in pool:
+        for k in range(1, ctx.n + 1):
+            check_b(u, k)
+    for u in pool:
+        for v in pool:
+            for k in range(1, ctx.n + 1):
+                check_a(u, v, k)
+
+    rng = random.Random(seed)
+    indices = list(mi.iter_up_to_order(ctx.n, SAMPLE_ORDER))
+    for _ in range(sample_budget):
+        u = Deriv(rng.randint(1, ctx.m), rng.choice(indices))
+        v = Deriv(rng.randint(1, ctx.m), rng.choice(indices))
+        k = rng.randint(1, ctx.n)
+        check_b(u, k)
+        check_a(u, v, k)
+    return AuditReport(exhaustive_order, sample_budget, checked_a, checked_b, list(found))
+
+
+def test_audit_matches_the_per_direction_reference(monkeypatch):
+    # same counters and the same counterexamples in the same order, on
+    # seeded weight rankings of both verdicts, with fewer key computations
+    calls = {"n": 0}
+    key = Ranking.key
+
+    def counted_key(self, v):
+        calls["n"] += 1
+        return key(self, v)
+
+    monkeypatch.setattr(Ranking, "key", counted_key)
+    rng = random.Random(16)
+    verdicts = {True: 0, False: 0}
+    for _ in range(60):
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+        rk = Ranking.from_weights(ctx, rand_weight_rows(rng, ctx.n))
+        budget, order, seed = rng.randint(1, 60), rng.randint(0, 2), rng.randrange(1000)
+        calls["n"] = 0
+        report = audit_compatibility(rk, budget, exhaustive_order=order, seed=seed)
+        fast_calls, calls["n"] = calls["n"], 0
+        assert report == reference_audit(rk, budget, exhaustive_order=order, seed=seed), rk.weights
+        assert fast_calls <= calls["n"]
+        verdicts[shift_violation(rk) is None] += 1
+    assert min(verdicts.values()) >= 15, verdicts

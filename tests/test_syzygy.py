@@ -18,7 +18,7 @@ from diffalg import (
     tau_generators,
 )
 from diffalg import multiindex as mi
-from diffalg.syzygy import CertifiedSyzygy, certify_combination
+from diffalg.oracle import CertifiedSyzygy, certify_combination
 
 import gen
 

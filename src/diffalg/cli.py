@@ -16,7 +16,8 @@ A process runs one command, so the parser is a table and render() replaces
 json.dumps: argparse's first build and the indenting encoder cost more than
 most commands' algebra.  A report's to_json() tree holds its polynomials and
 variables as DiffPoly, Deriv and Indep objects; render() writes them in
-place, each monomial fragment built once per indent.
+place as fragments of one list, joined once, and fills a list of Derivs (a
+census list) from one %-template.  _write() prints output and errors alike.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import os
 import re
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Callable, NoReturn, Optional
@@ -54,41 +56,66 @@ def render(obj) -> str:
     is obj with each DiffPoly leaf as poly_to_json gives it and each Deriv or
     Indep leaf as var_to_json does.  Besides those, obj may hold dicts with
     str keys, lists, plain tuples, str, int, bool and None; any other value
-    raises TypeError.  The fragment cache lives for this call only."""
-    return _render(obj, "\n", {})
+    raises TypeError.  Fragments and monomial cache live for this call only."""
+    out: list[str] = []
+    _render(obj, "\n", out, {})
+    return "".join(out)
 
 
-def _render(obj, newline: str, cache: dict) -> str:
-    """obj at the indent that newline ends in; cache maps (monomial, indent)
-    to its text."""
-    kind = type(obj)
-    if kind is Deriv:  # tuples, so matched on exact type before the tuple branch
-        return _deriv_template(len(obj.order), newline) % (obj.i, *obj.order)
-    if kind is Indep:
-        return "[" + newline + '  "x",' + newline + "  " + str(obj.j) + newline + "]"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = newline + "  "
-    if kind is DiffPoly:
-        field, items, ends = inner + "  ", [], "[]"
+def _render(obj, newline: str, out: list[str], cache: dict) -> None:
+    """Append obj's text at the indent that newline ends in; cache maps
+    (monomial, indent) to its text."""
+    kind, inner = type(obj), newline + "  "
+    if kind is Deriv or kind is Indep:  # tuples, so matched on exact type before the tuple branch
+        out.append(_var_text(obj, newline))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif kind is DiffPoly:
+        field, items = inner + "  ", []
         for m, c in obj.sorted_terms():
             text = cache.get((m, field))
             if text is None:
-                text = cache[m, field] = _render([[v, e] for v, e in m], field, cache)
+                text = cache[m, field] = _monomial_text(m, field)
             items.append(f'{{{field}"c": "{c}",{field}"m": {text}{inner}}}')
+        out.append("[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]")
     elif isinstance(obj, dict):
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        items = [encode_basestring_ascii(k) + ": " + _render(v, inner, cache) for k, v in sorted(obj.items())]
-        ends = "{}"
-    elif kind is list or kind is tuple:
-        items, ends = [_render(item, inner, cache) for item in obj], "[]"
-    else:
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            # encode_basestring_ascii raises TypeError on a key that is not a str
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _render(value, inner, out, cache)
+            sep = "," + inner
+        out.append(newline + "}" if obj else "{}")
+    elif kind is not list and kind is not tuple:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
+    elif obj and all(type(item) is Deriv for item in obj):  # a census list: one template, filled once
+        template = ("," + inner).join([_deriv_template(len(v.order), inner) for v in obj])
+        out.append(("[" + inner + template + newline + "]") % tuple(chain.from_iterable((v.i, *v.order) for v in obj)))
+    else:
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _render(item, inner, out, cache)
+            sep = "," + inner
+        out.append(newline + "]" if obj else "[]")
+
+
+def _var_text(v, newline: str) -> str:
+    """A Deriv or Indep at the indent that newline ends in."""
+    if v.i:
+        return _deriv_template(len(v.order), newline) % (v.i, *v.order)
+    return "[" + newline + '  "x",' + newline + "  " + str(v.j) + newline + "]"
+
+
+def _monomial_text(m: tuple, newline: str) -> str:
+    """Monomial m as its [[variable, exponent], ...] list at this indent."""
+    pair, inner = newline + "  ", newline + "    "
+    items = ["[" + inner + _var_text(v, inner) + "," + inner + str(e) + pair + "]" for v, e in m]
+    return "[" + pair + ("," + pair).join(items) + newline + "]" if m else "[]"
 
 
 @functools.cache
@@ -101,23 +128,24 @@ def _deriv_template(length: int, newline: str) -> str:
     return "[" + inner + '"u",' + inner + "%d," + inner + order + newline + "]"
 
 
-def _write(text: str) -> None:
-    """Print text.  A reader that closes the pipe early (`| head`) does not
-    turn the command into a traceback: stdout is pointed at os.devnull, so
-    the flush at exit stays quiet, and the command keeps its exit code."""
+def _write(text: str, stream) -> None:
+    """Print text to stream (stdout or stderr).  A reader that closes the
+    pipe early (`| head`) does not turn the command into a traceback: the
+    stream is pointed at os.devnull, so the flush at exit stays quiet, and
+    the command keeps its exit code."""
     try:
-        print(text)
-        sys.stdout.flush()
+        print(text, file=stream)
+        stream.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
 def _emit(pretty: bool, payload: Callable[[], dict], lines: Callable[[], list[str]]) -> None:
     """Write lines() under --pretty, else render(payload()): only the printed
     form is built."""
-    _write("\n".join(lines()) if pretty else render(payload()))
+    _write("\n".join(lines()) if pretty else render(payload()), sys.stdout)
 
 
 def _emit_coincidence(coincidence, pretty: bool) -> int:
@@ -266,7 +294,7 @@ def _usage(command: str) -> str:
 def _help(command: Optional[str]) -> NoReturn:
     """Print the help of one command, or of all, from the table and exit 0."""
     _write(f"usage: {_usage(command)}" if command else
-           "usage: diffalg <cmd> file [options]\n\n" + "\n".join(map(_usage, COMMANDS)))
+           "usage: diffalg <cmd> file [options]\n\n" + "\n".join(map(_usage, COMMANDS)), sys.stdout)
     raise SystemExit(0)
 
 
@@ -332,20 +360,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         handler, kwargs = parse_args(sys.argv[1:] if argv is None else argv)
         return handler(**kwargs)
     except json.JSONDecodeError as exc:
-        print(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
-        return EXIT_INPUT
+        message, code = f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}", EXIT_INPUT
     except NestingError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        message, code = f"parse error: {exc}", EXIT_INPUT
     except FileNotFoundError as exc:
-        print(f"cannot open {exc.filename}", file=sys.stderr)
-        return EXIT_INPUT
+        message, code = f"cannot open {exc.filename}", EXIT_INPUT
     except StructuralError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        message, code = f"input error: {exc}", EXIT_INPUT
     except (ReductionLimitError, EnumerationLimitError) as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        message, code = f"resource limit: {exc}", EXIT_RESOURCE
+    _write(message, sys.stderr)
+    return code
 
 
 def entry() -> None:

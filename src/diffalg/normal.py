@@ -12,16 +12,20 @@ rewrite rule.  The remainder depends only on the x's and the parametric
 derivatives, and is the fixpoint of the substitution find_principal() fixes:
 rewrite order changes only the trace.  SolvedSystem.normal_form() computes
 that fixpoint from normal forms memoized on the system itself.
+For T in normal form, derived_normal_form() builds NF(D_k T) in one pass over
+T's terms, without D_k T: the slice takes every candidate tail from it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import comb
-from typing import Iterator, Optional, Sequence
+from fractions import Fraction
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, shift_deriv, to_text, var_to_json
+from .algebra import _accumulate, _times_deriv, monomial_product
 from .errors import EnumerationLimitError, ReductionLimitError, StructuralError
 from .ranking import Ranking, class_to_json
 
@@ -59,7 +63,7 @@ class SolvedSystem:
     the memos are not compared.
     """
 
-    __slots__ = ("equations", "ranking", "solvability", "_rule", "_nf", "_prolonged")
+    __slots__ = ("equations", "ranking", "solvability", "_rule", "_nf", "_prolonged", "_shifted")
 
     def __init__(self, equations: Sequence[SolvedForm], ranking: Ranking):
         self.equations = tuple(equations)
@@ -75,6 +79,7 @@ class SolvedSystem:
         self.solvability = check_conditionally_solvable(self)
         self._rule: dict[Deriv, Optional[tuple[int, mi.Index]]] = {}
         self._nf: dict[Deriv, DiffPoly] = {}
+        self._shifted: dict[int, dict[Deriv, tuple[Deriv, bool]]] = {}  # k -> v -> (shift_k(v), principal?)
         zero = mi.zero(ranking.ctx.n)
         self._prolonged = {(idx, zero): eq.rhs() for idx, eq in enumerate(self.equations)}
 
@@ -129,21 +134,53 @@ class SolvedSystem:
         substitutions of one call, memo fills included.
         """
         self.require_reducible(f)
-        steps = 0
+        top = [v for v in f.support_derivs() if self.rule(v) is not None]
+        self._fill(top, lambda: f, max_steps)
+        return f.substitute_all({v: self._nf[v] for v in top}) if top else f
 
-        def charge(g: DiffPoly) -> list[Deriv]:
-            nonlocal steps
-            hits = [v for v in g.support_derivs() if self.rule(v) is not None]
-            steps += len(hits)
-            if steps > max_steps:
-                raise ReductionLimitError(max_steps, to_text(g))
-            return hits
+    def derived_normal_form(self, t: DiffPoly, k: int, max_steps: int = DEFAULT_MAX_STEPS) -> DiffPoly:
+        """normal_form(t.total_derivative(k)) for t in normal form, in one pass
+        with the same step count: a term c*m gives c*dm/dx_k plus, per factor
+        v, c*dm/dv times shift_k(v) or, when principal, its normal form.  These
+        shift_k(v) are all the principal derivatives of D_k t; none cancels."""
+        self.require_reducible(t)
+        if not 1 <= k <= self.ctx.n:
+            raise StructuralError(f"direction {k} out of range 1..{self.ctx.n}")
+        shifted = self._shifted.setdefault(k, {})
+        top = []
+        for v in t.support_derivs():
+            entry = shifted.get(v)
+            if entry is None:
+                w = shift_deriv(v, k)
+                entry = shifted[v] = w, self.rule(w) is not None
+            if entry[1]:
+                top.append(entry[0])
+        if top:
+            self._fill(top, lambda: t.total_derivative(k), max_steps)
+        res: dict[tuple, Fraction] = {}
+        for m, c in t.terms.items():
+            for pos, (v, e) in enumerate(m):
+                if not v.i and v.j != k:  # another x
+                    continue
+                ce, rest = (c * e, m[:pos] + ((v, e - 1),) + m[pos + 1:]) if e > 1 else (c, m[:pos] + m[pos + 1:])
+                w, principal = shifted[v] if v.i else (None, False)
+                if not principal:
+                    _accumulate(res, _times_deriv(rest, w) if w else rest, ce)
+                    continue
+                for fm, fc in self._nf[w].terms.items():
+                    _accumulate(res, monomial_product(rest, fm), ce * fc)
+        return DiffPoly._of(t.ctx, res)
 
+    def _fill(self, top: list[Deriv], state: Callable[[], DiffPoly], max_steps: int) -> None:
+        """Memoize NF(v) for top, the principal derivatives of state(), at one
+        step per substitution, memo fills included; state() names an overrun."""
+        steps = len(top)
+        if steps > max_steps:
+            raise ReductionLimitError(max_steps, to_text(state()))
         # Explicit stack: a derivative's first visit charges its image's
         # substitutions and pushes the normal forms still missing, its second
         # fills its own.  A rewrite cycle (no ranking has one) recharges until
         # the budget runs out.
-        top = charge(f)
         stack: list[tuple[Deriv, Optional[list[Deriv]]]] = [(v, None) for v in top]
         while stack:
             v, hits = stack.pop()
@@ -151,18 +188,17 @@ class SolvedSystem:
                 continue
             image = self.prolongation(*self._rule[v])
             if hits is None:
-                hits = charge(image)
+                hits = [w for w in image.support_derivs() if self.rule(w) is not None]
+                steps += len(hits)
+                if steps > max_steps:
+                    raise ReductionLimitError(max_steps, to_text(image))
                 stack.append((v, hits))
                 stack.extend((w, None) for w in hits if w not in self._nf)
             else:
-                self._nf[v] = self._substitute(image, hits)
-        return self._substitute(f, top)
-
-    def _substitute(self, g: DiffPoly, hits: list[Deriv]) -> DiffPoly:
-        # One simultaneous substitution equals substituting the hits one by
-        # one: every image is a normal form, so it holds no principal
-        # derivative that a later hit would rewrite.
-        return g.substitute_all({v: self._nf[v] for v in hits}) if hits else g
+                # One simultaneous substitution equals substituting the hits
+                # one by one: every image is a normal form, so it holds no
+                # principal derivative that a later hit would rewrite.
+                self._nf[v] = image.substitute_all({w: self._nf[w] for w in hits}) if hits else image
 
 
 def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.Index, Deriv]]:
@@ -327,20 +363,19 @@ def normalized_slice(
     tails: dict[Deriv, DiffPoly] = {}
     mismatches: list[dict] = []
     for v in sorted(orbit, key=lambda v: (mi.order(v.order), v.i, v.order)):
-        candidates = []
+        first = None  # (source, tail) of the first candidate
         if v in lead_eq:
-            tail = sys.equations[lead_eq[v]].tail
-            candidates.append(({"eq": lead_eq[v]}, sys.normal_form(tail, max_steps)))
+            first = {"eq": lead_eq[v]}, sys.normal_form(sys.equations[lead_eq[v]].tail, max_steps)
         a = v.order
         for k in range(len(a)):
             prev = Deriv(v.i, a[:k] + (a[k] - 1,) + a[k + 1:]) if a[k] else None
             if prev in orbit:
-                derived = sys.normal_form(tails[prev].total_derivative(k + 1), max_steps)
-                candidates.append(({"from": prev, "direction": k + 1}, derived))
-        (first_source, tails[v]), *rest = candidates
-        for source, tail in rest:
-            if tail != tails[v]:
-                mismatches.append({"lead": v, "first": first_source, "second": source})
+                derived = sys.derived_normal_form(tails[prev], k + 1, max_steps)
+                if first is None:
+                    first = {"from": prev, "direction": k + 1}, derived
+                elif derived != first[1]:
+                    mismatches.append({"lead": v, "first": first[0], "second": {"from": prev, "direction": k + 1}})
+        tails[v] = first[1]
     forms = [SolvedForm(v, tails[v]) for v in sorted(tails)]
     return certify_slice(sys, order_bound, forms, mismatches)
 

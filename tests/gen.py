@@ -141,8 +141,9 @@ def rand_solved_system(rng, ctx, ranking, k, max_order=3, tail_terms=2, tail_deg
 def family_problem(rng, family, n, bound):
     """A problem-file dict of an output-heavy passive family with seeded
     coefficients: "heat" u_{x1 x1} = sum_k c_k u_{x_k} (n >= 2), "riccati"
-    u_{x_k} = a_k u^2, or "elimination", heat on u^1 and u^2_{x_k} = D_k Q
-    for Q = a u^1_{x1} u^1 + b x_1 u^1_{x_n} under the elimination ranking."""
+    u_{x_k} = a_k u^2, "gradient" u_{x_k} = D_k phi for a potential phi in
+    the x's, or "elimination", heat on u^1 and u^2_{x_k} = D_k Q for
+    Q = a u^1_{x1} u^1 + b x_1 u^1_{x_n} under the elimination ranking."""
     ctx = Context(n, 2 if family == "elimination" else 1)
     zero = (0,) * n
 
@@ -154,6 +155,9 @@ def family_problem(rng, family, n, bound):
 
     if family == "riccati":
         eqs = [(Deriv(1, unit(k)), u(1, zero) * u(1, zero)) for k in range(1, n + 1)]
+    elif family == "gradient":
+        phi = rand_poly_over(rng, ctx, [Indep(j) for j in range(1, n + 1)], terms=4, max_degree=4)
+        eqs = [(Deriv(1, unit(k)), phi.total_derivative(k)) for k in range(1, n + 1)]
     else:
         tail = DiffPoly.zero(ctx)
         for k in range(2, n + 1):

@@ -377,6 +377,23 @@ def test_closed_stdout_is_not_a_traceback(argv, code):
     assert (proc.returncode, proc.stderr) == (code, "")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["check", str(PROBLEMS / "missing.json")], 1),
+    (["reduce", HEAT, "--target", '[{"c":"1","m":[[["u",1,[2,1]],1]]}]', "--max-steps", "0"], 4),
+])
+def test_closed_stderr_keeps_the_exit_code(argv, code):
+    # the error message meets a closed pipe; the exit code still names the
+    # failure, not the lost message
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "diffalg", *argv], stdout=subprocess.PIPE, stderr=write,
+                              text=True, env=SRC_ENV)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (code, "")
+
+
 def test_pretty_mode_runs():
     code, out = run_cli("check", str(PROBLEMS / "heat.json"), "--pretty")
     assert code == 0 and out.startswith("verdict: passive")
@@ -758,6 +775,18 @@ def test_render_matches_json_dumps():
     p3 = DiffPoly.variable(ctx3, d3) * DiffPoly.variable(ctx3, Indep(3)) - DiffPoly.variable(ctx3, Deriv(1, (0, 3, 0)))
     mixed = [d2, Indep(2), d3, Indep(3), p2, p3, Deriv(1, (3, 0)), Deriv(1, (0, 3, 0))]
     payloads += [mixed, {"a": mixed, "b": [p3, d3, Indep(3), p2, d2, Indep(2)], "c": (d2, [d3, [Indep(2)]])}]
+    # lists of Derivs render in one template pass: mixed order lengths, a
+    # Deriv list that turns into something else later, and a tuple
+    derivs = [d2, d3, Deriv(1, (4,)), d2, Deriv(2, (1, 1, 1, 1))]
+    payloads += [derivs, [d2, d3, Indep(2)], [d2, d2, p2], [d3, [d2]], [d2, None], (d2, d3), {"t": (d3, d3)}, [[d2]]]
+    # census-sized reports: an empty system with n = 8 at bound 4, and heat
+    # with n = 6 at bound 5, whose slice has 84 generators
+    empty_ctx = Context(8, 1)
+    census = is_passive(SolvedSystem((), Ranking.orderly(empty_ctx)), 4).to_json()
+    heat = problem_from_dict(gen.family_problem(random.Random(3), "heat", 6, 5))
+    report = is_passive(SolvedSystem(heat.forms, heat.ranking), 5).to_json()
+    assert len(census["census"]["parametric"]) == 495 and len(report["normalized_slice"]["generators"]) == 84
+    payloads += [census, report]
     for obj in payloads:
         assert_renders_plain(obj)
 

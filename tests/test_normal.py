@@ -1,7 +1,10 @@
 """Solved systems, orbit division, autoreduction, normalized sets."""
 
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -22,13 +25,16 @@ from diffalg import (
     to_text,
 )
 
-from diffalg.cli import render
-from diffalg.normal import ReduceResult, ReduceStep, certify_slice
+from diffalg.cli import main, render
+from diffalg.normal import DEFAULT_MAX_STEPS, ReduceResult, ReduceStep, certify_slice, iter_orbit
+from diffalg.passivity import decide_passivity
+from diffalg.problem import problem_from_dict
 
 import gen
 
 CTX = Context(2, 1)
 ORD = Ranking.orderly(CTX)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def X(j, ctx=CTX):
@@ -330,3 +336,104 @@ def test_engine_rewrite_cycle_ends_in_step_budget():
         sys_.normal_form(u2, max_steps=50)
     with pytest.raises(ReductionLimitError):
         reduce(u2, sys_, max_steps=50)
+
+
+# -- NF(D_k T) in one pass ----------------------------------------------------------
+
+FAMILIES = [("heat", 3, 5), ("heat", 4, 3), ("riccati", 2, 5), ("riccati", 3, 3), ("gradient", 2, 5),
+            ("gradient", 3, 4), ("elimination", 2, 4), ("elimination", 3, 3)]
+
+
+def derived_reference(sys_, t, k, max_steps=DEFAULT_MAX_STEPS):
+    """What derived_normal_form computes, the long way: build D_k t, then
+    take its normal form."""
+    return sys_.normal_form(t.total_derivative(k), max_steps)
+
+
+def family_system(seed, family, n, bound):
+    problem = problem_from_dict(gen.family_problem(random.Random(seed), family, n, bound))
+    return SolvedSystem(problem.forms, problem.ranking)
+
+
+def assert_derived_matches(sys_, tails):
+    """derived_normal_form(t, k) equals the reference for every tail and
+    direction; the reference runs on a copy of the system with its own memos."""
+    reference = SolvedSystem(sys_.equations, sys_.ranking)
+    for t in tails:
+        for k in range(1, sys_.ctx.n + 1):
+            assert sys_.derived_normal_form(t, k) == derived_reference(reference, t, k)
+
+
+def orbit_tails(sys_, bound):
+    """NF(v) for every orbit element v up to the bound, computed without
+    derived_normal_form."""
+    reference = SolvedSystem(sys_.equations, sys_.ranking)
+    orbit = sorted({v for _, _, v in iter_orbit(sys_, bound)})
+    return [reference.normal_form(DiffPoly.variable(sys_.ctx, v)) for v in orbit]
+
+
+@pytest.mark.parametrize("seed, family, n, bound", [(seed, *case) for seed, case in enumerate(FAMILIES)])
+def test_derived_normal_form_on_families(seed, family, n, bound):
+    sys_ = family_system(seed, family, n, bound)
+    tails = orbit_tails(sys_, bound)
+    assert any(tails) and len(tails) == len(normalized_slice(sys_, bound).forms)
+    assert_derived_matches(sys_, tails)
+
+
+def test_derived_normal_form_on_random_systems():
+    """Seeded passive draws on every orbit element; then systems that are
+    conditionally solvable but not passive, on normal forms of random
+    polynomials."""
+    rng = random.Random(17)
+    passive = obstructed = 0
+    while passive < 12 or obstructed < 12:
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+        sys_ = gen.rand_solved_system(rng, ctx, Ranking.orderly(ctx), rng.randint(1, 4))
+        if decide_passivity(sys_).verdict == "passive":
+            passive += 1
+            assert_derived_matches(sys_, orbit_tails(sys_, 3))
+        else:
+            obstructed += 1
+            assert_derived_matches(sys_, [sys_.normal_form(gen.rand_poly(rng, ctx)) for _ in range(4)])
+
+
+def test_derived_normal_form_preconditions():
+    sys_ = system(SolvedForm(D(2, 0), -U(0, 1)))
+    with pytest.raises(StructuralError):
+        sys_.derived_normal_form(U(0, 1), 3)
+    with pytest.raises(StructuralError):
+        sys_.derived_normal_form(DiffPoly.variable(Context(3, 1), Context(3, 1).u(1, (0, 1, 0))), 1)
+    with pytest.raises(ReductionLimitError, match=r"last state: u\[1,\(2,1\)\]"):
+        sys_.derived_normal_form(U(1, 1), 1, max_steps=0)
+
+
+def smallest_budget(argv):
+    """The smallest --max-steps with which the command gives its exit code
+    under the file's own budget, by bisection; every smaller one exits 4."""
+    def code(*flags):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return main([*argv, *flags])
+
+    goal, lo, hi = code(), 0, DEFAULT_MAX_STEPS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if code("--max-steps", str(mid)) == goal:
+            hi = mid
+        else:
+            lo = mid + 1
+    assert hi == 0 or code("--max-steps", str(hi - 1)) == 4
+    return hi
+
+
+def test_slice_budget_boundary_does_not_move(monkeypatch, tmp_path):
+    """derived_normal_form charges what normal_form charges on D_k T, so the
+    least budget `check` needs is the reference path's, on the corpus and on
+    seeded family problems."""
+    paths = sorted(PROBLEMS.glob("*.json"))
+    for seed, (family, n, bound) in enumerate(FAMILIES):
+        paths.append(tmp_path / f"{family}{n}_{bound}.json")
+        paths[-1].write_text(json.dumps(gen.family_problem(random.Random(seed), family, n, bound)))
+    fast = [smallest_budget(["check", str(path)]) for path in paths]
+    monkeypatch.setattr(SolvedSystem, "derived_normal_form", derived_reference)
+    assert fast == [smallest_budget(["check", str(path)]) for path in paths]
+    assert max(fast) > 0

@@ -14,7 +14,7 @@ _EXPORTS = {  # submodule -> the public names it defines
     "algebra": ("Context", "Deriv", "DiffPoly", "Indep", "monomial", "poly_from_json", "poly_to_json",
                 "to_text", "var_from_json", "var_to_json"),
     "errors": ("EnumerationLimitError", "ReductionLimitError", "StructuralError"),
-    "normal": ("DEFAULT_MAX_STEPS", "SolvedForm", "SolvedSystem", "autoreduce",
+    "normal": ("Bounds", "SolvedForm", "SolvedSystem", "autoreduce",
                "check_conditionally_solvable", "find_principal", "normalized_slice", "reduce"),
     "oracle": ("Certificate", "MembershipInstance", "divide_by_normalized", "membership", "prolong",
                "syzygy_oracle"),

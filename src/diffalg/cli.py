@@ -157,7 +157,8 @@ def _emit_coincidence(coincidence, pretty: bool) -> int:
 
 def _load(file, ranking, max_steps=None, order=None) -> Problem:
     """The problem with --max-steps and --order, when given, as its bounds:
-    every phase of the command reads one budget."""
+    the merged system holds them, and every phase of the command reads them
+    there."""
     problem = load_problem(file, ranking)
     given = {"max_steps": max_steps, "order_bound": order}
     return problem._replace(bounds=problem.bounds._replace(
@@ -166,7 +167,7 @@ def _load(file, ranking, max_steps=None, order=None) -> Problem:
 
 def _merged_system(problem: Problem):
     """The merged system for commands with no verdict to report unmerged leads."""
-    coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds.max_steps)
+    coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds)
     if coincidence.system is None:
         raise StructuralError(
             f"system has coincident leads that do not merge (verdict {coincidence.verdict})"
@@ -176,11 +177,10 @@ def _merged_system(problem: Problem):
 
 def cmd_check(file, ranking, max_steps, pretty, order) -> int:
     problem = _load(file, ranking, max_steps, order)
-    coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds.max_steps)
+    coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds)
     if coincidence.system is None:
         return _emit_coincidence(coincidence, pretty)
-    bounds = problem.bounds
-    report = is_passive(coincidence.system, bounds.order_bound, bounds.max_steps, bounds.max_enumeration)
+    report = is_passive(coincidence.system)
 
     def payload() -> dict:
         out = report.to_json()
@@ -210,7 +210,7 @@ def cmd_reduce(file, ranking, max_steps, pretty, target) -> int:
     except json.JSONDecodeError as exc:
         raise StructuralError(f"bad --target polynomial: {exc}") from None
     poly = poly_from_json(problem.ctx, target_data, "--target")
-    result = reduce(poly, _merged_system(problem), problem.bounds.max_steps)
+    result = reduce(poly, _merged_system(problem))
     _emit(pretty, lambda: {
         "remainder": result.remainder,
         "trace": [step.to_json() for step in result.trace],
@@ -228,15 +228,15 @@ def cmd_syzygies(file, ranking, pretty) -> int:
 
 def cmd_quotient(file, ranking, max_steps, pretty, order) -> int:
     problem = _load(file, ranking, max_steps, order)
-    coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds.max_steps)
+    coincidence = coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds)
     if coincidence.system is None:
         return _emit_coincidence(coincidence, pretty)
-    report = decide_passivity(coincidence.system, problem.bounds.max_steps)
+    report = decide_passivity(coincidence.system)
     if report.verdict != PASSIVE:
         _emit(pretty, lambda: {"error": "census requires a passive system", "verdict": report.verdict},
               lambda: [f"not passive: verdict {report.verdict}"])
         return report.exit_code
-    census = quotient_census(coincidence.system, problem.bounds.order_bound, problem.bounds.max_enumeration)
+    census = quotient_census(coincidence.system)
     _emit(pretty, census.to_json, lambda: [f"order bound {census.order_bound}:"
                                            f" {len(census.principal)} principal, {len(census.parametric)} parametric"])
     return 0
@@ -244,12 +244,10 @@ def cmd_quotient(file, ranking, max_steps, pretty, order) -> int:
 
 def cmd_ranking_audit(file, ranking, pretty, samples, exhaustive_order, seed) -> int:
     problem = load_problem(file, ranking, gate_ranking=False)
-    n, m, limit = problem.ctx.n, problem.ctx.m, problem.bounds.max_enumeration
+    n, m = problem.ctx
     pool = m * comb(n + exhaustive_order, n)  # the exhaustive pass compares every pair in every direction
-    for phase, size, items in (("ranking audit exhaustive pass", pool * pool * n, "(u, v, direction) triples"),
-                               ("ranking audit sampled pass", comb(n + SAMPLE_ORDER, n), "multi-indices")):
-        if size > limit:
-            raise EnumerationLimitError(phase, size, limit, items)
+    problem.bounds.check_enumeration("ranking audit exhaustive pass", pool * pool * n, "(u, v, direction) triples")
+    problem.bounds.check_enumeration("ranking audit sampled pass", comb(n + SAMPLE_ORDER, n), "multi-indices")
     report = audit_compatibility(problem.ranking, samples, exhaustive_order=exhaustive_order, seed=seed)
     _emit(pretty, report.to_json, lambda: [f"{len(report.counterexamples)} counterexamples"])
     return 0

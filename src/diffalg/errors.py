@@ -28,9 +28,10 @@ class ReductionLimitError(RuntimeError):
 
 class EnumerationLimitError(RuntimeError):
     """A phase would walk more items than its budget: for a census or slice,
-    the m * C(n + order_bound, n) derivatives up to the bound."""
+    the n index entries of each of the m * C(n + order_bound, n) derivatives
+    up to the bound."""
 
-    def __init__(self, phase: str, size: int, limit: int, items: str = "derivatives"):
+    def __init__(self, phase: str, size: int, limit: int, items: str = "index entries"):
         super().__init__(f"{phase} would enumerate {size} {items}, above max_enumeration {limit}")
         self.phase = phase
         self.size = size

@@ -14,6 +14,7 @@ rewrite order changes only the trace.  SolvedSystem.normal_form() computes
 that fixpoint from normal forms memoized on the system itself.
 For T in normal form, derived_normal_form() builds NF(D_k T) in one pass over
 T's terms, without D_k T: the slice takes every candidate tail from it.
+A system holds its Bounds, and every phase run on it reads its budgets there.
 """
 
 from __future__ import annotations
@@ -29,8 +30,18 @@ from .algebra import _accumulate, _times_deriv, monomial_product
 from .errors import EnumerationLimitError, ReductionLimitError, StructuralError
 from .ranking import Ranking, class_to_json
 
-DEFAULT_MAX_STEPS = 10**5
-DEFAULT_MAX_ENUMERATION = 10**6
+
+class Bounds(namedtuple("Bounds", "order_bound max_steps max_enumeration", defaults=(6, 10**5, 10**6))):
+    """A system's limits: the order bound of its census and slice, the
+    rewriting steps of one call, and the multi-index entries one walk may
+    enumerate."""
+
+    __slots__ = ()
+
+    def check_enumeration(self, phase: str, size: int, items: str = "index entries") -> None:
+        """Refuse, naming the phase, a walk over more than max_enumeration items."""
+        if size > self.max_enumeration:
+            raise EnumerationLimitError(phase, size, self.max_enumeration, items)
 
 
 class SolvedForm(namedtuple("SolvedForm", "lead tail")):
@@ -57,17 +68,19 @@ class SolvedForm(namedtuple("SolvedForm", "lead tail")):
 
 
 class SolvedSystem:
-    """A finite list of solved forms over one ambient, with its ranking, and
-    the memoized normal form modulo its orbit.  Conditional solvability is
-    checked once, on construction.  Equal when equations and ranking are;
-    the memos are not compared.
+    """A finite list of solved forms over one ambient, with its ranking, its
+    bounds, and the memoized normal form modulo its orbit.  Conditional
+    solvability is checked once, on construction.  Equal when equations and
+    ranking are; the bounds and the memos are not compared.
     """
 
-    __slots__ = ("equations", "ranking", "solvability", "_rule", "_nf", "_prolonged", "_shifted")
+    __slots__ = ("equations", "ranking", "bounds", "solvability", "_rule", "_nf", "_prolonged", "_shifted",
+                 "_orbits")
 
-    def __init__(self, equations: Sequence[SolvedForm], ranking: Ranking):
+    def __init__(self, equations: Sequence[SolvedForm], ranking: Ranking, bounds: Bounds = Bounds()):
         self.equations = tuple(equations)
         self.ranking = ranking
+        self.bounds = bounds
         for eq in self.equations:
             if eq.ctx != ranking.ctx:
                 raise StructuralError("equation ambient differs from ranking ambient")
@@ -80,6 +93,7 @@ class SolvedSystem:
         self._rule: dict[Deriv, Optional[tuple[int, mi.Index]]] = {}
         self._nf: dict[Deriv, DiffPoly] = {}
         self._shifted: dict[int, dict[Deriv, tuple[Deriv, bool]]] = {}  # k -> v -> (shift_k(v), principal?)
+        self._orbits: dict[int, frozenset[Deriv]] = {}  # order bound -> the shifted leads up to it
         zero = mi.zero(ranking.ctx.n)
         self._prolonged = {(idx, zero): eq.rhs() for idx, eq in enumerate(self.equations)}
 
@@ -116,6 +130,21 @@ class SolvedSystem:
                 poly = self._prolonged[(idx, step)]
         return poly
 
+    def orbit(self) -> frozenset[Deriv]:
+        """The shifted leads of iter_orbit up to the order bound, memoized
+        per bound: the census and the slice share one walk."""
+        bound = self.bounds.order_bound
+        if bound not in self._orbits:
+            self._orbits[bound] = frozenset(v for _, _, v in iter_orbit(self, bound))
+        return self._orbits[bound]
+
+    def require_enumerable(self, phase: str) -> None:
+        """Refuse, naming the phase, a census or slice whose m * C(n +
+        order_bound, n) derivatives up to the bound hold more index entries,
+        n each, than max_enumeration."""
+        n, m = self.ctx
+        self.bounds.check_enumeration(phase, m * comb(n + self.bounds.order_bound, n) * n)
+
     def require_reducible(self, f: DiffPoly) -> None:
         """Raise unless the system is conditionally solvable and f shares its
         ambient: the preconditions of normal_form and of reduce alike."""
@@ -126,19 +155,19 @@ class SolvedSystem:
         if f.ctx != self.ctx:
             raise StructuralError("polynomial ambient differs from system ambient")
 
-    def normal_form(self, f: DiffPoly, max_steps: int = DEFAULT_MAX_STEPS) -> DiffPoly:
+    def normal_form(self, f: DiffPoly) -> DiffPoly:
         """reduce(f, self).remainder: f with every principal v replaced by
         NF(v) = NF(D^shift rhs), for find_principal's (equation, shift) of v.
         NF(v) is memoized per principal v, and each prolongation D^shift(rhs)
-        is built as D_k of a cached predecessor.  max_steps bounds the
-        substitutions of one call, memo fills included.
+        is built as D_k of a cached predecessor.  bounds.max_steps bounds
+        the substitutions of one call, memo fills included.
         """
         self.require_reducible(f)
         top = [v for v in f.support_derivs() if self.rule(v) is not None]
-        self._fill(top, lambda: f, max_steps)
+        self._fill(top, lambda: f)
         return f.substitute_all({v: self._nf[v] for v in top}) if top else f
 
-    def derived_normal_form(self, t: DiffPoly, k: int, max_steps: int = DEFAULT_MAX_STEPS) -> DiffPoly:
+    def derived_normal_form(self, t: DiffPoly, k: int) -> DiffPoly:
         """normal_form(t.total_derivative(k)) for t in normal form, in one pass
         with the same step count: a term c*m gives c*dm/dx_k plus, per factor
         v, c*dm/dv times shift_k(v) or, when principal, its normal form.  These
@@ -156,7 +185,7 @@ class SolvedSystem:
             if entry[1]:
                 top.append(entry[0])
         if top:
-            self._fill(top, lambda: t.total_derivative(k), max_steps)
+            self._fill(top, lambda: t.total_derivative(k))
         res: dict[tuple, Fraction] = {}
         for m, c in t.terms.items():
             for pos, (v, e) in enumerate(m):
@@ -171,10 +200,10 @@ class SolvedSystem:
                     _accumulate(res, monomial_product(rest, fm), ce * fc)
         return DiffPoly._of(t.ctx, res)
 
-    def _fill(self, top: list[Deriv], state: Callable[[], DiffPoly], max_steps: int) -> None:
+    def _fill(self, top: list[Deriv], state: Callable[[], DiffPoly]) -> None:
         """Memoize NF(v) for top, the principal derivatives of state(), at one
         step per substitution, memo fills included; state() names an overrun."""
-        steps = len(top)
+        steps, max_steps = len(top), self.bounds.max_steps
         if steps > max_steps:
             raise ReductionLimitError(max_steps, to_text(state()))
         # Explicit stack: a derivative's first visit charges its image's
@@ -208,14 +237,6 @@ def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.In
         i, a = eq.lead
         for shift in mi.iter_up_to_order(sys.ctx.n, order_bound - mi.order(a)):
             yield idx, shift, Deriv(i, mi.add(a, shift))
-
-
-def require_enumerable(ctx: Context, order_bound: int, max_enumeration: int, phase: str) -> None:
-    """Refuse, naming the phase, the m * C(n + order_bound, n) derivatives up
-    to the bound when they exceed max_enumeration."""
-    size = ctx.m * comb(ctx.n + order_bound, ctx.n)
-    if size > max_enumeration:
-        raise EnumerationLimitError(phase, size, max_enumeration)
 
 
 class SolvabilityReport(namedtuple("SolvabilityReport", "ok violations")):
@@ -280,13 +301,13 @@ class ReduceStep(namedtuple("ReduceStep", "eq shift eliminated")):
 ReduceResult = namedtuple("ReduceResult", "remainder trace")  # trace: the ReduceSteps in order
 
 
-def reduce(f: DiffPoly, sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> ReduceResult:
+def reduce(f: DiffPoly, sys: SolvedSystem) -> ReduceResult:
     """Divide f by the orbit of the system, greatest principal derivative
     first, and return the remainder with the full rewrite trace.  The rule
     of each derivative and each prolonged rule come from the system's
     memos (SolvedSystem.rule and .prolongation)."""
     sys.require_reducible(f)
-    rk = sys.ranking
+    rk, max_steps = sys.ranking, sys.bounds.max_steps
     trace: list[ReduceStep] = []
     current = f
     steps = 0
@@ -303,19 +324,20 @@ def reduce(f: DiffPoly, sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -
         trace.append(ReduceStep(idx, shift, v))
 
 
-def autoreduce(sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> SolvedSystem:
-    """Reduce every tail against the other equations' orbits.
+def autoreduce(sys: SolvedSystem) -> SolvedSystem:
+    """Reduce every tail against the other equations' orbits; every system
+    built here has sys.bounds.
 
     Leads never change, so principality is static and a single pass settles:
     once a tail is free of the other leads' orbits it stays free.
     """
     eqs = list(sys.equations)
     for s in range(len(eqs)):
-        others = SolvedSystem(tuple(eqs[:s] + eqs[s + 1:]), sys.ranking)
+        others = SolvedSystem(tuple(eqs[:s] + eqs[s + 1:]), sys.ranking, sys.bounds)
         if not len(others):
             continue
-        eqs[s] = SolvedForm(eqs[s].lead, others.normal_form(eqs[s].tail, max_steps))
-    return SolvedSystem(tuple(eqs), sys.ranking)
+        eqs[s] = SolvedForm(eqs[s].lead, others.normal_form(eqs[s].tail))
+    return SolvedSystem(tuple(eqs), sys.ranking, sys.bounds)
 
 
 class SliceResult(namedtuple("SliceResult", "order_bound forms mismatches leads_match_orbit tails_reduced")):
@@ -345,50 +367,47 @@ class SliceResult(namedtuple("SliceResult", "order_bound forms mismatches leads_
         }
 
 
-def normalized_slice(
-    sys: SolvedSystem, order_bound: int, max_steps: int = DEFAULT_MAX_STEPS,
-    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
-) -> SliceResult:
-    """Normalized presentation within the order bound; defined for passive
-    systems, where every way of reaching an orbit derivative gives one tail.
+def normalized_slice(sys: SolvedSystem) -> SliceResult:
+    """Normalized presentation within the system's order bound; defined for
+    passive systems, where every way of reaching an orbit derivative gives
+    one tail.
 
     The orbit is walked in graded order.  A lead's tail is NF(tail), and a
     shifted lead v gets NF(D_k T(v - e_k)) from each one-step predecessor in
     the orbit.  Every candidate must agree with the first; disagreements are
     recorded as mismatches (the local coherence check of Riquier/Janet).
     """
-    require_enumerable(sys.ctx, order_bound, max_enumeration, "normalized slice")
+    sys.require_enumerable("normalized slice")
     lead_eq = {eq.lead: idx for idx, eq in enumerate(sys.equations)}
-    orbit = {v for _, _, v in iter_orbit(sys, order_bound)}
+    orbit = sys.orbit()
     tails: dict[Deriv, DiffPoly] = {}
     mismatches: list[dict] = []
     for v in sorted(orbit, key=lambda v: (mi.order(v.order), v.i, v.order)):
         first = None  # (source, tail) of the first candidate
         if v in lead_eq:
-            first = {"eq": lead_eq[v]}, sys.normal_form(sys.equations[lead_eq[v]].tail, max_steps)
+            first = {"eq": lead_eq[v]}, sys.normal_form(sys.equations[lead_eq[v]].tail)
         a = v.order
         for k in range(len(a)):
             prev = Deriv(v.i, a[:k] + (a[k] - 1,) + a[k + 1:]) if a[k] else None
             if prev in orbit:
-                derived = sys.derived_normal_form(tails[prev], k + 1, max_steps)
+                derived = sys.derived_normal_form(tails[prev], k + 1)
                 if first is None:
                     first = {"from": prev, "direction": k + 1}, derived
                 elif derived != first[1]:
                     mismatches.append({"lead": v, "first": first[0], "second": {"from": prev, "direction": k + 1}})
         tails[v] = first[1]
     forms = [SolvedForm(v, tails[v]) for v in sorted(tails)]
-    return certify_slice(sys, order_bound, forms, mismatches)
+    return certify_slice(sys, forms, mismatches)
 
 
-def certify_slice(
-    sys: SolvedSystem, order_bound: int, forms: list[SolvedForm], mismatches: list[dict]
-) -> SliceResult:
+def certify_slice(sys: SolvedSystem, forms: list[SolvedForm], mismatches: list[dict]) -> SliceResult:
     """Check a slice from its forms alone, apart from the orbit walk: its
-    leads must be the derivatives up to the bound that find_principal calls
-    principal, and no tail may hold one.  Principal leads that include each
-    equation's lead and are closed under v -> v + e_k within the bound are
-    that set: a principal w is a lead raised one step at a time to w."""
-    rule = sys.rule
+    leads must be the derivatives up to the system's order bound that
+    find_principal calls principal, and no tail may hold one.  Principal
+    leads that include each equation's lead and are closed under
+    v -> v + e_k within the bound are that set: a principal w is a lead
+    raised one step at a time to w."""
+    rule, order_bound = sys.rule, sys.bounds.order_bound
     leads = {f.lead for f in forms}
     within = [v for v in leads if mi.order(v.order) < order_bound]
     leads_match_orbit = (

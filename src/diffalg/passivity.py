@@ -14,7 +14,8 @@ A system is passive when it is conditionally solvable and every pair is
 satisfied.  Passive systems get a census of principal versus parametric
 derivatives up to an order bound (the bounded shape of the quotient algebra)
 and a normalized bounded presentation whose leads are exactly the orbit of
-the leading derivatives.  Obstructed systems are reported, never repaired.
+the leading derivatives.  Every phase reads its budgets and the order bound
+from the system's Bounds.  Obstructed systems are reported, never repaired.
 """
 
 from __future__ import annotations
@@ -27,15 +28,7 @@ from typing import Sequence
 from . import multiindex as mi
 from .algebra import Deriv, DiffPoly
 from .errors import StructuralError
-from .normal import (
-    DEFAULT_MAX_ENUMERATION,
-    DEFAULT_MAX_STEPS,
-    SolvedForm,
-    SolvedSystem,
-    iter_orbit,
-    normalized_slice,
-    require_enumerable,
-)
+from .normal import Bounds, SolvedForm, SolvedSystem, normalized_slice
 from .ranking import Ranking, class_to_json
 from .syzygy import TauPair, tau_generators
 
@@ -45,8 +38,6 @@ INCONSISTENT = "inconsistent"
 
 PASSIVE = "passive"
 NOT_PASSIVE = "not-passive"
-
-DEFAULT_ORDER_BOUND = 6
 
 EXIT_FOR_VERDICT = {PASSIVE: 0, NOT_PASSIVE: 2, OBSTRUCTED: 2, INCONSISTENT: 3}
 
@@ -81,9 +72,7 @@ class CompatibilityResult(namedtuple("CompatibilityResult", "pair tau combinatio
         }
 
 
-def check_pair(
-    sys: SolvedSystem, tau: TauPair, max_steps: int = DEFAULT_MAX_STEPS
-) -> CompatibilityResult:
+def check_pair(sys: SolvedSystem, tau: TauPair) -> CompatibilityResult:
     """Decide one cross-derivative pair by reduction.
 
     The generator applied to the equations, D^{s_i} eq_i - D^{s_j} eq_j,
@@ -98,7 +87,7 @@ def check_pair(
         raise StructuralError(
             f"pair ({tau.i}, {tau.j}): top derivative {join} failed to cancel"
         )
-    remainder = sys.normal_form(combination, max_steps)
+    remainder = sys.normal_form(combination)
     return CompatibilityResult(
         pair=(tau.i, tau.j),
         tau=tau,
@@ -124,17 +113,16 @@ class Census(namedtuple("Census", "order_bound principal parametric counts")):
         }
 
 
-def quotient_census(
-    sys: SolvedSystem, order_bound: int, max_enumeration: int = DEFAULT_MAX_ENUMERATION
-) -> Census:
-    """Classify every derivative variable up to the order bound as principal
-    (in some lead's orbit) or parametric (free in the quotient).  Up to the
-    bound, the principal ones are exactly the shifted leads of iter_orbit, so
-    order t holds m * C(n + t - 1, t) derivatives less the orbit's.  The
-    multi-indices are enumerated once for all m unknowns."""
-    require_enumerable(sys.ctx, order_bound, max_enumeration, "census")
+def quotient_census(sys: SolvedSystem) -> Census:
+    """Classify every derivative variable up to the system's order bound as
+    principal (in some lead's orbit) or parametric (free in the quotient).
+    Up to the bound, the principal ones are exactly the shifted leads of
+    SolvedSystem.orbit, so order t holds m * C(n + t - 1, t) derivatives less
+    the orbit's.  The multi-indices are enumerated once for all m unknowns."""
+    sys.require_enumerable("census")
     n, m = sys.ctx
-    orbit = {v for _, _, v in iter_orbit(sys, order_bound)}
+    order_bound = sys.bounds.order_bound
+    orbit = sys.orbit()
     indices = sorted(mi.iter_up_to_order(n, order_bound))
     parametric: list[Deriv] = []
     for i in range(1, m + 1):
@@ -164,7 +152,7 @@ class PassivityReport(namedtuple("PassivityReport", "verdict theta solvability p
         }
 
 
-def decide_passivity(sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> PassivityReport:
+def decide_passivity(sys: SolvedSystem) -> PassivityReport:
     """The passivity verdict: solvability, theta and every pair decided.
 
     theta is the least class among the equations' leads: shifting only
@@ -175,17 +163,12 @@ def decide_passivity(sys: SolvedSystem, max_steps: int = DEFAULT_MAX_STEPS) -> P
     theta = min((sys.ranking.key(eq.lead) for eq in sys.equations), default=None)
     if not solvability.ok:
         return PassivityReport(NOT_PASSIVE, theta, solvability, [])
-    pairs = [check_pair(sys, tau, max_steps) for tau in tau_generators(sys.leads())]
+    pairs = [check_pair(sys, tau) for tau in tau_generators(sys.leads())]
     verdict = _verdict({p.status for p in pairs}, NOT_PASSIVE, PASSIVE)
     return PassivityReport(verdict, theta, solvability, pairs)
 
 
-def is_passive(
-    sys: SolvedSystem,
-    order_bound: int = DEFAULT_ORDER_BOUND,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
-) -> PassivityReport:
+def is_passive(sys: SolvedSystem) -> PassivityReport:
     """Full passivity decision.
 
     On a passive verdict the report also gets the quotient census and the
@@ -194,13 +177,10 @@ def is_passive(
     the slice runs on the decided system itself and reuses the normal forms
     that its pair checks memoized there.
     """
-    report = decide_passivity(sys, max_steps)
+    report = decide_passivity(sys)
     if report.verdict != PASSIVE:
         return report
-    return report._replace(
-        census=quotient_census(sys, order_bound, max_enumeration),
-        normalized=normalized_slice(sys, order_bound, max_steps, max_enumeration),
-    )
+    return report._replace(census=quotient_census(sys), normalized=normalized_slice(sys))
 
 
 # -- coincident leads ----------------------------------------------------------
@@ -235,17 +215,16 @@ class CoincidenceReport(namedtuple("CoincidenceReport", "verdict system relation
 
 
 def coincident_lead_analysis(
-    raw: Sequence[SolvedForm],
-    ranking: Ranking,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    raw: Sequence[SolvedForm], ranking: Ranking, bounds: Bounds = Bounds()
 ) -> CoincidenceReport:
     """Merge equations sharing a lead, or report what keeps them apart.
 
     For each duplicate the tail difference (class strictly below the shared
-    lead) is reduced against the deduplicated system.  Zero means a true
-    duplicate; a nonzero base remainder is a contradiction among the x's; a
-    nonzero remainder with derivatives is a derived relation the input must
-    already imply, reported rather than dropped.
+    lead) is reduced against the deduplicated system, which holds the
+    bounds.  Zero means a true duplicate; a nonzero base remainder is a
+    contradiction among the x's; a nonzero remainder with derivatives is a
+    derived relation the input must already imply, reported rather than
+    dropped.
     """
     first_at: dict[Deriv, int] = {}
     keep: list[SolvedForm] = []
@@ -256,14 +235,14 @@ def coincident_lead_analysis(
         else:
             first_at[form.lead] = idx
             keep.append(form)
-    base = SolvedSystem(tuple(keep), ranking)
+    base = SolvedSystem(tuple(keep), ranking, bounds)
     if not dupes:
         return CoincidenceReport("ok", base, [])
 
     relations: list[DerivedRelation] = []
     for first_idx, dup_idx, form in dupes:
         diff = form.tail - raw[first_idx].tail
-        remainder = base.normal_form(diff, max_steps) if base.solvability.ok else diff
+        remainder = base.normal_form(diff) if base.solvability.ok else diff
         status = _status(remainder, "merged")
         relations.append(DerivedRelation(form.lead, first_idx, dup_idx, remainder, status))
     verdict = _verdict({r.status for r in relations}, OBSTRUCTED, "ok")

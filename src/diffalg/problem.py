@@ -29,13 +29,8 @@ from typing import Optional
 
 from .algebra import Context, Deriv, poly_from_json, var_from_json
 from .errors import NestingError, StructuralError
-from .normal import DEFAULT_MAX_ENUMERATION, DEFAULT_MAX_STEPS, SolvedForm
-from .passivity import DEFAULT_ORDER_BOUND
+from .normal import Bounds, SolvedForm
 from .ranking import DEFAULT_RANKING, NAMED_RANKINGS, Ranking, shift_violation
-
-
-Bounds = namedtuple("Bounds", "order_bound max_steps max_enumeration",
-                    defaults=(DEFAULT_ORDER_BOUND, DEFAULT_MAX_STEPS, DEFAULT_MAX_ENUMERATION))
 
 Problem = namedtuple("Problem", "ctx ranking forms bounds")  # forms: the SolvedForms in file order
 

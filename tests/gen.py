@@ -3,7 +3,7 @@
 from fractions import Fraction
 import random
 
-from diffalg import Context, DiffPoly, SolvedForm, SolvedSystem, monomial, poly_to_json
+from diffalg import Bounds, Context, DiffPoly, SolvedForm, SolvedSystem, monomial, poly_to_json
 from diffalg import multiindex as mi
 from diffalg.algebra import Deriv, Indep, var_to_json
 
@@ -21,6 +21,12 @@ def max_deriv_order(f):
 def max_eliminated_order(result):
     """Largest |alpha| a reduce trace eliminated; 0 for an empty trace."""
     return max((mi.order(s.eliminated.order) for s in result.trace), default=0)
+
+
+def with_bounds(sys_, **fields):
+    """sys_, its bounds now Bounds(**fields): the other fields at their defaults."""
+    sys_.bounds = Bounds(**fields)
+    return sys_
 
 
 def power(f, e):

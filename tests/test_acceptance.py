@@ -188,10 +188,10 @@ def test_criterion_8_quotient_census():
     rk = Ranking.orderly(ctx)
     x, u = _ctx_poly_helpers(ctx)
     heat = SolvedSystem((SolvedForm(ctx.u(1, (2, 0)), -u(0, 1)),), rk)
-    census2 = quotient_census(heat, 2)
+    census2 = quotient_census(gen.with_bounds(heat, order_bound=2))
     assert len(census2.parametric) == 5
     for bound in range(9):
-        census = quotient_census(heat, bound)
+        census = quotient_census(gen.with_bounds(heat, order_bound=bound))
         expected = {
             a for a in mi.iter_up_to_order(2, bound) if not (a[0] >= 2)
         }
@@ -234,7 +234,7 @@ def test_criterion_9_theorem_coherence():
     rng = random.Random(1009)
     targets = 0
     for sys_ in _passive_suite():
-        rep = is_passive(sys_, order_bound=4)
+        rep = is_passive(gen.with_bounds(sys_, order_bound=4))
         assert rep.verdict == "passive"
         assert rep.normalized.certified
         # leads of the bounded normalized presentation == orbit within bound
@@ -250,7 +250,7 @@ def test_criterion_9_theorem_coherence():
             f = gen.rand_poly(rng, sys_.ctx, terms=3, max_degree=2, max_order=3)
             res = reduce(f, sys_)
             bound = max(3, gen.max_eliminated_order(res), gen.max_deriv_order(f))
-            forms = normalized_slice(sys_, bound).forms
+            forms = normalized_slice(gen.with_bounds(sys_, order_bound=bound)).forms
             assert divide_by_normalized(f, forms) == res.remainder
             targets += 1
     assert targets >= 100

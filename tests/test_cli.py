@@ -204,21 +204,34 @@ def test_resource_limit_exit_4(tmp_path):
 
 @pytest.mark.parametrize("command", ["check", "quotient"])
 def test_max_enumeration_refuses_a_census_too_large(tmp_path, command):
-    # C(4002, 2) derivatives up to order 2 in 4000 directions: refused before
-    # the census enumerates any, under the default budget of 10^6
+    # C(4002, 2) derivatives up to order 2 in 4000 directions, 4000 index
+    # entries each: refused before the census enumerates any, under the
+    # default budget of 10^6
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"n": 4000, "m": 1, "equations": [], "bounds": {"order_bound": 2}}))
     start = perf_counter()
     limited = run_cli_full(command, str(path))
     assert perf_counter() - start < 1
-    assert limited == (4, "", "resource limit: census would enumerate 8006001 derivatives,"
+    assert limited == (4, "", "resource limit: census would enumerate 32024004000 index entries,"
                               " above max_enumeration 1000000\n")
-    # the budget is m * C(n + order_bound, n), at most as large as allowed
-    path.write_text(json.dumps({"n": 3, "m": 2, "equations": [], "bounds": {"order_bound": 2, "max_enumeration": 20}}))
+    # 100001 derivatives up to order 1 fit a budget of 10^6 derivatives, but
+    # not their 10^10 index entries
+    path.write_text(json.dumps({"n": 100000, "m": 1, "equations": [], "bounds": {"order_bound": 1}}))
+    start = perf_counter()
+    limited = run_cli_full(command, str(path))
+    assert perf_counter() - start < 1
+    assert limited == (4, "", "resource limit: census would enumerate 10000100000 index entries,"
+                              " above max_enumeration 1000000\n")
+    # the budget is n * m * C(n + order_bound, n) = 3 * 2 * 10 = 60 entries,
+    # at most as large as allowed
+    path.write_text(json.dumps({"n": 3, "m": 2, "equations": [], "bounds": {"order_bound": 2, "max_enumeration": 60}}))
     code, out, err = run_cli_full(command, str(path))
     assert (code, err) == (0, "")
     assert json.loads(out).get("census", json.loads(out))["parametric_total"] == 20
     assert run_cli_full(command, str(path), "--order", "3")[0] == 4
+    path.write_text(json.dumps({"n": 3, "m": 2, "equations": [], "bounds": {"order_bound": 2, "max_enumeration": 59}}))
+    assert run_cli_full(command, str(path)) == (4, "", "resource limit: census would enumerate 60 index entries,"
+                                                       " above max_enumeration 59\n")
 
 
 @pytest.mark.parametrize("argv", [["check"], ["quotient"], ["reduce", "--target", "[]"]],
@@ -609,10 +622,22 @@ def test_check_path_loads_no_argparse():
 
 def test_benchmark_tracer_installs():
     # perfbench/trace.py wraps the per-layer functions by module attribute
-    # name, so each one it reads must stay where it is
-    proc = run_python("sys.path.insert(0, sys.argv[2]); from perfbench.trace import Tracer; Tracer().install()",
-                      str(Path(SRC).parent))
+    # name, so each one it reads must stay where it is, and the phases of a
+    # traced check must still call them through those names
+    path = str(PROBLEMS / "gradient_consistent.json")
+    proc = run_python(
+        "import json; sys.path.insert(0, sys.argv[2]); from perfbench.trace import Tracer, summarize;"
+        " tracer = Tracer(); tracer.install(); from diffalg.cli import main;"
+        " code = tracer.command(main, ['check', sys.argv[3]]);"
+        " print(json.dumps([code, summarize(tracer.payload())[0]]), file=sys.stderr)", str(Path(SRC).parent), path)
     assert proc.returncode == 0, proc.stderr
+    code, metrics = json.loads(proc.stderr)
+    assert (code, proc.stdout, "") == run_cli_full("check", path)
+    for span in ("problem.load_ms", "passivity.coincident_ms", "passivity.pairs_ms", "passivity.census_ms",
+                 "normal.slice_ms"):
+        assert metrics[span] > 0, span
+    assert metrics["passivity.pair_count"] == metrics["normal.solvable_calls"] == 1
+    assert metrics["normal.find_principal_calls"] > 0 and metrics["multiindex.indices_yielded"] > 0
 
 
 def test_package_exports_load_lazily():
@@ -782,9 +807,9 @@ def test_render_matches_json_dumps():
     # census-sized reports: an empty system with n = 8 at bound 4, and heat
     # with n = 6 at bound 5, whose slice has 84 generators
     empty_ctx = Context(8, 1)
-    census = is_passive(SolvedSystem((), Ranking.orderly(empty_ctx)), 4).to_json()
+    census = is_passive(SolvedSystem((), Ranking.orderly(empty_ctx), Bounds(order_bound=4))).to_json()
     heat = problem_from_dict(gen.family_problem(random.Random(3), "heat", 6, 5))
-    report = is_passive(SolvedSystem(heat.forms, heat.ranking), 5).to_json()
+    report = is_passive(SolvedSystem(heat.forms, heat.ranking, Bounds(order_bound=5))).to_json()
     assert len(census["census"]["parametric"]) == 495 and len(report["normalized_slice"]["generators"]) == 84
     payloads += [census, report]
     for obj in payloads:
@@ -830,10 +855,10 @@ def test_reports_render_as_their_plain_json(monkeypatch, tmp_path):
         forms = list(system.equations)
         xs = [Indep(j) for j in range(1, ctx.n + 1)]
         forms += [SolvedForm(eq.lead, eq.tail + gen.rand_poly_over(rng, ctx, xs)) for eq in forms[:rng.randint(0, 2)]]
-        coincidence = coincident_lead_analysis(forms, system.ranking)
+        coincidence = coincident_lead_analysis(forms, system.ranking, Bounds(order_bound=3))
         trees.append(coincidence.to_json())
         if coincidence.system is not None:
-            trees.append(is_passive(coincidence.system, 3).to_json())
+            trees.append(is_passive(coincidence.system).to_json())
             result = reduce(gen.rand_poly(rng, ctx), coincidence.system)
             trees.append({"remainder": result.remainder, "trace": [step.to_json() for step in result.trace]})
     assert any(relation["remainder"] for tree in trees for relation in tree.get("relations", []))

@@ -26,7 +26,7 @@ from diffalg import (
 )
 
 from diffalg.cli import main, render
-from diffalg.normal import DEFAULT_MAX_STEPS, ReduceResult, ReduceStep, certify_slice, iter_orbit
+from diffalg.normal import Bounds, ReduceResult, ReduceStep, certify_slice, iter_orbit
 from diffalg.passivity import decide_passivity
 from diffalg.problem import problem_from_dict
 
@@ -113,7 +113,7 @@ def test_reduce_requires_solvable():
 def test_reduce_step_budget():
     sys_ = system(SolvedForm(D(1, 0), -X(2)))
     with pytest.raises(ReductionLimitError):
-        reduce(U(1, 1), sys_, max_steps=0)
+        reduce(U(1, 1), gen.with_bounds(sys_, max_steps=0))
 
 
 def test_reduce_idempotent_and_linear():
@@ -284,7 +284,7 @@ def test_divide_order_independence_randomized():
 
 def test_normalized_slice_heat():
     sys_ = system(SolvedForm(D(2, 0), -U(0, 1)))
-    result = normalized_slice(sys_, 3)
+    result = normalized_slice(gen.with_bounds(sys_, order_bound=3))
     assert result.coherent
     leads = {f.lead for f in result.forms}
     assert leads == {D(2, 0), D(3, 0), D(2, 1)}
@@ -298,15 +298,15 @@ def test_slice_missing_or_extra_lead_is_not_certified():
     # leads_match_orbit compares the leads with find_principal, not with the
     # orbit walk that built the slice
     sys_ = system(SolvedForm(D(2, 0), -U(0, 1)))
-    result = normalized_slice(sys_, 4)
+    result = normalized_slice(gen.with_bounds(sys_, order_bound=4))
     assert result.leads_match_orbit and result.certified
     for drop in range(len(result.forms)):
         forms = result.forms[:drop] + result.forms[drop + 1:]
-        dropped = certify_slice(sys_, 4, forms, result.mismatches)
+        dropped = certify_slice(sys_, forms, result.mismatches)
         assert not dropped.leads_match_orbit and not dropped.certified
         assert dropped.to_json()["leads_match_orbit"] is False
     for extra in (SolvedForm(D(0, 1), DiffPoly.zero(CTX)), result.forms[0]):
-        padded = certify_slice(sys_, 4, result.forms + [extra], result.mismatches)
+        padded = certify_slice(sys_, result.forms + [extra], result.mismatches)
         assert not padded.leads_match_orbit and not padded.certified
 
 
@@ -320,7 +320,7 @@ def test_normalized_slice_agrees_with_reduce():
         f = gen.rand_poly(rng, CTX, terms=3, max_degree=2, max_order=3)
         res = reduce(f, sys_)
         bound = max(3, gen.max_eliminated_order(res))
-        forms = normalized_slice(sys_, bound).forms
+        forms = normalized_slice(gen.with_bounds(sys_, order_bound=bound)).forms
         assert divide_by_normalized(f, forms) == res.remainder
 
 
@@ -331,11 +331,11 @@ def test_engine_rewrite_cycle_ends_in_step_budget():
     ctx = Context(1, 1)
     rk = Ranking.from_weights(ctx, [[-2, 0], [-2, -1]])
     u2 = DiffPoly.variable(ctx, ctx.u(1, (2,)))
-    sys_ = system(SolvedForm(ctx.u(1, (1,)), X(1, ctx) * u2), rk=rk)
+    sys_ = SolvedSystem((SolvedForm(ctx.u(1, (1,)), X(1, ctx) * u2),), rk, Bounds(max_steps=50))
     with pytest.raises(ReductionLimitError):
-        sys_.normal_form(u2, max_steps=50)
+        sys_.normal_form(u2)
     with pytest.raises(ReductionLimitError):
-        reduce(u2, sys_, max_steps=50)
+        reduce(u2, sys_)
 
 
 # -- NF(D_k T) in one pass ----------------------------------------------------------
@@ -344,10 +344,10 @@ FAMILIES = [("heat", 3, 5), ("heat", 4, 3), ("riccati", 2, 5), ("riccati", 3, 3)
             ("gradient", 3, 4), ("elimination", 2, 4), ("elimination", 3, 3)]
 
 
-def derived_reference(sys_, t, k, max_steps=DEFAULT_MAX_STEPS):
+def derived_reference(sys_, t, k):
     """What derived_normal_form computes, the long way: build D_k t, then
     take its normal form."""
-    return sys_.normal_form(t.total_derivative(k), max_steps)
+    return sys_.normal_form(t.total_derivative(k))
 
 
 def family_system(seed, family, n, bound):
@@ -376,7 +376,7 @@ def orbit_tails(sys_, bound):
 def test_derived_normal_form_on_families(seed, family, n, bound):
     sys_ = family_system(seed, family, n, bound)
     tails = orbit_tails(sys_, bound)
-    assert any(tails) and len(tails) == len(normalized_slice(sys_, bound).forms)
+    assert any(tails) and len(tails) == len(normalized_slice(gen.with_bounds(sys_, order_bound=bound)).forms)
     assert_derived_matches(sys_, tails)
 
 
@@ -404,7 +404,7 @@ def test_derived_normal_form_preconditions():
     with pytest.raises(StructuralError):
         sys_.derived_normal_form(DiffPoly.variable(Context(3, 1), Context(3, 1).u(1, (0, 1, 0))), 1)
     with pytest.raises(ReductionLimitError, match=r"last state: u\[1,\(2,1\)\]"):
-        sys_.derived_normal_form(U(1, 1), 1, max_steps=0)
+        gen.with_bounds(sys_, max_steps=0).derived_normal_form(U(1, 1), 1)
 
 
 def smallest_budget(argv):
@@ -414,7 +414,7 @@ def smallest_budget(argv):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             return main([*argv, *flags])
 
-    goal, lo, hi = code(), 0, DEFAULT_MAX_STEPS
+    goal, lo, hi = code(), 0, Bounds().max_steps
     while lo < hi:
         mid = (lo + hi) // 2
         if code("--max-steps", str(mid)) == goal:

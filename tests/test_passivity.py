@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from diffalg import (
+    Bounds,
     Context,
     DiffPoly,
     EnumerationLimitError,
@@ -101,7 +102,7 @@ def test_check_pair_obstructed():
 
 
 def test_is_passive_heat():
-    report = is_passive(heat(), order_bound=2)
+    report = is_passive(gen.with_bounds(heat(), order_bound=2))
     assert report.verdict == "passive"
     assert report.pairs == []
     assert report.exit_code == 0
@@ -129,7 +130,7 @@ def test_is_passive_unsolvable_system():
 
 
 def test_is_passive_empty_system():
-    report = is_passive(system(), order_bound=3)
+    report = is_passive(gen.with_bounds(system(), order_bound=3))
     assert report.verdict == "passive"
     assert report.theta is None
     assert len(report.census.parametric) == 10  # all of order <= 3, n = m = ...
@@ -169,7 +170,7 @@ def test_obstruction_is_genuine():
 
 
 def test_quotient_census_heat():
-    census = quotient_census(heat(), 2)
+    census = quotient_census(gen.with_bounds(heat(), order_bound=2))
     parametric = {(v.i, v.order) for v in census.parametric}
     assert parametric == {(1, (0, 0)), (1, (1, 0)), (1, (0, 1)), (1, (1, 1)), (1, (0, 2))}
     assert census.counts == {0: 1, 1: 2, 2: 2}
@@ -178,12 +179,12 @@ def test_quotient_census_heat():
 def test_quotient_census_empty_system():
     ctx = Context(1, 1)
     sys_ = SolvedSystem((), Ranking.orderly(ctx))
-    census = quotient_census(sys_, 5)
+    census = quotient_census(gen.with_bounds(sys_, order_bound=5))
     assert len(census.parametric) == 6 and census.principal == []
 
 
 def test_quotient_census_gradient_cone():
-    census = quotient_census(gradient(X(2)), 3)
+    census = quotient_census(gen.with_bounds(gradient(X(2)), order_bound=3))
     assert [(v.i, v.order) for v in census.parametric] == [(1, (0, 0))]
     assert census.counts == {0: 1, 1: 0, 2: 0, 3: 0}
 
@@ -191,7 +192,7 @@ def test_quotient_census_gradient_cone():
 def test_census_brute_force_cone_match():
     # independent enumeration: parametric iff no lead divides the exponent
     for sys_, bound in ((heat(), 5), (gradient(X(2)), 4), (obstructed(), 4)):
-        census = quotient_census(sys_, bound)
+        census = quotient_census(gen.with_bounds(sys_, order_bound=bound))
         leads = [(eq.lead.i, eq.lead.order) for eq in sys_.equations]
         expected = set()
         from diffalg import multiindex as mi
@@ -212,8 +213,8 @@ def test_census_monotone_under_extension():
         SolvedForm(D(0, 1), DiffPoly.zero(CTX)),
     )
     assert is_passive(extended).verdict == "passive"
-    c_base = quotient_census(base, 5).counts
-    c_ext = quotient_census(extended, 5).counts
+    c_base = quotient_census(gen.with_bounds(base, order_bound=5)).counts
+    c_ext = quotient_census(gen.with_bounds(extended, order_bound=5)).counts
     assert all(c_ext[o] <= c_base[o] for o in c_base)
 
 
@@ -226,7 +227,7 @@ def test_passive_reduce_divide_agreement():
             f = gen.rand_poly(rng, CTX, terms=3, max_degree=2, max_order=3)
             res = reduce(f, sys_)
             bound = max(3, gen.max_eliminated_order(res), gen.max_deriv_order(f))
-            forms = normalized_slice(sys_, bound).forms
+            forms = normalized_slice(gen.with_bounds(sys_, order_bound=bound)).forms
             assert divide_by_normalized(f, forms) == res.remainder
 
 
@@ -309,15 +310,16 @@ def test_memo_state_is_invisible_randomized():
         f = gen.rand_poly(rng, sys_.ctx, terms=3, max_degree=2, max_order=6)
         for budget in itertools.count():
             filled = len(sys_._nf) + len(sys_._prolonged)
+            sys_.bounds = Bounds(max_steps=budget)
             try:
-                sys_.normal_form(f, max_steps=budget)
+                sys_.normal_form(f)
                 break
             except ReductionLimitError:
                 partial_fills += len(sys_._nf) + len(sys_._prolonged) > filled
         fresh = SolvedSystem(sys_.equations, sys_.ranking)
         assert sys_ == fresh
-        bound = rng.randint(0, 3)
-        assert render(is_passive(sys_, bound).to_json()) == render(is_passive(fresh, bound).to_json())
+        sys_.bounds = fresh.bounds = Bounds(order_bound=rng.randint(0, 3))
+        assert render(is_passive(sys_).to_json()) == render(is_passive(fresh).to_json())
     assert partial_fills >= 10
 
 
@@ -330,10 +332,10 @@ def test_census_matches_find_principal_randomized():
         ctx = Context(rng.randint(1, 3), 2)
         rk = Ranking.orderly(ctx) if rng.random() < 0.5 else Ranking.elimination(ctx)
         draws.append((gen.rand_solved_system(rng, ctx, rk, rng.randint(1, 4)), rng.randint(0, 4)))
-    wide = Context(9, 2)
-    draws.append((SolvedSystem((), Ranking.orderly(wide)), 3))
+    wide = SolvedSystem((), Ranking.orderly(Context(9, 2)))
+    draws.append((wide, 3))
     for sys_, bound in draws:
-        census = quotient_census(sys_, bound)
+        census = quotient_census(gen.with_bounds(sys_, order_bound=bound))
         derivs = list(sys_.ctx.derivs(bound))
         assert census.principal == sorted(
             (v for v in derivs if find_principal(sys_, v) is not None), key=lambda v: (v.i, v.order)
@@ -342,25 +344,30 @@ def test_census_matches_find_principal_randomized():
             (v for v in derivs if find_principal(sys_, v) is None), key=lambda v: (v.i, v.order)
         )
         assert census.counts == {t: sum(sum(v.order) == t for v in census.parametric) for t in range(bound + 1)}
-    assert quotient_census(*draws[-1]).to_json()["parametric_total"] == 2 * 220
+    assert quotient_census(wide).to_json()["parametric_total"] == 2 * 220
 
 
 def test_max_enumeration_refuses_census_and_slice():
-    # m * C(n + bound, n) = 2 * C(5, 3) = 20 derivatives up to order 2
+    # m * C(n + bound, n) = 2 * C(5, 3) = 20 derivatives up to order 2, of
+    # n = 3 index entries each: 60 entries pass a budget of 60, not of 59
     ctx = Context(3, 2)
-    sys_ = SolvedSystem((SolvedForm(ctx.u(1, (1, 0, 0)), DiffPoly.zero(ctx)),), Ranking.orderly(ctx))
-    assert is_passive(sys_, 2, max_enumeration=20) == is_passive(sys_, 2)
-    for phase, run in [("census", lambda: quotient_census(sys_, 2, 19)),
-                       ("normalized slice", lambda: normalized_slice(sys_, 2, max_enumeration=19)),
-                       ("census", lambda: is_passive(sys_, 2, max_enumeration=19))]:
+    forms = (SolvedForm(ctx.u(1, (1, 0, 0)), DiffPoly.zero(ctx)),)
+
+    def at(limit):
+        return SolvedSystem(forms, Ranking.orderly(ctx), Bounds(order_bound=2, max_enumeration=limit))
+
+    sys_ = SolvedSystem(forms, Ranking.orderly(ctx), Bounds(order_bound=2))
+    assert is_passive(at(60)) == is_passive(sys_)
+    assert quotient_census(at(60)) == quotient_census(sys_) and normalized_slice(at(60)) == normalized_slice(sys_)
+    for phase, run in [("census", quotient_census), ("normalized slice", normalized_slice), ("census", is_passive)]:
         with pytest.raises(EnumerationLimitError) as caught:
-            run()
-        assert (caught.value.phase, caught.value.size, caught.value.limit) == (phase, 20, 19)
-        assert str(caught.value) == f"{phase} would enumerate 20 derivatives, above max_enumeration 19"
+            run(at(59))
+        assert (caught.value.phase, caught.value.size, caught.value.limit) == (phase, 60, 59)
+        assert str(caught.value) == f"{phase} would enumerate 60 index entries, above max_enumeration 59"
     # the verdict itself enumerates nothing: a not-passive system keeps its report
     bad = SolvedSystem((SolvedForm(ctx.u(1, (0, 1, 0)), -DiffPoly.variable(ctx, ctx.u(1, (2, 0, 0)))),),
-                       Ranking.orderly(ctx))
-    assert is_passive(bad, 2, max_enumeration=0).verdict == "not-passive"
+                       Ranking.orderly(ctx), Bounds(order_bound=2, max_enumeration=0))
+    assert is_passive(bad).verdict == "not-passive"
 
 
 def find_principal_reference(sys_, v):
@@ -419,7 +426,7 @@ def test_find_principal_matches_reference():
 def test_incremental_slice_matches_reduce_randomized():
     elements = 0
     for _, sys_ in random_systems(72, 60, passive_only=True):
-        result = normalized_slice(sys_, 4)
+        result = normalized_slice(gen.with_bounds(sys_, order_bound=4))
         assert result.coherent
         tails = {form.lead: form.tail for form in result.forms}
         for idx, shift, v in iter_orbit(sys_, 4):
@@ -440,23 +447,48 @@ def test_slice_equals_slice_of_autoreduced_randomized():
             draws.append((random.Random(path.name), sys_))
     assert len(draws) >= 305
     for rng, sys_ in draws:
-        bound = rng.randint(0, 4)
-        expected = normalized_slice(autoreduce(sys_), bound).to_json()
-        assert normalized_slice(sys_, bound).to_json() == expected
-        assert is_passive(sys_, bound).normalized.to_json() == expected
+        gen.with_bounds(sys_, order_bound=rng.randint(0, 4))
+        expected = normalized_slice(autoreduce(sys_)).to_json()
+        assert normalized_slice(sys_).to_json() == expected
+        assert is_passive(sys_).normalized.to_json() == expected
 
 
 def test_engine_step_budget():
-    sys_ = obstructed()
+    sys_ = gen.with_bounds(obstructed(), max_steps=0)
     with pytest.raises(ReductionLimitError):
-        sys_.normal_form(U(2, 1), max_steps=0)
+        sys_.normal_form(U(2, 1))
+    sys_.bounds = Bounds()
     assert sys_.normal_form(U(2, 1)) == reduce(U(2, 1), sys_).remainder
     # a warm memo still charges the call's own substitutions
+    sys_.bounds = Bounds(max_steps=0)
     with pytest.raises(ReductionLimitError):
-        sys_.normal_form(U(2, 1), max_steps=0)
-    assert sys_.normal_form(X(1), max_steps=0) == X(1)
+        sys_.normal_form(U(2, 1))
+    assert sys_.normal_form(X(1)) == X(1)
     with pytest.raises(ReductionLimitError):
-        check_pair(sys_, tau_generators(sys_.leads())[0], max_steps=0)
+        check_pair(sys_, tau_generators(sys_.leads())[0])
+
+
+def test_one_bound_reaches_every_phase():
+    # Bounds(max_steps=0) on the system, and no argument of the call, stops
+    # each phase at its first substitution; the default budget lets it finish
+    reducible = (SolvedForm(D(1, 0), -X(2)), SolvedForm(D(0, 2), -U(1, 0)))
+    coincident = [SolvedForm(D(1, 0), -U(0, 1)), SolvedForm(D(0, 1), -X(1)), SolvedForm(D(1, 0), -X(1))]
+    phases = {
+        "check_pair": lambda b: check_pair(gen.with_bounds(obstructed(), **b), tau_generators(obstructed().leads())[0]),
+        "normalized_slice": lambda b: normalized_slice(gen.with_bounds(obstructed(), order_bound=3, **b)),
+        "reduce": lambda b: reduce(U(2, 1), gen.with_bounds(obstructed(), **b)),
+        "autoreduce": lambda b: autoreduce(SolvedSystem(reducible, ORD, Bounds(**b))),
+        "coincident_lead_analysis": lambda b: coincident_lead_analysis(coincident, ORD, Bounds(**b)),
+    }
+    for name, run in phases.items():
+        run({})
+        with pytest.raises(ReductionLimitError, match=r"^reduction exceeded 0 steps"):
+            run({"max_steps": 0})
+    # the systems a phase builds hold the bounds it was given
+    bounds = Bounds(order_bound=2, max_steps=7)
+    assert autoreduce(SolvedSystem(reducible, ORD, bounds)).bounds == bounds
+    assert coincident_lead_analysis(coincident[:2], ORD, bounds).system.bounds == bounds
+    assert SolvedSystem(reducible, ORD).bounds == Bounds() == (6, 10**5, 10**6)
 
 
 def test_pair_combination_matches_operator_apply():
@@ -476,7 +508,7 @@ def test_pair_combination_matches_operator_apply():
 def test_slice_local_coherence_flags_obstruction():
     # u_(2,1) is reached from u_(1,1) along x1 and from u_(2,0) along x2;
     # the two tails differ because the pair is obstructed
-    result = normalized_slice(obstructed(), 3)
+    result = normalized_slice(gen.with_bounds(obstructed(), order_bound=3))
     assert not result.coherent
     assert result.mismatches[0] == {
         "lead": D(2, 1),
@@ -488,4 +520,4 @@ def test_slice_local_coherence_flags_obstruction():
         "first": {"from": ["u", 1, [1, 1]], "direction": 1},
         "second": {"from": ["u", 1, [2, 0]], "direction": 2},
     }
-    assert normalized_slice(heat(), 3).coherent
+    assert normalized_slice(gen.with_bounds(heat(), order_bound=3)).coherent

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from . import multiindex as mi
@@ -146,7 +147,7 @@ def monomial_sort_key(m: tuple) -> tuple:
     compared from the greatest variable down, by variable, then exponent.  x
     variables rank below u variables.  Fixes display and serialization order
     only."""
-    return (sum(e for _, e in m), m[::-1])
+    return (sum(map(itemgetter(1), m)), m[::-1])
 
 
 def _accumulate(res: dict[tuple, Fraction], m: tuple, c: Fraction) -> None:
@@ -367,7 +368,8 @@ def _frac_from_str(s) -> Fraction:
     if type(s) is int:
         return Fraction(s)
     if isinstance(s, str) and _RATIONAL_RE.fullmatch(s):
-        return Fraction(s)
+        p, _, q = s.partition("/")  # Fraction(s) would match its own pattern again
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     raise StructuralError(f"bad rational {s!r}; expected a decimal-free 'p' or 'p/q' string")
 
 
@@ -395,18 +397,18 @@ def poly_from_json(ctx: Context, data, where: str = "polynomial") -> DiffPoly:
             c = _frac_from_str(term["c"])
             if not isinstance(term["m"], list):
                 raise StructuralError(f"'m' must be a list of factors, got {term['m']!r}")
-            pairs = []
+            exps: dict[Variable, int] = {}  # a repeated variable's exponents add up
             for entry in term["m"]:
                 if not isinstance(entry, list) or len(entry) != 2:
                     raise StructuralError(f"bad factor {entry!r}")
                 v, e = var_from_json(ctx, entry[0]), entry[1]
                 if type(e) is not int or e <= 0:
                     raise StructuralError(f"exponent must be a positive integer, got {e!r}")
-                pairs.append((v, e))
+                exps[v] = exps.get(v, 0) + e
         except StructuralError as exc:
             raise StructuralError(f"{where}[{t}]: {exc}") from None
         if c:
-            _accumulate(acc, monomial(pairs), c)
+            _accumulate(acc, tuple(sorted(exps.items())), c)
     return DiffPoly._of(ctx, acc)
 
 

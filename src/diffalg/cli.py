@@ -27,13 +27,12 @@ import json
 import os
 import re
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import comb
 from typing import Callable, NoReturn, Optional
 
-from .algebra import Deriv, DiffPoly, Indep, poly_from_json, to_text
-from .errors import EnumerationLimitError, NestingError, ReductionLimitError, StructuralError
+from .algebra import Deriv, DiffPoly, Indep, monomial_sort_key, poly_from_json, to_text
+from .errors import EnumerationLimitError, ParseError, ReductionLimitError, StructuralError, UnreadableFileError
 from .normal import reduce
 from .passivity import (
     EXIT_FOR_VERDICT,
@@ -55,34 +54,30 @@ def render(obj) -> str:
     """json.dumps(plain, indent=2, sort_keys=True), byte for byte, where plain
     is obj with each DiffPoly leaf as poly_to_json gives it and each Deriv or
     Indep leaf as var_to_json does.  Besides those, obj may hold dicts with
-    str keys, lists, plain tuples, str, int, bool and None; any other value
-    raises TypeError.  Fragments and monomial cache live for this call only."""
+    str keys, lists, plain tuples, str, int, bool and None, each of exactly
+    that type; any other value raises TypeError.  Fragments and the monomial
+    cache live for this call only."""
     out: list[str] = []
     _render(obj, "\n", out, {})
     return "".join(out)
 
 
 def _render(obj, newline: str, out: list[str], cache: dict) -> None:
-    """Append obj's text at the indent that newline ends in; cache maps
-    (monomial, indent) to its text."""
+    """Append obj's text at the indent that newline ends in; cache maps each
+    indent to a dict from monomial to (sort key, the term's text after its
+    coefficient)."""
     kind, inner = type(obj), newline + "  "
-    if kind is Deriv or kind is Indep:  # tuples, so matched on exact type before the tuple branch
-        out.append(_var_text(obj, newline))
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif kind is DiffPoly:
-        field, items = inner + "  ", []
-        for m, c in obj.sorted_terms():
-            text = cache.get((m, field))
-            if text is None:
-                text = cache[m, field] = _monomial_text(m, field)
-            items.append(f'{{{field}"c": "{c}",{field}"m": {text}{inner}}}')
-        out.append("[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]")
-    elif isinstance(obj, dict):
+    if kind is DiffPoly:
+        field, terms = inner + "  ", obj.terms
+        memo = cache.setdefault(field, {})
+        for m in terms:
+            if m not in memo:
+                memo[m] = (monomial_sort_key(m), f'",{field}"m": {_monomial_text(m, field)}{inner}}}')
+        rows = sorted(zip(map(memo.__getitem__, terms), terms.values()), reverse=True)
+        opening = "{" + field + '"c": "'
+        items = ("," + inner + opening).join([f"{c}{after}" for (_, after), c in rows])
+        out.append("[" + inner + opening + items + newline + "]" if rows else "[]")
+    elif kind is dict:
         sep = "{" + inner
         for key, value in sorted(obj.items()):
             # encode_basestring_ascii raises TypeError on a key that is not a str
@@ -90,18 +85,42 @@ def _render(obj, newline: str, out: list[str], cache: dict) -> None:
             _render(value, inner, out, cache)
             sep = "," + inner
         out.append(newline + "}" if obj else "{}")
-    elif kind is not list and kind is not tuple:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    elif obj and all(type(item) is Deriv for item in obj):  # a census list: one template, filled once
-        template = ("," + inner).join([_deriv_template(len(v.order), inner) for v in obj])
-        out.append(("[" + inner + template + newline + "]") % tuple(chain.from_iterable((v.i, *v.order) for v in obj)))
+    elif kind is list or kind is tuple:
+        args = _census_args(obj)
+        if args:  # a census list: one template, repeated and filled once
+            template = ("," + inner).join([_deriv_template(len(obj[0].order), inner)] * len(obj))
+            out.append(("[" + inner + template + newline + "]") % tuple(args))
+        else:
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                _render(item, inner, out, cache)
+                sep = "," + inner
+            out.append(newline + "]" if obj else "[]")
+    elif kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is Deriv or kind is Indep:
+        out.append(_var_text(obj, newline))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
     else:
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _render(item, inner, out, cache)
-            sep = "," + inner
-        out.append(newline + "]" if obj else "[]")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _census_args(obj) -> Optional[list]:
+    """The unknown and order entries of every item, flattened, when obj holds
+    Derivs only and their orders share one length ([] when obj is empty);
+    else None."""
+    length = len(obj[0].order) if obj and type(obj[0]) is Deriv else -1
+    args: list[int] = []
+    for v in obj:
+        if type(v) is not Deriv or len(v.order) != length:
+            return None
+        args.append(v.i)
+        args += v.order
+    return args
 
 
 def _var_text(v, newline: str) -> str:
@@ -359,10 +378,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return handler(**kwargs)
     except json.JSONDecodeError as exc:
         message, code = f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}", EXIT_INPUT
-    except NestingError as exc:
+    except ParseError as exc:
         message, code = f"parse error: {exc}", EXIT_INPUT
-    except FileNotFoundError as exc:
-        message, code = f"cannot open {exc.filename}", EXIT_INPUT
+    except UnreadableFileError as exc:
+        message, code = f"cannot open {exc}", EXIT_INPUT
     except StructuralError as exc:
         message, code = f"input error: {exc}", EXIT_INPUT
     except (ReductionLimitError, EnumerationLimitError) as exc:

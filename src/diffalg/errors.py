@@ -6,11 +6,13 @@ class StructuralError(ValueError):
     indices, coincident leads, or a violated operation precondition."""
 
 
-class NestingError(ValueError):
-    """JSON input nested deeper than the decoder's recursion limit."""
+class ParseError(ValueError):
+    """Input the JSON decoder cannot take: a problem file that is not valid
+    UTF-8, or JSON nested deeper than the decoder's recursion limit."""
 
-    def __init__(self, source: str):
-        super().__init__(f"JSON nested too deeply in {source}")
+
+class UnreadableFileError(Exception):
+    """A problem file that cannot be opened or read; str() is its path."""
 
 
 class ReductionLimitError(RuntimeError):

@@ -24,11 +24,12 @@ rejected with the same first counterexample the sampled oracle
 from __future__ import annotations
 
 import json
+import os
 from collections import namedtuple
 from typing import Optional
 
 from .algebra import Context, Deriv, poly_from_json, var_from_json
-from .errors import NestingError, StructuralError
+from .errors import ParseError, StructuralError, UnreadableFileError
 from .normal import Bounds, SolvedForm
 from .ranking import DEFAULT_RANKING, NAMED_RANKINGS, Ranking, shift_violation
 
@@ -37,11 +38,34 @@ Problem = namedtuple("Problem", "ctx ranking forms bounds")  # forms: the Solved
 
 def parse_json(text: str, source: str):
     """json.loads(text), with JSON nested past the decoder's recursion limit
-    raised as a NestingError that names its source."""
+    raised as a ParseError that names its source."""
     try:
         return json.loads(text)
     except RecursionError:
-        raise NestingError(source) from None
+        raise ParseError(f"JSON nested too deeply in {source}") from None
+
+
+def read_text(path: str) -> str:
+    """The file's text as a text-mode open() reads it: decoded strictly as
+    UTF-8, with CR LF and a lone CR read as LF, so JSON error positions
+    count the same lines.  The bytes come from os.read, which skips text
+    mode's incremental decoder and the file object, whose first use in a
+    process costs more than most parses."""
+    chunks = []
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            while chunk := os.read(fd, 1 << 20):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+    except OSError:
+        raise UnreadableFileError(path) from None
+    try:
+        text = b"".join(chunks).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8 (byte {exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _require(data: dict, key: str, kind, where: str):
@@ -115,8 +139,7 @@ def load_problem(
     built-in names or inline JSON for a weight rule.  gate_ranking=False skips
     the compatibility gate so the audit command itself can examine a failing
     rule."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = parse_json(handle.read(), path)
+    data = parse_json(read_text(path), path)
     if ranking_override is not None:
         if not isinstance(data, dict):
             raise StructuralError("problem file must be a JSON object")

@@ -17,7 +17,8 @@ from diffalg import (
     poly_to_json,
     to_text,
 )
-from diffalg.algebra import Deriv, Indep, monomial_product, monomial_sort_key, var_from_json, var_to_json
+from diffalg.algebra import (_RATIONAL_RE, Deriv, Indep, _frac_from_str, monomial_product, monomial_sort_key,
+                             var_from_json, var_to_json)
 
 import gen
 
@@ -272,6 +273,26 @@ def test_json_rejects_bad_terms():
         poly_from_json(CTX, [{"c": "1", "m": [[["x", 1], 0]]}])
     with pytest.raises(StructuralError):
         poly_from_json(CTX, {"c": "1"})
+
+
+def test_rationals_parse_as_fraction_does():
+    # _frac_from_str builds the Fraction from the two integers of the string
+    # it has matched; Fraction(s) is the reference
+    rng = random.Random(19)
+
+    def digits(count, first="0123456789"):
+        return rng.choice(first) + "".join(rng.choice("0123456789") for _ in range(count - 1))
+
+    strings = ["0", "-0", "00", "007", "-007", "-0/7", "0/1", "6/4", "-10/15", "0004/6", "-000/12",
+               "1" + "0" * 39, "-" + "9" * 40 + "/" + "3" * 40]
+    for _ in range(500):
+        p = digits(rng.randint(1, 40))
+        q = "/" + digits(rng.randint(1, 40), "123456789") if rng.random() < 0.6 else ""
+        strings.append(rng.choice(["", "-"]) + p + q)
+    for s in strings:
+        assert _RATIONAL_RE.fullmatch(s), s
+        value = _frac_from_str(s)
+        assert type(value) is Fraction and value == Fraction(s), s
 
 
 def test_to_text():

@@ -1,6 +1,7 @@
 """The command-line surface: parsing, verdicts, exit codes, determinism."""
 
 import copy
+import errno
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +25,7 @@ from diffalg.algebra import Deriv, Indep, var_to_json
 from diffalg.cli import COMMANDS, COMMON, main, render
 from diffalg.syzygy import TauPair
 from diffalg.problem import Bounds, load_problem, problem_from_dict
+import diffalg.problem as problem_module
 
 import gen
 from test_golden import COMMANDS as GOLDEN_COMMANDS, _argv as golden_argv
@@ -182,6 +185,47 @@ def test_deep_nesting_is_a_parse_error(tmp_path):
 
 def test_missing_file_exit_1():
     assert run_cli("check", "/nonexistent/problem.json")[0] == 1
+
+
+def test_unreadable_or_non_utf8_file_exits_1(tmp_path):
+    # a directory, and files that are not UTF-8 (a UTF-16 byte order mark, a
+    # bad continuation byte at offset 15): exit 1 with the path, no traceback
+    utf16, late = tmp_path / "utf16.json", tmp_path / "late.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    late.write_bytes(b'{"n": 1, "m": "\xc3\x28"}')
+    for path, message in [(tmp_path, f"cannot open {tmp_path}"),
+                          (utf16, f"parse error: {utf16} is not valid UTF-8 (byte 0)"),
+                          (late, f"parse error: {late} is not valid UTF-8 (byte 15)")]:
+        proc = subprocess.run([sys.executable, "-m", "diffalg", "check", str(path)], capture_output=True, text=True,
+                              env=SRC_ENV)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message + "\n")
+
+
+def test_a_failed_read_names_its_path(monkeypatch):
+    # the open succeeds and the read fails, so the OSError carries no file name
+    def failing_read(fd, size):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(problem_module, "os", SimpleNamespace(O_RDONLY=os.O_RDONLY, open=os.open, close=os.close,
+                                                              read=failing_read))
+    assert run_cli_full("check", HEAT) == (1, "", f"cannot open {HEAT}\n")
+
+
+def test_line_ends_read_as_in_text_mode(tmp_path):
+    # CR LF and a lone CR each end a line, so a parse error keeps the line and
+    # column a text-mode read gives; the raw bytes would put it on line 2
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"n": 1,\r\n "m": 1,\r "equations": [,]}')
+    assert run_cli_full("check", str(bad)) == (1, "", "parse error at line 3 column 16: Expecting value\n")
+    with pytest.raises(json.JSONDecodeError) as raw:
+        json.loads(bad.read_bytes().decode())
+    assert (raw.value.lineno, raw.value.colno) == (2, 25)
+    crlf = tmp_path / "heat.json"
+    crlf.write_bytes(Path(HEAT).read_bytes().replace(b"\n", b"\r\n"))
+    assert crlf.read_bytes().count(b"\r\n") > 1
+    assert load_problem(str(crlf)) == load_problem(HEAT)
+    assert run_cli_full("check", str(crlf)) == run_cli_full("check", HEAT)
 
 
 def test_semantic_errors_exit_1(tmp_path):

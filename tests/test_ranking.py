@@ -299,7 +299,7 @@ def test_builtins_pass_the_column_test_by_computation():
 def test_builtin_unit_rows_stay_implicit():
     # a built-in holds its two leading rows and implicit unit rows: keys, rank
     # and shift verdict equal those of the full matrix written out
-    for n, m in [(1, 1), (2, 2), (3, 1), (4, 2)]:
+    for n, m in [(n, m) for n in range(1, 5) for m in (1, 2)]:
         ctx = Context(n, m)
         for name, leading in NAMED_RANKINGS.items():
             named = Ranking.from_spec(ctx, name)

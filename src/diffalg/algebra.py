@@ -397,18 +397,18 @@ def poly_from_json(ctx: Context, data, where: str = "polynomial") -> DiffPoly:
             c = _frac_from_str(term["c"])
             if not isinstance(term["m"], list):
                 raise StructuralError(f"'m' must be a list of factors, got {term['m']!r}")
-            exps: dict[Variable, int] = {}  # a repeated variable's exponents add up
+            pairs = []
             for entry in term["m"]:
                 if not isinstance(entry, list) or len(entry) != 2:
                     raise StructuralError(f"bad factor {entry!r}")
                 v, e = var_from_json(ctx, entry[0]), entry[1]
                 if type(e) is not int or e <= 0:
                     raise StructuralError(f"exponent must be a positive integer, got {e!r}")
-                exps[v] = exps.get(v, 0) + e
+                pairs.append((v, e))
         except StructuralError as exc:
             raise StructuralError(f"{where}[{t}]: {exc}") from None
         if c:
-            _accumulate(acc, tuple(sorted(exps.items())), c)
+            _accumulate(acc, monomial(pairs), c)
     return DiffPoly._of(ctx, acc)
 
 

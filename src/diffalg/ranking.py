@@ -84,14 +84,10 @@ class Ranking:
         self.weights = weights
         self.units = kind != "weights"
         # W as integer rows and one common denominator per row, so a key part
-        # is one integer dot product, not a Fraction product per entry.  A
-        # built-in's rows are integers already.
-        if self.units:
-            self._dens, self._rows = (1,) * len(weights), weights
-        else:
-            self._dens = tuple(lcm(*(w.denominator for w in row)) for row in weights)
-            self._rows = tuple(tuple(w.numerator * (d // w.denominator) for w in row)
-                               for row, d in zip(weights, self._dens))
+        # is one integer dot product, not a Fraction product per entry.
+        self._dens = tuple(lcm(*(w.denominator for w in row)) for row in weights)
+        self._rows = tuple(tuple(w.numerator * (d // w.denominator) for w in row)
+                           for row, d in zip(weights, self._dens))
 
     def __eq__(self, other):
         return isinstance(other, Ranking) and (self.ctx, self.kind, self.weights) == (

@@ -27,13 +27,14 @@ The sum is finite because f has finite support.  All arithmetic is exact
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from . import multiindex as mi
-from .errors import StructuralError
+from .errors import DigitLimitError, StructuralError
 
 
 class Indep(namedtuple("Indep", "i j")):
@@ -262,22 +263,31 @@ class DiffPoly:
 
     # -- calculus ------------------------------------------------------------
 
-    def total_derivative(self, k: int) -> "DiffPoly":
+    def total_derivative(self, k: int, images: Optional[dict[Deriv, "DiffPoly"]] = None) -> "DiffPoly":
         """D_k: the x_k partial plus the chain-rule sum over all derivative
-        variables present in the support."""
+        variables present in the support.  A shift w = shift_k(v) that is a
+        key of images is written as images[w]: for an f holding no key of
+        images, the result is f.total_derivative(k).substitute_all(images)."""
         n = self.ctx.n
         if not 1 <= k <= n:
             raise StructuralError(f"direction {k} out of range 1..{n}")
+        for g in images.values() if images else ():
+            self._check_ctx(g)
         res: dict[tuple, Fraction] = {}
         for m, c in self.terms.items():
             for pos, (v, e) in enumerate(m):
                 is_x = isinstance(v, Indep)
                 if is_x and v.j != k:
                     continue
-                head = m[:pos] + ((v, e - 1),) if e > 1 else m[:pos]
-                # x's sort first, so only u's follow a u
-                rest = m[pos + 1:] if is_x else _times_deriv(m[pos + 1:], shift_deriv(v, k))
-                _accumulate(res, head + rest, c * e if e > 1 else c)
+                head, ce = (m[:pos] + ((v, e - 1),), c * e) if e > 1 else (m[:pos], c)
+                w = None if is_x else shift_deriv(v, k)
+                image = images.get(w) if images else None
+                if image is None:  # x's sort first, so only u's follow a u
+                    _accumulate(res, head + (_times_deriv(m[pos + 1:], w) if w else m[pos + 1:]), ce)
+                    continue
+                rest = head + m[pos + 1:]
+                for fm, fc in image.terms.items():
+                    _accumulate(res, monomial_product(rest, fm), ce * fc)
         return DiffPoly._of(self.ctx, res)
 
     def total_derivative_multi(self, a: mi.Index) -> "DiffPoly":
@@ -369,7 +379,11 @@ def _frac_from_str(s) -> Fraction:
         return Fraction(s)
     if isinstance(s, str) and _RATIONAL_RE.fullmatch(s):
         p, _, q = s.partition("/")  # Fraction(s) would match its own pattern again
-        return Fraction(int(p), int(q)) if q else Fraction(int(p))
+        try:
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
+        except ValueError:  # int() of more digits than sys.get_int_max_str_digits()
+            raise StructuralError(f"rational of {len(s)} characters exceeds the interpreter's integer string"
+                                  f" conversion limit of {sys.get_int_max_str_digits()} digits") from None
     raise StructuralError(f"bad rational {s!r}; expected a decimal-free 'p' or 'p/q' string")
 
 
@@ -430,18 +444,23 @@ def _mono_text(m: tuple) -> str:
 
 
 def to_text(p: DiffPoly) -> str:
+    """p as text; DigitLimitError when a coefficient is too long to print."""
     if p.is_zero():
         return "0"
     parts = []
     for idx, (m, c) in enumerate(p.sorted_terms()):
         neg = c < 0
         mag = -c if neg else c
+        try:
+            text = str(mag)
+        except ValueError:  # str() of an int past sys.get_int_max_str_digits()
+            raise DigitLimitError() from None
         if m and mag == 1:
             body = _mono_text(m)
         elif m:
-            body = f"{mag}*{_mono_text(m)}"
+            body = f"{text}*{_mono_text(m)}"
         else:
-            body = str(mag)
+            body = text
         if idx == 0:
             parts.append(("-" if neg else "") + body)
         else:

@@ -9,8 +9,9 @@ Commands:
     ranking-audit  check the ranking's shift-compatibility axioms
 
 Exit codes: 0 passive / success, 1 input or structural error, 2 obstructed,
-3 inconsistent, 4 step or enumeration budget exceeded.  Output is
-deterministic: the same input bytes produce the same output bytes.
+3 inconsistent, 4 step or enumeration budget exceeded or a result too long
+to print.  Output is deterministic: the same input bytes produce the same
+output bytes.
 
 A process runs one command, so the parser is a table and render() replaces
 json.dumps: argparse's first build and the indenting encoder cost more than
@@ -32,7 +33,8 @@ from math import comb
 from typing import Callable, NoReturn, Optional
 
 from .algebra import Deriv, DiffPoly, Indep, monomial_sort_key, poly_from_json, to_text
-from .errors import EnumerationLimitError, ParseError, ReductionLimitError, StructuralError, UnreadableFileError
+from .errors import (DigitLimitError, EnumerationLimitError, ParseError, ReductionLimitError, StructuralError,
+                     UnreadableFileError)
 from .normal import reduce
 from .passivity import (
     EXIT_FOR_VERDICT,
@@ -55,10 +57,14 @@ def render(obj) -> str:
     is obj with each DiffPoly leaf as poly_to_json gives it and each Deriv or
     Indep leaf as var_to_json does.  Besides those, obj may hold dicts with
     str keys, lists, plain tuples, str, int, bool and None, each of exactly
-    that type; any other value raises TypeError.  Fragments and the monomial
-    cache live for this call only."""
+    that type; any other value raises TypeError, and an integer too long to
+    print raises DigitLimitError.  Fragments and the monomial cache live for
+    this call only."""
     out: list[str] = []
-    _render(obj, "\n", out, {})
+    try:
+        _render(obj, "\n", out, {})
+    except ValueError:  # str() of an int past sys.get_int_max_str_digits()
+        raise DigitLimitError() from None
     return "".join(out)
 
 
@@ -267,6 +273,7 @@ def cmd_ranking_audit(file, ranking, pretty, samples, exhaustive_order, seed) ->
     pool = m * comb(n + exhaustive_order, n)  # the exhaustive pass compares every pair in every direction
     problem.bounds.check_enumeration("ranking audit exhaustive pass", pool * pool * n, "(u, v, direction) triples")
     problem.bounds.check_enumeration("ranking audit sampled pass", comb(n + SAMPLE_ORDER, n), "multi-indices")
+    problem.bounds.check_enumeration("ranking audit sampled pass", samples, "samples")
     report = audit_compatibility(problem.ranking, samples, exhaustive_order=exhaustive_order, seed=seed)
     _emit(pretty, report.to_json, lambda: [f"{len(report.counterexamples)} counterexamples"])
     return 0
@@ -384,7 +391,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         message, code = f"cannot open {exc}", EXIT_INPUT
     except StructuralError as exc:
         message, code = f"input error: {exc}", EXIT_INPUT
-    except (ReductionLimitError, EnumerationLimitError) as exc:
+    except (ReductionLimitError, EnumerationLimitError, DigitLimitError) as exc:
         message, code = f"resource limit: {exc}", EXIT_RESOURCE
     _write(message, sys.stderr)
     return code

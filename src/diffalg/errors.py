@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class StructuralError(ValueError):
     """Malformed or mismatched input: wrong ambient dimensions, bad variable
@@ -38,3 +40,12 @@ class EnumerationLimitError(RuntimeError):
         self.phase = phase
         self.size = size
         self.limit = limit
+
+
+class DigitLimitError(RuntimeError):
+    """A result holds an integer with more decimal digits than the
+    interpreter converts to text, sys.get_int_max_str_digits()."""
+
+    def __init__(self):
+        super().__init__(f"a result holds an integer of more than {sys.get_int_max_str_digits()} digits,"
+                         " the interpreter's limit for integer string conversion")

@@ -12,8 +12,9 @@ rewrite rule.  The remainder depends only on the x's and the parametric
 derivatives, and is the fixpoint of the substitution find_principal() fixes:
 rewrite order changes only the trace.  SolvedSystem.normal_form() computes
 that fixpoint from normal forms memoized on the system itself.
-For T in normal form, derived_normal_form() builds NF(D_k T) in one pass over
-T's terms, without D_k T: the slice takes every candidate tail from it.
+For T in normal form, derived_normal_form() is NF(D_k T) from one D_k that
+writes each principal shift's memoized normal form in its place (the slice's
+candidate tails); _images() fills that memo for both normal forms.
 A system holds its Bounds, and every phase run on it reads its budgets there.
 """
 
@@ -21,12 +22,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import comb
-from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, shift_deriv, to_text, var_to_json
-from .algebra import _accumulate, _times_deriv, monomial_product
 from .errors import EnumerationLimitError, ReductionLimitError, StructuralError
 from .ranking import Ranking, class_to_json
 
@@ -74,8 +73,7 @@ class SolvedSystem:
     ranking are; the bounds and the memos are not compared.
     """
 
-    __slots__ = ("equations", "ranking", "bounds", "solvability", "_rule", "_nf", "_prolonged", "_shifted",
-                 "_orbits")
+    __slots__ = ("equations", "ranking", "bounds", "solvability", "_rule", "_nf", "_prolonged", "_orbits")
 
     def __init__(self, equations: Sequence[SolvedForm], ranking: Ranking, bounds: Bounds = Bounds()):
         self.equations = tuple(equations)
@@ -92,7 +90,6 @@ class SolvedSystem:
         self.solvability = check_conditionally_solvable(self)
         self._rule: dict[Deriv, Optional[tuple[int, mi.Index]]] = {}
         self._nf: dict[Deriv, DiffPoly] = {}
-        self._shifted: dict[int, dict[Deriv, tuple[Deriv, bool]]] = {}  # k -> v -> (shift_k(v), principal?)
         self._orbits: dict[int, frozenset[Deriv]] = {}  # order bound -> the shifted leads up to it
         zero = mi.zero(ranking.ctx.n)
         self._prolonged = {(idx, zero): eq.rhs() for idx, eq in enumerate(self.equations)}
@@ -163,46 +160,24 @@ class SolvedSystem:
         the substitutions of one call, memo fills included.
         """
         self.require_reducible(f)
-        top = [v for v in f.support_derivs() if self.rule(v) is not None]
-        self._fill(top, lambda: f)
-        return f.substitute_all({v: self._nf[v] for v in top}) if top else f
+        images = self._images(f.support_derivs(), lambda: f)
+        return f.substitute_all(images) if images else f
 
     def derived_normal_form(self, t: DiffPoly, k: int) -> DiffPoly:
-        """normal_form(t.total_derivative(k)) for t in normal form, in one pass
-        with the same step count: a term c*m gives c*dm/dx_k plus, per factor
-        v, c*dm/dv times shift_k(v) or, when principal, its normal form.  These
-        shift_k(v) are all the principal derivatives of D_k t; none cancels."""
+        """normal_form(t.total_derivative(k)) for t in normal form, with the
+        same step count: D_k writes NF(shift_k(v)) wherever it would write a
+        principal shift_k(v).  These shifts are all the principal derivatives
+        of D_k t; none cancels."""
         self.require_reducible(t)
         if not 1 <= k <= self.ctx.n:
             raise StructuralError(f"direction {k} out of range 1..{self.ctx.n}")
-        shifted = self._shifted.setdefault(k, {})
-        top = []
-        for v in t.support_derivs():
-            entry = shifted.get(v)
-            if entry is None:
-                w = shift_deriv(v, k)
-                entry = shifted[v] = w, self.rule(w) is not None
-            if entry[1]:
-                top.append(entry[0])
-        if top:
-            self._fill(top, lambda: t.total_derivative(k))
-        res: dict[tuple, Fraction] = {}
-        for m, c in t.terms.items():
-            for pos, (v, e) in enumerate(m):
-                if not v.i and v.j != k:  # another x
-                    continue
-                ce, rest = (c * e, m[:pos] + ((v, e - 1),) + m[pos + 1:]) if e > 1 else (c, m[:pos] + m[pos + 1:])
-                w, principal = shifted[v] if v.i else (None, False)
-                if not principal:
-                    _accumulate(res, _times_deriv(rest, w) if w else rest, ce)
-                    continue
-                for fm, fc in self._nf[w].terms.items():
-                    _accumulate(res, monomial_product(rest, fm), ce * fc)
-        return DiffPoly._of(t.ctx, res)
+        shifts = [shift_deriv(v, k) for v in t.support_derivs()]
+        return t.total_derivative(k, self._images(shifts, lambda: t.total_derivative(k)))
 
-    def _fill(self, top: list[Deriv], state: Callable[[], DiffPoly]) -> None:
-        """Memoize NF(v) for top, the principal derivatives of state(), at one
-        step per substitution, memo fills included; state() names an overrun."""
+    def _images(self, derivs: Iterable[Deriv], state: Callable[[], DiffPoly]) -> dict[Deriv, DiffPoly]:
+        """{v: NF(v)} for the principal v among derivs, memoized at one step
+        per substitution, memo fills included; state() names an overrun."""
+        top = [v for v in derivs if self.rule(v) is not None]
         steps, max_steps = len(top), self.bounds.max_steps
         if steps > max_steps:
             raise ReductionLimitError(max_steps, to_text(state()))
@@ -228,6 +203,7 @@ class SolvedSystem:
                 # one by one: every image is a normal form, so it holds no
                 # principal derivative that a later hit would rewrite.
                 self._nf[v] = image.substitute_all({w: self._nf[w] for w in hits}) if hits else image
+        return {v: self._nf[v] for v in top}
 
 
 def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.Index, Deriv]]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import namedtuple
 from typing import Optional
 
@@ -37,12 +38,18 @@ Problem = namedtuple("Problem", "ctx ranking forms bounds")  # forms: the Solved
 
 
 def parse_json(text: str, source: str):
-    """json.loads(text), with JSON nested past the decoder's recursion limit
-    raised as a ParseError that names its source."""
+    """json.loads(text), with JSON nested past the decoder's recursion limit,
+    or an integer longer than the interpreter converts, raised as a
+    ParseError that names its source."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ParseError(f"JSON nested too deeply in {source}") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() of more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"integer in {source} exceeds the interpreter's integer string conversion limit"
+                         f" of {sys.get_int_max_str_digits()} digits") from None
 
 
 def read_text(path: str) -> str:

@@ -18,7 +18,7 @@ from diffalg import (
     to_text,
 )
 from diffalg.algebra import (_RATIONAL_RE, Deriv, Indep, _frac_from_str, monomial_product, monomial_sort_key,
-                             var_from_json, var_to_json)
+                             shift_deriv, var_from_json, var_to_json)
 
 import gen
 
@@ -120,6 +120,29 @@ def test_derivative_linearity_randomized():
         assert (f + g.scale(c)).total_derivative(1) == f.total_derivative(1) + g.total_derivative(1).scale(c)
         v = gen.rand_variable(rng, ctx, 4)
         assert gen.partial(f + g.scale(c), v) == gen.partial(f, v) + gen.partial(g, v).scale(c)
+
+
+def test_total_derivative_writes_images_randomized():
+    # D_k with images keyed by shifts w = shift_k(v) writes images[w] where it
+    # would write w: for an f holding no key, D_k then substitute_all
+    rng = random.Random(424)
+    hits = 0
+    for _ in range(80):
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+        f = gen.rand_poly(rng, ctx, max_order=3)
+        k = rng.randint(1, ctx.n)
+        derivs = list(f.support_derivs()) + [gen.rand_deriv(rng, ctx, 3) for _ in range(2)]
+        shifts = {shift_deriv(v, k) for v in derivs} - f.support_derivs()
+        images = {w: DiffPoly.zero(ctx) if rng.random() < 0.2 else gen.rand_poly(rng, ctx, terms=3, max_order=3)
+                  for w in sorted(shifts) if rng.random() < 0.7}
+        plain = f.total_derivative(k)
+        assert f.total_derivative(k, images) == plain.substitute_all(images)
+        assert f.total_derivative(k, {}) == f.total_derivative(k, None) == plain
+        hits += any(w in images for w in plain.support_derivs())
+    assert hits > 40
+    other = Context(3, 1)
+    with pytest.raises(StructuralError):
+        U(0, 0).total_derivative(1, {CTX.u(1, (1, 0)): DiffPoly.variable(other, other.x(1))})
 
 
 def test_semigroup_action_randomized():

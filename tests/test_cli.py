@@ -142,9 +142,10 @@ def test_ranking_audit_refuses_an_audit_too_large(tmp_path):
     assert perf_counter() - start < 2
     assert limited == (4, "", "resource limit: ranking audit exhaustive pass would enumerate 6473600"
                               " (u, v, direction) triples, above max_enumeration 1000000\n")
-    # the sampled pass draws from the C(2 + 8, 2) = 45 indices up to order 8
+    # the sampled pass draws from the C(2 + 8, 2) = 45 indices up to order 8,
+    # and its samples are charged too
     path.write_text(json.dumps({"n": 2, "m": 1, "equations": [], "bounds": {"max_enumeration": 45}}))
-    assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "1", "--samples", "50")[0] == 0
+    assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "1", "--samples", "45")[0] == 0
     assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "2", "--samples", "50") == (
         4, "", "resource limit: ranking audit exhaustive pass would enumerate 72 (u, v, direction) triples,"
                " above max_enumeration 45\n")
@@ -152,6 +153,21 @@ def test_ranking_audit_refuses_an_audit_too_large(tmp_path):
     assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "0", "--samples", "50") == (
         4, "", "resource limit: ranking audit sampled pass would enumerate 45 multi-indices,"
                " above max_enumeration 44\n")
+
+
+def test_ranking_audit_charges_its_samples(tmp_path):
+    # each sample is one (u, v, direction) triple: 1000001 of them are refused
+    # before the audit draws any, under the default budget
+    start = perf_counter()
+    limited = run_cli_full("ranking-audit", HEAT, "--samples", "1000001")
+    assert perf_counter() - start < 1
+    assert limited == (4, "", "resource limit: ranking audit sampled pass would enumerate 1000001 samples,"
+                              " above max_enumeration 1000000\n")
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"n": 2, "m": 1, "equations": [], "bounds": {"max_enumeration": 50}}))
+    assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "1", "--samples", "50")[0] == 0
+    assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "1", "--samples", "51") == (
+        4, "", "resource limit: ranking audit sampled pass would enumerate 51 samples, above max_enumeration 50\n")
 
 
 def test_ranking_override():
@@ -419,6 +435,44 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["verdict"] == "passive"
 
 
+LONG, HALF = "1" * 5000, "1" * 2501  # past the interpreter's default 4300 digits, and half of that
+LONG_INPUT = " exceeds the interpreter's integer string conversion limit of 4300 digits"
+LONG_RESULT = ("resource limit: a result holds an integer of more than 4300 digits,"
+               " the interpreter's limit for integer string conversion")
+HALF_TAIL = {"n": 2, "m": 1, "equations": [{"lead": ["u", 1, [2, 0]],
+                                            "tail": [{"c": HALF, "m": [[["u", 1, [0, 1]], 1]]}]}]}
+HALF_TARGET = [{"c": HALF, "m": [[["u", 1, [2, 0]], 1]]}, {"c": "1", "m": [[["u", 1, [4, 0]], 1]]}]
+
+
+@pytest.mark.parametrize("problem, argv, code, message", [
+    (None, ["reduce", HEAT, "--target", json.dumps([{"c": LONG, "m": []}])], 1,
+     "input error: --target[0]: rational of 5000 characters" + LONG_INPUT),
+    (None, ["reduce", HEAT, "--target", f'[{{"c": {LONG}, "m": []}}]'], 1,
+     "parse error: integer in --target" + LONG_INPUT),
+    ('{"n": %s, "m": 1, "equations": []}' % LONG, ["check"], 1, "parse error: integer in {path}" + LONG_INPUT),
+    (json.dumps(HALF_TAIL), ["reduce", "--target", json.dumps(HALF_TARGET[:1])], 4, LONG_RESULT),
+    (json.dumps(HALF_TAIL), ["reduce", "--target", json.dumps(HALF_TARGET[:1]), "--pretty"], 4, LONG_RESULT),
+    (json.dumps(HALF_TAIL), ["check"], 4, LONG_RESULT),
+    # the budget error's own text would print a 5001-digit coefficient
+    (json.dumps(HALF_TAIL), ["reduce", "--target", json.dumps(HALF_TARGET), "--max-steps", "2"], 4, LONG_RESULT),
+    # a 4300-digit weight puts u_(2)'s class key, which the solvability
+    # violation prints, at 4301 digits
+    (json.dumps({"n": 1, "m": 1, "ranking": {"weights": [["1", "9" * 4300]]}, "equations": [
+        {"lead": ["u", 1, [1]], "tail": [{"c": "1", "m": [[["u", 1, [2]], 1]]}]}]}), ["check"], 4, LONG_RESULT),
+], ids=["rational", "json-integer", "file-integer", "reduce", "reduce-pretty", "check", "budget-message", "class-key"])
+def test_integers_past_the_digit_limit_end_cleanly(tmp_path, problem, argv, code, message):
+    # the interpreter refuses to convert an integer of more than 4300 digits
+    # to or from text: input past it exits 1, a result past it exits 4
+    path = tmp_path / "long.json"
+    if problem is not None:
+        path.write_text(problem)
+        argv = argv[:1] + [str(path)] + argv[1:]
+    env = {key: value for key, value in SRC_ENV.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    proc = subprocess.run([sys.executable, "-m", "diffalg", *argv], capture_output=True, text=True, env=env)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message.format(path=path) + "\n")
+
+
 @pytest.mark.parametrize("argv, code", [(["check", HEAT], 0), (["check", str(PROBLEMS / "obstructed.json")], 2),
                                         (["ranking-audit", HEAT], 0), (["check", HEAT, "--pretty"], 0), (["-h"], 0)])
 def test_closed_stdout_is_not_a_traceback(argv, code):
@@ -682,6 +736,24 @@ def test_benchmark_tracer_installs():
         assert metrics[span] > 0, span
     assert metrics["passivity.pair_count"] == metrics["normal.solvable_calls"] == 1
     assert metrics["normal.find_principal_calls"] > 0 and metrics["multiindex.indices_yielded"] > 0
+
+
+def test_benchmark_traced_mode_reports_every_metric():
+    # the benchmark's --trace 1 mode: the tracer wraps the engine's kernels by
+    # name (normal.autoreduce, normal.find_principal, syzygy.operator_apply,
+    # DiffPoly.total_derivative, ...), and a traced check must still run and
+    # yield every per-layer metric; the slice derives through total_derivative
+    proc = run_python(
+        "import json; sys.path.insert(0, sys.argv[2]); from perfbench.trace import METRICS, Tracer, summarize;"
+        " tracer = Tracer(); tracer.install(); from diffalg import cli;"
+        " code = tracer.command(cli.main, ['check', sys.argv[3]]);"
+        " print(json.dumps([code, list(METRICS), summarize(tracer.payload())[0]]), file=sys.stderr)",
+        str(Path(SRC).parent), str(PROBLEMS / "grad3.json"))
+    assert proc.returncode == 0, proc.stderr
+    code, names, metrics = json.loads(proc.stderr)
+    assert code == 0 and json.loads(proc.stdout)["verdict"] == "passive"
+    assert names and set(names) <= set(metrics)
+    assert metrics["algebra.total_derivative_calls"] > 0 and metrics["normal.slice_ms"] > 0
 
 
 def test_package_exports_load_lazily():

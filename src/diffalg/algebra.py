@@ -20,8 +20,10 @@ to x_k with the chain rule over every derivative variable:
 
     D_k f = df/dx_k + sum over (i, alpha) of df/du^i_alpha * u^i_{alpha+e_k}
 
-The sum is finite because f has finite support.  All arithmetic is exact
-(fractions.Fraction); nothing in this module rounds.
+The sum is finite because f has finite support.  DiffPoly.total_derivative
+(the one chain rule) and DiffPoly.substitute_all are the kernels behind every
+term of a normal form.  All arithmetic is exact (fractions.Fraction); nothing
+in this module rounds.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ Rational = Union[Fraction, int]
 def shift_deriv(v: Deriv, k: int) -> Deriv:
     """u^i_alpha -> u^i_{alpha+e_k}, for a direction k in 1..n."""
     a = v.order
-    return Deriv(v.i, a[:k - 1] + (a[k - 1] + 1,) + a[k:])
+    # tuple.__new__ skips the namedtuple's Python-level __new__; the result is still a Deriv
+    return tuple.__new__(Deriv, (v.i, a[:k - 1] + (a[k - 1] + 1,) + a[k:]))
 
 
 class Context(namedtuple("Context", "n m")):
@@ -263,31 +266,22 @@ class DiffPoly:
 
     # -- calculus ------------------------------------------------------------
 
-    def total_derivative(self, k: int, images: Optional[dict[Deriv, "DiffPoly"]] = None) -> "DiffPoly":
+    def total_derivative(self, k: int) -> "DiffPoly":
         """D_k: the x_k partial plus the chain-rule sum over all derivative
-        variables present in the support.  A shift w = shift_k(v) that is a
-        key of images is written as images[w]: for an f holding no key of
-        images, the result is f.total_derivative(k).substitute_all(images)."""
+        variables present in the support."""
         n = self.ctx.n
         if not 1 <= k <= n:
             raise StructuralError(f"direction {k} out of range 1..{n}")
-        for g in images.values() if images else ():
-            self._check_ctx(g)
         res: dict[tuple, Fraction] = {}
         for m, c in self.terms.items():
             for pos, (v, e) in enumerate(m):
                 is_x = isinstance(v, Indep)
                 if is_x and v.j != k:
                     continue
-                head, ce = (m[:pos] + ((v, e - 1),), c * e) if e > 1 else (m[:pos], c)
-                w = None if is_x else shift_deriv(v, k)
-                image = images.get(w) if images else None
-                if image is None:  # x's sort first, so only u's follow a u
-                    _accumulate(res, head + (_times_deriv(m[pos + 1:], w) if w else m[pos + 1:]), ce)
-                    continue
-                rest = head + m[pos + 1:]
-                for fm, fc in image.terms.items():
-                    _accumulate(res, monomial_product(rest, fm), ce * fc)
+                head = m[:pos] + ((v, e - 1),) if e > 1 else m[:pos]
+                # x's sort first, so only u's follow a u
+                rest = m[pos + 1:] if is_x else _times_deriv(m[pos + 1:], shift_deriv(v, k))
+                _accumulate(res, head + rest, c * e if e > 1 else c)
         return DiffPoly._of(self.ctx, res)
 
     def total_derivative_multi(self, a: mi.Index) -> "DiffPoly":
@@ -310,26 +304,26 @@ class DiffPoly:
         """Replace every variable v in images by images[v], all at once (an
         image's own variables are not substituted again), expanded into one
         accumulator.  Each power of an image is built once per call."""
-        for g in images.values():
+        powers: dict[Variable, list[DiffPoly]] = {}  # v -> [images[v], images[v]**2, ...]
+        for v, g in images.items():
             self._check_ctx(g)
-        powers: dict[Variable, list[DiffPoly]] = {}
-
-        def power(v: Variable, e: int) -> "DiffPoly":
-            built = powers.setdefault(v, [images[v]])
-            while len(built) < e:
-                built.append(built[-1] * images[v])
-            return built[e - 1]
-
+            powers[v] = [g]
         res: dict[tuple, Fraction] = {}
         for m, c in self.terms.items():
-            hits = [(v, e) for v, e in m if v in images]
-            if not hits:
+            rest, factor = [], None
+            for p in m:
+                built = powers.get(p[0])
+                if built is None:
+                    rest.append(p)
+                    continue
+                e = p[1]
+                while len(built) < e:
+                    built.append(built[-1] * built[0])
+                factor = built[e - 1] if factor is None else factor * built[e - 1]
+            if factor is None:
                 _accumulate(res, m, c)
                 continue
-            factor = power(*hits[0])
-            for v, e in hits[1:]:
-                factor = factor * power(v, e)
-            rest = tuple(p for p in m if p[0] not in images)
+            rest = tuple(rest)
             for fm, fc in factor.terms.items():
                 _accumulate(res, monomial_product(rest, fm), c * fc)
         return DiffPoly._of(self.ctx, res)

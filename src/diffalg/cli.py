@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import re
 import sys
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -324,8 +323,15 @@ def _help(command: Optional[str]) -> NoReturn:
 
 def _is_value(token: str) -> bool:
     """The file or a flag's value, not a flag: as in argparse, "-" and
-    negative numbers are values."""
-    return token[:1] != "-" or token == "-" or re.fullmatch(r"-\d+|-\d*\.\d+", token) is not None
+    negative numbers are values.  A negative number is "-" and decimal
+    digits, with at most one point and a digit after it; the test uses no
+    regex, whose compile every fresh process that passes a flag would pay."""
+    if token[:1] != "-" or token == "-":
+        return True
+    whole, dot, frac = token[1:].partition(".")
+    if dot:
+        return (not whole or whole.isdecimal()) and frac.isdecimal()
+    return whole.isdecimal()
 
 
 def parse_args(argv: list[str]):

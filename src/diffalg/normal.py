@@ -11,10 +11,9 @@ equation's orbit (the principal derivatives), by substituting the prolonged
 rewrite rule.  The remainder depends only on the x's and the parametric
 derivatives, and is the fixpoint of the substitution find_principal() fixes:
 rewrite order changes only the trace.  SolvedSystem.normal_form() computes
-that fixpoint from normal forms memoized on the system itself.
-For T in normal form, derived_normal_form() is NF(D_k T) from one D_k that
-writes each principal shift's memoized normal form in its place (the slice's
-candidate tails); _images() fills that memo for both normal forms.
+that fixpoint from normal forms memoized on the system itself, and the
+slice takes each candidate tail NF(D_k T) from it as
+normal_form(T.total_derivative(k)).
 A system holds its Bounds, and every phase run on it reads its budgets there.
 """
 
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, shift_deriv, to_text, var_to_json
@@ -160,27 +159,16 @@ class SolvedSystem:
         the substitutions of one call, memo fills included.
         """
         self.require_reducible(f)
-        images = self._images(f.support_derivs(), lambda: f)
+        images = self._images(f)
         return f.substitute_all(images) if images else f
 
-    def derived_normal_form(self, t: DiffPoly, k: int) -> DiffPoly:
-        """normal_form(t.total_derivative(k)) for t in normal form, with the
-        same step count: D_k writes NF(shift_k(v)) wherever it would write a
-        principal shift_k(v).  These shifts are all the principal derivatives
-        of D_k t; none cancels."""
-        self.require_reducible(t)
-        if not 1 <= k <= self.ctx.n:
-            raise StructuralError(f"direction {k} out of range 1..{self.ctx.n}")
-        shifts = [shift_deriv(v, k) for v in t.support_derivs()]
-        return t.total_derivative(k, self._images(shifts, lambda: t.total_derivative(k)))
-
-    def _images(self, derivs: Iterable[Deriv], state: Callable[[], DiffPoly]) -> dict[Deriv, DiffPoly]:
-        """{v: NF(v)} for the principal v among derivs, memoized at one step
-        per substitution, memo fills included; state() names an overrun."""
-        top = [v for v in derivs if self.rule(v) is not None]
+    def _images(self, f: DiffPoly) -> dict[Deriv, DiffPoly]:
+        """{v: NF(v)} for the principal v in f's support, memoized at one step
+        per substitution, memo fills included; f names an overrun."""
+        top = [v for v in f.support_derivs() if self.rule(v) is not None]
         steps, max_steps = len(top), self.bounds.max_steps
         if steps > max_steps:
-            raise ReductionLimitError(max_steps, to_text(state()))
+            raise ReductionLimitError(max_steps, to_text(f))
         # Explicit stack: a derivative's first visit charges its image's
         # substitutions and pushes the normal forms still missing, its second
         # fills its own.  A rewrite cycle (no ranking has one) recharges until
@@ -366,7 +354,7 @@ def normalized_slice(sys: SolvedSystem) -> SliceResult:
         for k in range(len(a)):
             prev = Deriv(v.i, a[:k] + (a[k] - 1,) + a[k + 1:]) if a[k] else None
             if prev in orbit:
-                derived = sys.derived_normal_form(tails[prev], k + 1)
+                derived = sys.normal_form(tails[prev].total_derivative(k + 1))
                 if first is None:
                     first = {"from": prev, "direction": k + 1}, derived
                 elif derived != first[1]:

@@ -122,29 +122,6 @@ def test_derivative_linearity_randomized():
         assert gen.partial(f + g.scale(c), v) == gen.partial(f, v) + gen.partial(g, v).scale(c)
 
 
-def test_total_derivative_writes_images_randomized():
-    # D_k with images keyed by shifts w = shift_k(v) writes images[w] where it
-    # would write w: for an f holding no key, D_k then substitute_all
-    rng = random.Random(424)
-    hits = 0
-    for _ in range(80):
-        ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
-        f = gen.rand_poly(rng, ctx, max_order=3)
-        k = rng.randint(1, ctx.n)
-        derivs = list(f.support_derivs()) + [gen.rand_deriv(rng, ctx, 3) for _ in range(2)]
-        shifts = {shift_deriv(v, k) for v in derivs} - f.support_derivs()
-        images = {w: DiffPoly.zero(ctx) if rng.random() < 0.2 else gen.rand_poly(rng, ctx, terms=3, max_order=3)
-                  for w in sorted(shifts) if rng.random() < 0.7}
-        plain = f.total_derivative(k)
-        assert f.total_derivative(k, images) == plain.substitute_all(images)
-        assert f.total_derivative(k, {}) == f.total_derivative(k, None) == plain
-        hits += any(w in images for w in plain.support_derivs())
-    assert hits > 40
-    other = Context(3, 1)
-    with pytest.raises(StructuralError):
-        U(0, 0).total_derivative(1, {CTX.u(1, (1, 0)): DiffPoly.variable(other, other.x(1))})
-
-
 def test_semigroup_action_randomized():
     rng = random.Random(423)
     for _ in range(25):
@@ -188,6 +165,23 @@ def test_indep_copies_and_pickles():
         g = clone(f)
         assert g == f and hash(g) == hash(f)
         assert {type(v) for m in g.terms for v, _ in m} == {Indep, Deriv}
+
+
+def test_shift_deriv_is_a_plain_deriv():
+    # shift_deriv builds its result with tuple.__new__: it must still be
+    # exactly a Deriv (render dispatches on the type), equal, hash and pickle
+    # like Deriv(i, order)
+    rng = random.Random(432)
+    for _ in range(100):
+        ctx = Context(rng.randint(1, 4), rng.randint(1, 3))
+        v = gen.rand_deriv(rng, ctx, 3)
+        k = rng.randint(1, ctx.n)
+        w = shift_deriv(v, k)
+        expected = Deriv(v.i, tuple(a + (j == k - 1) for j, a in enumerate(v.order)))
+        assert type(w) is Deriv and w == expected and hash(w) == hash(expected)
+        assert (w.i, w.order) == (v.i, expected.order)
+        clone = pickle.loads(pickle.dumps(w))
+        assert type(clone) is Deriv and clone == expected
 
 
 def monomial_cmp_reference(a, b):
@@ -361,14 +355,17 @@ def free_of(rng, ctx, keys):
 
 def test_substitute_all_equals_a_fold_of_single_substitutions():
     rng = random.Random(425)
-    hit = 0
+    hit = zero = high = 0
     for _ in range(240):
         ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
         f = gen.rand_poly(rng, ctx, terms=5, max_degree=3, max_order=2)
         present = sorted({v for m in f.terms for v, _ in m}, key=var_key)
         pool = present + [gen.rand_variable(rng, ctx, 2)]
         keys = set(rng.sample(pool, min(len(pool), rng.randint(1, 3))))
-        images = {v: free_of(rng, ctx, keys) for v in keys}
+        images = {v: DiffPoly.zero(ctx) if rng.random() < 0.15 else free_of(rng, ctx, keys) for v in keys}
+        if rng.random() < 0.5:  # a key at exponent 3..5, next to other factors
+            key = DiffPoly.variable(ctx, rng.choice(sorted(keys, key=var_key)))
+            f = f + gen.power(key, rng.randint(3, 5)) * gen.rand_poly(rng, ctx, terms=2, max_degree=2, max_order=2)
         folded = f
         for v, g in images.items():
             folded = substitute_reference(folded, v, g)
@@ -376,7 +373,10 @@ def test_substitute_all_equals_a_fold_of_single_substitutions():
         assert result == folded
         assert_canonical(result)
         hit += bool(keys & set(present))
-    assert hit > 150
+        hits = [(v, e) for m in f.terms for v, e in m if v in keys]
+        zero += any(not images[v] for v, _ in hits)
+        high += any(e >= 3 for _, e in hits)
+    assert hit > 150 and zero > 40 and high > 80
 
 
 def test_monomial_product_equals_merged_pairs():

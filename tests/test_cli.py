@@ -7,6 +7,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -679,6 +680,17 @@ def test_flag_forms():
     assert run_cli_full("ranking-audit", "--seed", "-3", HEAT, "--samples=50")[0] == 0
     target = json.dumps([{"c": "1", "m": []}])
     assert run_cli_full("reduce", f"--target={target}", HEAT) == run_cli_full("reduce", HEAT, "--target", target)
+
+
+@pytest.mark.parametrize("token", [
+    "", "-", "--", "x", "-x", "--x", "-5", "-05", "-.5", "-5.", "-.", "-1.2", "-1.2.3", "-1e3", "-1_0", "- 5",
+    "-5 ", "-5\n", "-+5", "--5", "-٣", "-١.٢", "-²", "-½", "-Ⅻ", "-５", "-5.²", "-.٣",
+])
+def test_is_value_matches_the_negative_number_pattern(token):
+    # the regex-free test reads "-" + \d+ or "-" + \d*.\d+ exactly as
+    # re.fullmatch does: \d is a Unicode decimal digit, as for str.isdecimal
+    pattern = token[:1] != "-" or token == "-" or re.fullmatch(r"-\d+|-\d*\.\d+", token) is not None
+    assert cli._is_value(token) == pattern
 
 
 @pytest.mark.parametrize("command", [None, *COMMANDS])

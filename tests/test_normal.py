@@ -338,16 +338,10 @@ def test_engine_rewrite_cycle_ends_in_step_budget():
         reduce(u2, sys_)
 
 
-# -- NF(D_k T) in one pass ----------------------------------------------------------
+# -- the slice's NF(D_k T) -----------------------------------------------------------
 
 FAMILIES = [("heat", 3, 5), ("heat", 4, 3), ("riccati", 2, 5), ("riccati", 3, 3), ("gradient", 2, 5),
             ("gradient", 3, 4), ("elimination", 2, 4), ("elimination", 3, 3)]
-
-
-def derived_reference(sys_, t, k):
-    """What derived_normal_form computes, the long way: build D_k t, then
-    take its normal form."""
-    return sys_.normal_form(t.total_derivative(k))
 
 
 def family_system(seed, family, n, bound):
@@ -355,56 +349,50 @@ def family_system(seed, family, n, bound):
     return SolvedSystem(problem.forms, problem.ranking)
 
 
-def assert_derived_matches(sys_, tails):
-    """derived_normal_form(t, k) equals the reference for every tail and
-    direction; the reference runs on a copy of the system with its own memos."""
-    reference = SolvedSystem(sys_.equations, sys_.ranking)
-    for t in tails:
-        for k in range(1, sys_.ctx.n + 1):
-            assert sys_.derived_normal_form(t, k) == derived_reference(reference, t, k)
-
-
 def orbit_tails(sys_, bound):
-    """NF(v) for every orbit element v up to the bound, computed without
-    derived_normal_form."""
+    """{v: NF(v)} for every orbit element v up to the bound, each from its
+    own normal form on a copy of the system with its own memos."""
     reference = SolvedSystem(sys_.equations, sys_.ranking)
-    orbit = sorted({v for _, _, v in iter_orbit(sys_, bound)})
-    return [reference.normal_form(DiffPoly.variable(sys_.ctx, v)) for v in orbit]
+    orbit = {v for _, _, v in iter_orbit(sys_, bound)}
+    return {v: reference.normal_form(DiffPoly.variable(sys_.ctx, v)) for v in orbit}
+
+
+def check_slice_tails(sys_, bound):
+    """The slice derives each shifted lead's tail T as NF(D_k T') from a
+    predecessor's; v + T lies in the ideal, so T must be -NF(v).  Returns
+    whether some tail is nonzero."""
+    result = normalized_slice(gen.with_bounds(sys_, order_bound=bound))
+    assert result.certified
+    assert {f.lead: -f.tail for f in result.forms} == orbit_tails(sys_, bound)
+    return any(f.tail for f in result.forms)
 
 
 @pytest.mark.parametrize("seed, family, n, bound", [(seed, *case) for seed, case in enumerate(FAMILIES)])
 def test_derived_normal_form_on_families(seed, family, n, bound):
-    sys_ = family_system(seed, family, n, bound)
-    tails = orbit_tails(sys_, bound)
-    assert any(tails) and len(tails) == len(normalized_slice(gen.with_bounds(sys_, order_bound=bound)).forms)
-    assert_derived_matches(sys_, tails)
+    assert check_slice_tails(family_system(seed, family, n, bound), bound)
 
 
 def test_derived_normal_form_on_random_systems():
-    """Seeded passive draws on every orbit element; then systems that are
-    conditionally solvable but not passive, on normal forms of random
-    polynomials."""
+    """The slice check on seeded passive draws."""
     rng = random.Random(17)
-    passive = obstructed = 0
-    while passive < 12 or obstructed < 12:
+    passive = nonzero = 0
+    while passive < 12:
         ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
         sys_ = gen.rand_solved_system(rng, ctx, Ranking.orderly(ctx), rng.randint(1, 4))
         if decide_passivity(sys_).verdict == "passive":
             passive += 1
-            assert_derived_matches(sys_, orbit_tails(sys_, 3))
-        else:
-            obstructed += 1
-            assert_derived_matches(sys_, [sys_.normal_form(gen.rand_poly(rng, ctx)) for _ in range(4)])
+            nonzero += check_slice_tails(sys_, 3)
+    assert nonzero >= 6
 
 
 def test_derived_normal_form_preconditions():
     sys_ = system(SolvedForm(D(2, 0), -U(0, 1)))
     with pytest.raises(StructuralError):
-        sys_.derived_normal_form(U(0, 1), 3)
+        sys_.normal_form(U(0, 1).total_derivative(3))
     with pytest.raises(StructuralError):
-        sys_.derived_normal_form(DiffPoly.variable(Context(3, 1), Context(3, 1).u(1, (0, 1, 0))), 1)
+        sys_.normal_form(DiffPoly.variable(Context(3, 1), Context(3, 1).u(1, (0, 1, 0))).total_derivative(1))
     with pytest.raises(ReductionLimitError, match=r"last state: u\[1,\(2,1\)\]"):
-        gen.with_bounds(sys_, max_steps=0).derived_normal_form(U(1, 1), 1)
+        gen.with_bounds(sys_, max_steps=0).normal_form(U(1, 1).total_derivative(1))
 
 
 def smallest_budget(argv):
@@ -425,15 +413,18 @@ def smallest_budget(argv):
     return hi
 
 
-def test_slice_budget_boundary_does_not_move(monkeypatch, tmp_path):
-    """derived_normal_form charges what normal_form charges on D_k T, so the
-    least budget `check` needs is the reference path's, on the corpus and on
-    seeded family problems."""
+def test_slice_budget_boundary_does_not_move(tmp_path):
+    """A slice candidate NF(D_k T) costs what normal_form charges on D_k T:
+    one step per principal derivative of D_k T, memo fills included.  The
+    least budget `check` needs on the corpus and on seeded family problems
+    is pinned, so a change to that charge shows here."""
     paths = sorted(PROBLEMS.glob("*.json"))
     for seed, (family, n, bound) in enumerate(FAMILIES):
         paths.append(tmp_path / f"{family}{n}_{bound}.json")
         paths[-1].write_text(json.dumps(gen.family_problem(random.Random(seed), family, n, bound)))
-    fast = [smallest_budget(["check", str(path)]) for path in paths]
-    monkeypatch.setattr(SolvedSystem, "derived_normal_form", derived_reference)
-    assert fast == [smallest_budget(["check", str(path)]) for path in paths]
-    assert max(fast) > 0
+    assert [path.name for path in paths[:10]] == [
+        "coincident_clash.json", "coincident_merge.json", "elim_system.json", "empty.json", "grad3.json",
+        "gradient_consistent.json", "gradient_inconsistent.json", "heat.json", "obstructed.json",
+        "weights_heat.json"]
+    assert [smallest_budget(["check", str(path)]) for path in paths] == [
+        0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 2, 0, 2, 2, 0, 0, 4, 4]

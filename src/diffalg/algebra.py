@@ -331,12 +331,7 @@ class DiffPoly:
     def support_derivs(self) -> set[Deriv]:
         """All derivative variables with nonzero coefficient somewhere in f.
         Empty exactly when f lies in the plain polynomial ring over the x's."""
-        out: set[Deriv] = set()
-        for m in self.terms:
-            for v, _ in m:
-                if isinstance(v, Deriv):
-                    out.add(v)
-        return out
+        return {v for m in self.terms for v, _ in m if v[0]}  # an x's i is 0
 
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         """Terms in descending canonical monomial order (leading first)."""

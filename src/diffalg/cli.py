@@ -15,10 +15,10 @@ output bytes.
 
 A process runs one command, so the parser is a table and render() replaces
 json.dumps: argparse's first build and the indenting encoder cost more than
-most commands' algebra.  A report's to_json() tree holds its polynomials and
-variables as DiffPoly, Deriv and Indep objects; render() writes them in
-place as fragments of one list, joined once, and fills a list of Derivs (a
-census list) from one %-template.  _write() prints output and errors alike.
+most commands' algebra.  A report's to_json() tree holds DiffPoly, Deriv,
+Indep and SolvedForm objects; render() writes them in place as fragments
+of one list, joined once, and fills a census list of Derivs from one
+%-template.  _write() prints output and errors alike.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable, NoReturn, Optional
 from .algebra import Deriv, DiffPoly, Indep, monomial_sort_key, poly_from_json, to_text
 from .errors import (DigitLimitError, EnumerationLimitError, ParseError, ReductionLimitError, StructuralError,
                      UnreadableFileError)
-from .normal import reduce
+from .normal import SolvedForm, reduce
 from .passivity import (
     EXIT_FOR_VERDICT,
     PASSIVE,
@@ -53,8 +53,9 @@ EXIT_RESOURCE = 4
 
 def render(obj) -> str:
     """json.dumps(plain, indent=2, sort_keys=True), byte for byte, where plain
-    is obj with each DiffPoly leaf as poly_to_json gives it and each Deriv or
-    Indep leaf as var_to_json does.  Besides those, obj may hold dicts with
+    is obj with each DiffPoly leaf as poly_to_json gives it, each Deriv or
+    Indep leaf as var_to_json does and each SolvedForm leaf as the dict of
+    its lead and tail so converted.  Besides those, obj may hold dicts with
     str keys, lists, plain tuples, str, int, bool and None, each of exactly
     that type; any other value raises TypeError, and an integer too long to
     print raises DigitLimitError.  Fragments and the monomial cache live for
@@ -110,6 +111,10 @@ def _render(obj, newline: str, out: list[str], cache: dict) -> None:
         out.append(int.__repr__(obj))
     elif obj is None or obj is True or obj is False:
         out.append("null" if obj is None else "true" if obj else "false")
+    elif kind is SolvedForm:  # as {"lead": obj.lead, "tail": obj.tail}
+        out.append("{" + inner + '"lead": ' + _var_text(obj.lead, inner) + "," + inner + '"tail": ')
+        _render(obj.tail, inner, out, cache)
+        out.append(newline + "}")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -184,9 +189,8 @@ def _load(file, ranking, max_steps=None, order=None) -> Problem:
     the merged system holds them, and every phase of the command reads them
     there."""
     problem = load_problem(file, ranking)
-    given = {"max_steps": max_steps, "order_bound": order}
-    return problem._replace(bounds=problem.bounds._replace(
-        **{key: value for key, value in given.items() if value is not None}))
+    given = {key: value for key, value in (("max_steps", max_steps), ("order_bound", order)) if value is not None}
+    return problem._replace(bounds=problem.bounds._replace(**given)) if given else problem
 
 
 def _merged_system(problem: Problem):

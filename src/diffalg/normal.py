@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import comb
+from operator import add, le, sub
 from typing import Iterator, Optional, Sequence
 
 from . import multiindex as mi
@@ -110,9 +111,11 @@ class SolvedSystem:
     def rule(self, v: Deriv) -> Optional[tuple[int, mi.Index]]:
         """find_principal(self, v), memoized: the (equation, shift) whose
         prolonged rule rewrites v, or None when v is parametric."""
-        if v not in self._rule:
+        try:
+            return self._rule[v]
+        except KeyError:  # a miss: None is a cached value too
             self._rule[v] = find_principal(self, v)
-        return self._rule[v]
+            return self._rule[v]
 
     def prolongation(self, idx: int, shift: mi.Index) -> DiffPoly:
         """D^shift of equation idx's rewrite image -tail."""
@@ -196,11 +199,12 @@ class SolvedSystem:
 
 def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.Index, Deriv]]:
     """Every (equation index, shift, shifted lead) whose shifted lead has
-    total order at most order_bound; equations in order, shifts graded."""
+    total order at most order_bound; equations in order, shifts graded.  A
+    shifted lead is a valid Deriv, built unchecked by tuple.__new__."""
     for idx, eq in enumerate(sys.equations):
         i, a = eq.lead
         for shift in mi.iter_up_to_order(sys.ctx.n, order_bound - mi.order(a)):
-            yield idx, shift, Deriv(i, mi.add(a, shift))
+            yield idx, shift, tuple.__new__(Deriv, (i, tuple(map(add, a, shift))))
 
 
 class SolvabilityReport(namedtuple("SolvabilityReport", "ok violations")):
@@ -236,16 +240,18 @@ def find_principal(sys: SolvedSystem, v: Deriv) -> Optional[tuple[int, mi.Index]
     lexicographically on the shift.  None when v is parametric.  A lead of
     v's unknown whose order has another length than v's is a StructuralError.
     """
-    best = None
+    best, b = None, v.order
     for idx, (lead, _) in enumerate(sys.equations):
         if lead.i != v.i:
             continue
-        shift = mi.try_subtract(lead.order, v.order)
-        if shift is None:
-            continue
-        rank = (mi.order(shift), shift)
-        if best is None or rank < best[0]:
-            best = (rank, idx, shift)
+        a = lead.order
+        if len(a) != len(b):
+            raise StructuralError(f"multi-index length mismatch: {a} vs {b}")
+        if all(map(le, a, b)):
+            shift = tuple(map(sub, b, a))
+            rank = (sum(shift), shift)
+            if best is None or rank < best[0]:
+                best = (rank, idx, shift)
     if best is None:
         return None
     return best[1], best[2]
@@ -327,7 +333,7 @@ class SliceResult(namedtuple("SliceResult", "order_bound forms mismatches leads_
             "coherent": self.coherent,
             "leads_match_orbit": self.leads_match_orbit,
             "tails_reduced": self.tails_reduced,
-            "generators": [{"lead": f.lead, "tail": f.tail} for f in self.forms],
+            "generators": list(self.forms),
         }
 
 
@@ -340,6 +346,8 @@ def normalized_slice(sys: SolvedSystem) -> SliceResult:
     shifted lead v gets NF(D_k T(v - e_k)) from each one-step predecessor in
     the orbit.  Every candidate must agree with the first; disagreements are
     recorded as mismatches (the local coherence check of Riquier/Janet).
+    Predecessors and forms are built unchecked by tuple.__new__: a tail is
+    a normal form, free of every principal derivative and so of its lead.
     """
     sys.require_enumerable("normalized slice")
     lead_eq = {eq.lead: idx for idx, eq in enumerate(sys.equations)}
@@ -352,7 +360,7 @@ def normalized_slice(sys: SolvedSystem) -> SliceResult:
             first = {"eq": lead_eq[v]}, sys.normal_form(sys.equations[lead_eq[v]].tail)
         a = v.order
         for k in range(len(a)):
-            prev = Deriv(v.i, a[:k] + (a[k] - 1,) + a[k + 1:]) if a[k] else None
+            prev = tuple.__new__(Deriv, (v.i, a[:k] + (a[k] - 1,) + a[k + 1:])) if a[k] else None
             if prev in orbit:
                 derived = sys.normal_form(tails[prev].total_derivative(k + 1))
                 if first is None:
@@ -360,7 +368,7 @@ def normalized_slice(sys: SolvedSystem) -> SliceResult:
                 elif derived != first[1]:
                     mismatches.append({"lead": v, "first": first[0], "second": {"from": prev, "direction": k + 1}})
         tails[v] = first[1]
-    forms = [SolvedForm(v, tails[v]) for v in sorted(tails)]
+    forms = [tuple.__new__(SolvedForm, (v, tails[v])) for v in sorted(tails)]
     return certify_slice(sys, forms, mismatches)
 
 

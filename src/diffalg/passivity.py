@@ -118,7 +118,8 @@ def quotient_census(sys: SolvedSystem) -> Census:
     principal (in some lead's orbit) or parametric (free in the quotient).
     Up to the bound, the principal ones are exactly the shifted leads of
     SolvedSystem.orbit, so order t holds m * C(n + t - 1, t) derivatives less
-    the orbit's.  The multi-indices are enumerated once for all m unknowns."""
+    the orbit's.  The multi-indices are enumerated once for all m unknowns
+    into Derivs built unchecked by tuple.__new__."""
     sys.require_enumerable("census")
     n, m = sys.ctx
     order_bound = sys.bounds.order_bound
@@ -126,7 +127,8 @@ def quotient_census(sys: SolvedSystem) -> Census:
     indices = sorted(mi.iter_up_to_order(n, order_bound))
     parametric: list[Deriv] = []
     for i in range(1, m + 1):
-        parametric += filterfalse(orbit.__contains__, map(Deriv, repeat(i), indices))
+        derivs = map(tuple.__new__, repeat(Deriv), zip(repeat(i), indices))
+        parametric += filterfalse(orbit.__contains__, derivs)
     counts = {t: m * comb(n + t - 1, t) for t in range(order_bound + 1)}
     for _, a in orbit:
         counts[sum(a)] -= 1

@@ -62,7 +62,7 @@ def read_text(path: str) -> str:
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
-            while chunk := os.read(fd, 1 << 20):
+            while chunk := os.read(fd, 1 << 16):  # a problem file is a few KiB
                 chunks.append(chunk)
         finally:
             os.close(fd)

@@ -97,6 +97,16 @@ def test_support_derivs():
     f = DiffPoly.variable(ctx, ctx.u(1, (1, 0))) * DiffPoly.variable(ctx, ctx.u(2, (0, 1)))
     assert f.support_derivs() == {ctx.u(1, (1, 0)), ctx.u(2, (0, 1))}
     assert DiffPoly.zero(CTX).support_derivs() == set()
+    # the x's are told apart by their unknown index 0: the same set as a scan
+    # with isinstance, on seeded polynomials that mix x's and u's
+    rng, mixed = random.Random(94), 0
+    for _ in range(300):
+        ctx = Context(rng.randint(1, 3), rng.randint(1, 3))
+        f = gen.rand_poly(rng, ctx, terms=6)
+        variables = {v for m in f.terms for v, _ in m}
+        assert f.support_derivs() == {v for v in variables if isinstance(v, Deriv)}
+        mixed += any(isinstance(v, Indep) for v in variables) and any(isinstance(v, Deriv) for v in variables)
+    assert mixed >= 150
 
 
 def test_leibniz_and_commutation_randomized():

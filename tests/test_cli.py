@@ -245,6 +245,19 @@ def test_line_ends_read_as_in_text_mode(tmp_path):
     assert run_cli_full("check", str(crlf)) == run_cli_full("check", HEAT)
 
 
+def test_a_file_of_several_chunks_loads_whole(tmp_path):
+    # read_text reads 64 KiB at a time: whitespace padding makes the file
+    # several chunks long and puts a CR LF across the first chunk boundary
+    text = Path(HEAT).read_bytes()
+    assert text.startswith(b"{")
+    padded = tmp_path / "heat.json"
+    padded.write_bytes(b"{" + b" " * ((1 << 16) - 2) + b"\r\n" + text[1:-1] + b"\n \t\r" * (1 << 16) + text[-1:])
+    assert padded.read_bytes()[(1 << 16) - 1:(1 << 16) + 1] == b"\r\n"
+    assert padded.stat().st_size > 4 * (1 << 16)
+    assert load_problem(str(padded)) == load_problem(HEAT)
+    assert run_cli_full("check", str(padded)) == run_cli_full("check", HEAT)
+
+
 def test_semantic_errors_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "m": 1, "equations": [{"lead": ["x", 1], "tail": []}]}))
@@ -885,13 +898,24 @@ def random_leaf(rng):
     return f.scale(Fraction(-(10 ** 30) - 7, 3 ** 40)) if rng.random() < 0.3 else f
 
 
+def random_form(rng):
+    """A SolvedForm over n in 1..3: a random tail of order at most 4 under a
+    lead of order above it."""
+    ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
+    lead = Deriv(rng.randint(1, ctx.m), tuple(e + 5 for e in gen.rand_index(rng, ctx.n, 3)))
+    return SolvedForm(lead, gen.rand_poly(rng, ctx))
+
+
 def plain(obj):
     """obj with its DiffPoly, Deriv and Indep leaves as poly_to_json and
-    var_to_json give them: the reference that render must match."""
+    var_to_json give them, and each SolvedForm as the dict of its lead and
+    tail so given: the reference that render must match."""
     if type(obj) is DiffPoly:
         return poly_to_json(obj)
     if type(obj) in (Deriv, Indep):
         return var_to_json(obj)
+    if type(obj) is SolvedForm:
+        return {"lead": var_to_json(obj.lead), "tail": poly_to_json(obj.tail)}
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -932,6 +956,13 @@ def test_render_matches_json_dumps():
     # Deriv list that turns into something else later, and a tuple
     derivs = [d2, d3, Deriv(1, (4,)), d2, Deriv(2, (1, 1, 1, 1))]
     payloads += [derivs, [d2, d3, Indep(2)], [d2, d2, p2], [d3, [d2]], [d2, None], (d2, d3), {"t": (d3, d3)}, [[d2]]]
+    # slice generators: SolvedForm leaves bare, in lists, at several indents
+    # and next to lists of Derivs, with an empty tail and a large coefficient
+    fa, fb = SolvedForm(Deriv(2, (2, 2)), p2), SolvedForm(Deriv(1, (0, 0, 4)), p3)
+    fc, fd = SolvedForm(Deriv(1, (1, 1)), DiffPoly.zero(ctx)), SolvedForm(Deriv(1, (0, 0)), f)
+    payloads += [fa, fc, [fa, fb, fc, fd], {"g": [fc, fd], "h": {"i": fa}}, (fa, [fb, [fc, [fd]]]),
+                 [d2, d2, fa], [fa, d2, d2], {"d": [d2, d2], "f": [fb, fb], "e": [d3, fb]}, [[fa], [d2, d2], fa.tail]]
+    payloads += [random_payload(rng, leaf=random_form) for _ in range(150)]
     # census-sized reports: an empty system with n = 8 at bound 4, and heat
     # with n = 6 at bound 5, whose slice has 84 generators
     empty_ctx = Context(8, 1)

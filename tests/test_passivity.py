@@ -37,7 +37,7 @@ from diffalg.algebra import Deriv
 from diffalg.cli import render
 from diffalg.normal import find_principal, iter_orbit
 from diffalg.oracle import prolong_within_class, variables_within_class
-from diffalg.problem import load_problem
+from diffalg.problem import load_problem, problem_from_dict
 
 import gen
 
@@ -451,6 +451,32 @@ def test_slice_equals_slice_of_autoreduced_randomized():
         expected = normalized_slice(autoreduce(sys_)).to_json()
         assert normalized_slice(sys_).to_json() == expected
         assert is_passive(sys_).normalized.to_json() == expected
+
+
+def test_unchecked_records_are_valid():
+    """The census, the orbit walk and the slice build their Derivs and slice
+    forms with tuple.__new__, unchecked: each must equal the record the
+    validating constructor builds, on the corpus, seeded passive systems
+    and seeded passive families."""
+    draws = [sys_ for _, sys_ in random_systems(75, 40, passive_only=True)]
+    for path in sorted(PROBLEMS.glob("*.json")):
+        problem = load_problem(str(path))
+        draws.append(coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds).system)
+    for seed, family in enumerate(("heat", "riccati", "gradient", "elimination")):
+        problem = problem_from_dict(gen.family_problem(random.Random(seed), family, 3, 4))
+        draws.append(SolvedSystem(problem.forms, problem.ranking, problem.bounds))
+    forms = 0
+    for sys_ in draws:
+        if sys_ is None or decide_passivity(sys_).verdict != "passive":
+            continue
+        ctx, census, result = sys_.ctx, quotient_census(sys_), normalized_slice(sys_)
+        orbit = [v for _, _, v in iter_orbit(sys_, sys_.bounds.order_bound)]
+        for v in census.principal + census.parametric + orbit + [f.lead for f in result.forms]:
+            assert type(v) is Deriv and v == ctx.u(v.i, v.order)
+        for f in result.forms:
+            assert type(f) is SolvedForm and f == SolvedForm(f.lead, f.tail)
+            forms += 1
+    assert forms >= 1000
 
 
 def test_engine_step_budget():

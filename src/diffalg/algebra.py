@@ -433,25 +433,25 @@ def _mono_text(m: tuple) -> str:
 
 
 def to_text(p: DiffPoly) -> str:
-    """p as text; DigitLimitError when a coefficient is too long to print."""
+    """p as text; DigitLimitError when a coefficient, an order entry or an
+    exponent is too long to print."""
     if p.is_zero():
         return "0"
     parts = []
-    for idx, (m, c) in enumerate(p.sorted_terms()):
-        neg = c < 0
-        mag = -c if neg else c
-        try:
-            text = str(mag)
-        except ValueError:  # str() of an int past sys.get_int_max_str_digits()
-            raise DigitLimitError() from None
-        if m and mag == 1:
-            body = _mono_text(m)
-        elif m:
-            body = f"{text}*{_mono_text(m)}"
-        else:
-            body = text
-        if idx == 0:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
+    try:
+        for idx, (m, c) in enumerate(p.sorted_terms()):
+            neg = c < 0
+            mag = -c if neg else c
+            if m and mag == 1:
+                body = _mono_text(m)
+            elif m:
+                body = f"{mag}*{_mono_text(m)}"
+            else:
+                body = str(mag)
+            if idx == 0:
+                parts.append(("-" if neg else "") + body)
+            else:
+                parts.append(("- " if neg else "+ ") + body)
+    except ValueError:  # str() of an int past sys.get_int_max_str_digits()
+        raise DigitLimitError() from None
     return " ".join(parts)

@@ -36,7 +36,8 @@ class EnumerationLimitError(RuntimeError):
     up to the bound."""
 
     def __init__(self, phase: str, size: int, limit: int, items: str = "index entries"):
-        super().__init__(f"{phase} would enumerate {size} {items}, above max_enumeration {limit}")
+        shown = size if size.bit_length() < 10**4 else f"at least 2**{size.bit_length() - 1}"  # past 3,000 digits
+        super().__init__(f"{phase} would enumerate {shown} {items}, above max_enumeration {limit}")
         self.phase = phase
         self.size = size
         self.limit = limit

@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, shift_deriv, to_text, var_to_json
-from .errors import EnumerationLimitError, ReductionLimitError, StructuralError
+from .errors import DigitLimitError, EnumerationLimitError, ReductionLimitError, StructuralError
 from .ranking import Ranking, class_to_json
 
 
@@ -90,7 +90,7 @@ class SolvedSystem:
         self.solvability = check_conditionally_solvable(self)
         self._rule: dict[Deriv, Optional[tuple[int, mi.Index]]] = {}
         self._nf: dict[Deriv, DiffPoly] = {}
-        self._orbits: dict[int, frozenset[Deriv]] = {}  # order bound -> the shifted leads up to it
+        self._orbits: dict[int, dict[Deriv, None]] = {}  # order bound -> the shifted leads up to it
         zero = mi.zero(ranking.ctx.n)
         self._prolonged = {(idx, zero): eq.rhs() for idx, eq in enumerate(self.equations)}
 
@@ -118,7 +118,11 @@ class SolvedSystem:
             return self._rule[v]
 
     def prolongation(self, idx: int, shift: mi.Index) -> DiffPoly:
-        """D^shift of equation idx's rewrite image -tail."""
+        """D^shift of equation idx's rewrite image -tail; a new one applies
+        |shift| derivations, which max_enumeration bounds."""
+        if (idx, shift) in self._prolonged:
+            return self._prolonged[(idx, shift)]
+        self.bounds.check_enumeration("prolongation", mi.order(shift), "derivations")
         step = mi.zero(len(shift))
         poly = self._prolonged[(idx, step)]
         for k, reps in enumerate(shift):
@@ -129,12 +133,12 @@ class SolvedSystem:
                 poly = self._prolonged[(idx, step)]
         return poly
 
-    def orbit(self) -> frozenset[Deriv]:
-        """The shifted leads of iter_orbit up to the order bound, memoized
-        per bound: the census and the slice share one walk."""
+    def orbit(self) -> dict[Deriv, None]:
+        """iter_orbit's shifted leads up to the order bound as dict keys sorted
+        by (unknown, multi-index), memoized per bound: the census and slice order."""
         bound = self.bounds.order_bound
         if bound not in self._orbits:
-            self._orbits[bound] = frozenset(v for _, _, v in iter_orbit(self, bound))
+            self._orbits[bound] = dict.fromkeys(sorted({v for _, _, v in iter_orbit(self, bound)}))
         return self._orbits[bound]
 
     def require_enumerable(self, phase: str) -> None:
@@ -148,9 +152,11 @@ class SolvedSystem:
         """Raise unless the system is conditionally solvable and f shares its
         ambient: the preconditions of normal_form and of reduce alike."""
         if not self.solvability.ok:
-            raise StructuralError(
-                f"system is not conditionally solvable: {self.solvability.violations}"
-            )
+            try:
+                message = f"system is not conditionally solvable: {self.solvability.violations}"
+            except ValueError:  # a class key past sys.get_int_max_str_digits()
+                raise DigitLimitError() from None
+            raise StructuralError(message)
         if f.ctx != self.ctx:
             raise StructuralError("polynomial ambient differs from system ambient")
 
@@ -342,33 +348,33 @@ def normalized_slice(sys: SolvedSystem) -> SliceResult:
     passive systems, where every way of reaching an orbit derivative gives
     one tail.
 
-    The orbit is walked in graded order.  A lead's tail is NF(tail), and a
-    shifted lead v gets NF(D_k T(v - e_k)) from each one-step predecessor in
-    the orbit.  Every candidate must agree with the first; disagreements are
-    recorded as mismatches (the local coherence check of Riquier/Janet).
+    The orbit is walked in SolvedSystem.orbit's order, where each v - e_k
+    comes before v.  A lead's tail is NF(tail), and a shifted lead v gets
+    NF(D_k T(v - e_k)) from each one-step predecessor in the orbit.  Every
+    candidate must agree with the first; disagreements are recorded as
+    mismatches (the local coherence check of Riquier/Janet).
     Predecessors and forms are built unchecked by tuple.__new__: a tail is
     a normal form, free of every principal derivative and so of its lead.
     """
     sys.require_enumerable("normalized slice")
     lead_eq = {eq.lead: idx for idx, eq in enumerate(sys.equations)}
-    orbit = sys.orbit()
     tails: dict[Deriv, DiffPoly] = {}
     mismatches: list[dict] = []
-    for v in sorted(orbit, key=lambda v: (mi.order(v.order), v.i, v.order)):
+    for v in sys.orbit():
         first = None  # (source, tail) of the first candidate
         if v in lead_eq:
             first = {"eq": lead_eq[v]}, sys.normal_form(sys.equations[lead_eq[v]].tail)
         a = v.order
         for k in range(len(a)):
             prev = tuple.__new__(Deriv, (v.i, a[:k] + (a[k] - 1,) + a[k + 1:])) if a[k] else None
-            if prev in orbit:
+            if prev in tails:
                 derived = sys.normal_form(tails[prev].total_derivative(k + 1))
                 if first is None:
                     first = {"from": prev, "direction": k + 1}, derived
                 elif derived != first[1]:
                     mismatches.append({"lead": v, "first": first[0], "second": {"from": prev, "direction": k + 1}})
         tails[v] = first[1]
-    forms = [tuple.__new__(SolvedForm, (v, tails[v])) for v in sorted(tails)]
+    forms = [tuple.__new__(SolvedForm, item) for item in tails.items()]
     return certify_slice(sys, forms, mismatches)
 
 

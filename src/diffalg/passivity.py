@@ -116,8 +116,8 @@ class Census(namedtuple("Census", "order_bound principal parametric counts")):
 def quotient_census(sys: SolvedSystem) -> Census:
     """Classify every derivative variable up to the system's order bound as
     principal (in some lead's orbit) or parametric (free in the quotient).
-    Up to the bound, the principal ones are exactly the shifted leads of
-    SolvedSystem.orbit, so order t holds m * C(n + t - 1, t) derivatives less
+    Up to the bound, the principal ones are exactly SolvedSystem.orbit, in
+    its order, so order t holds m * C(n + t - 1, t) derivatives less
     the orbit's.  The multi-indices are enumerated once for all m unknowns
     into Derivs built unchecked by tuple.__new__."""
     sys.require_enumerable("census")
@@ -132,7 +132,7 @@ def quotient_census(sys: SolvedSystem) -> Census:
     counts = {t: m * comb(n + t - 1, t) for t in range(order_bound + 1)}
     for _, a in orbit:
         counts[sum(a)] -= 1
-    return Census(order_bound, sorted(orbit), parametric, counts)
+    return Census(order_bound, list(orbit), parametric, counts)
 
 
 class PassivityReport(namedtuple("PassivityReport", "verdict theta solvability pairs census normalized",

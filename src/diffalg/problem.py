@@ -99,6 +99,16 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
     n = _require(data, "n", int, "problem")
     m = _require(data, "m", int, "problem")
     ctx = Context(n, m)
+    raw_bounds = data.get("bounds", {})
+    if not isinstance(raw_bounds, dict):
+        raise StructuralError("problem.bounds: expected object")
+    _known_fields(raw_bounds, Bounds._fields, "problem.bounds")
+    for key, value in raw_bounds.items():
+        if type(value) is not int or value < 0:
+            raise StructuralError(f"problem.bounds.{key}: expected nonnegative integer")
+    bounds = Bounds(**raw_bounds)
+    # a ranking row holds n + 1 entries and a built-in writes two: a huge n exceeds the budget
+    bounds.check_enumeration("ranking", 2 * (n + 1), "weight entries")
 
     ranking_spec = data.get("ranking", DEFAULT_RANKING)
     ranking = Ranking.from_spec(ctx, ranking_spec)
@@ -129,14 +139,7 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
         except StructuralError as exc:
             raise StructuralError(f"{where}: {exc}") from None
 
-    raw_bounds = data.get("bounds", {})
-    if not isinstance(raw_bounds, dict):
-        raise StructuralError("problem.bounds: expected object")
-    _known_fields(raw_bounds, Bounds._fields, "problem.bounds")
-    for key, value in raw_bounds.items():
-        if type(value) is not int or value < 0:
-            raise StructuralError(f"problem.bounds.{key}: expected nonnegative integer")
-    return Problem(ctx, ranking, forms, Bounds(**raw_bounds))
+    return Problem(ctx, ranking, forms, bounds)
 
 
 def load_problem(

@@ -8,6 +8,7 @@ import os
 import pickle
 import random
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -308,6 +309,50 @@ def test_max_enumeration_refuses_a_census_too_large(tmp_path, command):
                                                        " above max_enumeration 59\n")
 
 
+def _address_space_cap(limit=512 << 20):
+    """A child's preexec: at most limit bytes of address space, so a command
+    that would allocate gigabytes fails in the child, not on the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("n", [10**30, 10**8])
+@pytest.mark.parametrize("argv", [["check"], ["quotient"], ["reduce", "--target", "[]"], ["syzygies"],
+                                  ["ranking-audit"]], ids=["check", "quotient", "reduce", "syzygies", "audit"])
+def test_a_huge_n_exceeds_the_budget(tmp_path, n, argv):
+    # a built-in ranking's two rows hold n + 1 entries each; charged against
+    # max_enumeration before the ranking is built, a huge n exits 4 instead of
+    # overflowing [1] * n (10**30) or allocating gigabytes (10**8)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": n, "m": 1, "equations": []}))
+    proc = subprocess.run([sys.executable, "-m", "diffalg", argv[0], str(path), *argv[1:]], capture_output=True,
+                          text=True, env=SRC_ENV, preexec_fn=_address_space_cap)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        4, "", f"resource limit: ranking would enumerate {2 * (n + 1)} weight entries,"
+               " above max_enumeration 1000000\n")
+
+
+def test_a_prolongation_of_huge_order_exceeds_the_budget(tmp_path):
+    # each derivation of a new prolongation counts against max_enumeration
+    # before any is applied: the pair of u_(1,0) and u_(2**31,1) prolongs the
+    # first equation 2**31 times, and reducing u_(0,2**31) by u_(0,1) = x1
+    # prolongs it 2**31 - 1 times
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"n": 2, "m": 1, "equations": [
+        {"lead": ["u", 1, [1, 0]], "tail": []},
+        {"lead": ["u", 1, [2**31, 1]], "tail": [{"c": "-1", "m": [[["x", 2], 1]]}]}]}))
+    target = json.dumps([{"c": "1", "m": [[["u", 1, [0, 2**31]], 1]]}])
+    start = perf_counter()
+    checked = run_cli_full("check", str(path))
+    path.write_text(json.dumps({"n": 2, "m": 1, "equations": [
+        {"lead": ["u", 1, [0, 1]], "tail": [{"c": "-1", "m": [[["x", 1], 1]]}]}]}))
+    reduced = run_cli_full("reduce", str(path), "--target", target)
+    assert perf_counter() - start < 1
+    assert checked == (4, "", "resource limit: prolongation would enumerate 2147483648 derivations,"
+                              " above max_enumeration 1000000\n")
+    assert reduced == (4, "", "resource limit: prolongation would enumerate 2147483647 derivations,"
+                              " above max_enumeration 1000000\n")
+
+
 @pytest.mark.parametrize("argv", [["check"], ["quotient"], ["reduce", "--target", "[]"]],
                          ids=["check", "quotient", "reduce"])
 def test_max_steps_reaches_coincident_leads(tmp_path, argv):
@@ -473,7 +518,20 @@ HALF_TARGET = [{"c": HALF, "m": [[["u", 1, [2, 0]], 1]]}, {"c": "1", "m": [[["u"
     # violation prints, at 4301 digits
     (json.dumps({"n": 1, "m": 1, "ranking": {"weights": [["1", "9" * 4300]]}, "equations": [
         {"lead": ["u", 1, [1]], "tail": [{"c": "1", "m": [[["u", 1, [2]], 1]]}]}]}), ["check"], 4, LONG_RESULT),
-], ids=["rational", "json-integer", "file-integer", "reduce", "reduce-pretty", "check", "budget-message", "class-key"])
+    # the census size 7 * m of a 4300-digit m is too long to print itself
+    ('{"n": 1, "m": %s, "equations": []}' % ("9" * 4300), ["check"], 4,
+     "resource limit: census would enumerate at least 2**14287 index entries, above max_enumeration 1000000"),
+    # reduce refuses an unsolvable system by its violations, whose tail class
+    # starts with the order 1 + (4300 nines) of u_(1, 99...9)
+    ('{"n": 2, "m": 1, "equations": [{"lead": ["u", 1, [2, 0]], "tail": [{"c": "1", "m": [[["u", 1, [1, %s]], 1]]}]}]}'
+     % ("9" * 4300), ["reduce", "--target", "[]"], 4, LONG_RESULT),
+    # the budget error names the pair's combination, which holds u1_(0, 10**4300)
+    (json.dumps({"n": 2, "m": 2, "ranking": "elimination", "equations": [
+        {"lead": ["u", 2, [1, 0]], "tail": [{"c": "1", "m": [[["u", 1, [0, int("9" * 4300)]], 1]]}]},
+        {"lead": ["u", 2, [0, 1]], "tail": [{"c": "1", "m": [[["u", 1, [1, 0]], 1]]}]},
+        {"lead": ["u", 1, [1, 0]], "tail": []}]}), ["check", "--max-steps", "0"], 4, LONG_RESULT),
+], ids=["rational", "json-integer", "file-integer", "reduce", "reduce-pretty", "check", "budget-message", "class-key",
+        "census-size", "violation", "order-entry"])
 def test_integers_past_the_digit_limit_end_cleanly(tmp_path, problem, argv, code, message):
     # the interpreter refuses to convert an integer of more than 4300 digits
     # to or from text: input past it exits 1, a result past it exits 4
@@ -1069,3 +1127,16 @@ def test_term_errors_name_their_path(tmp_path, term, message):
     assert run_cli_full("check", str(path)) == (1, "", f"input error: equations[0].tail[1]: {message}\n")
     target = json.dumps([{"c": "1", "m": []}, term])
     assert run_cli_full("reduce", HEAT, "--target", target) == (1, "", f"input error: --target[1]: {message}\n")
+
+
+def test_mutated_problems_and_flags_end_cleanly():
+    # tests/fuzz.py runs every case in one child under its own address-space
+    # and CPU caps, each case under a wall-time alarm
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("fuzz.py")), "1", "1000"],
+                          capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["failures"] == []
+    # the draws reach every verdict and every error, not only the parser
+    assert sorted(report["exit_codes"]) == ["0", "1", "2", "3", "4"]
+    assert sum(report["exit_codes"].values()) == report["cases"] == 1000

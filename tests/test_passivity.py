@@ -479,6 +479,52 @@ def test_unchecked_records_are_valid():
     assert forms >= 1000
 
 
+def test_orbit_is_sorted_with_predecessors_first():
+    # SolvedSystem.orbit is the one order of the census and the slice: tuple
+    # order, in which each one-step predecessor v - e_k comes before v
+    walked = 0
+    for rng, sys_ in random_systems(78, 60):
+        orbit = list(gen.with_bounds(sys_, order_bound=rng.randint(0, 4)).orbit())
+        assert orbit == sorted({v for _, _, v in iter_orbit(sys_, sys_.bounds.order_bound)})
+        place = {v: pos for pos, v in enumerate(orbit)}
+        for pos, (i, a) in enumerate(orbit):
+            for k in range(len(a)):
+                prev = Deriv(i, a[:k] + (a[k] - 1,) + a[k + 1:]) if a[k] else None
+                assert place.get(prev, -1) < pos
+                walked += prev in place
+    assert walked >= 400
+
+
+def test_census_principal_are_the_slice_leads():
+    # the census's principal list and the slice's leads are one list, in one
+    # order, on the corpus and on seeded passive systems
+    draws = [sys_ for _, sys_ in random_systems(79, 40, passive_only=True)]
+    for path in sorted(PROBLEMS.glob("*.json")):
+        problem = load_problem(str(path))
+        draws.append(coincident_lead_analysis(problem.forms, problem.ranking, problem.bounds).system)
+    compared = 0
+    for sys_ in draws:
+        report = None if sys_ is None else is_passive(sys_)
+        if report is not None and report.verdict == "passive":
+            assert report.census.principal == [f.lead for f in report.normalized.forms]
+            compared += len(report.census.principal)
+    assert compared >= 300
+
+
+def test_orbit_follows_a_reassigned_bound():
+    # the orbit memo is keyed by the order bound, so reassigning sys.bounds on
+    # a warm system gives the new bound's orbit, and the old one again after
+    sys_ = system(SolvedForm(D(1, 0), -X(2)), SolvedForm(D(0, 2), -U(1, 0)))
+    orbits = {}
+    for bound in (3, 1, 4, 3):
+        orbits.setdefault(bound, list(gen.with_bounds(sys_, order_bound=bound).orbit()))
+        assert list(sys_.orbit()) == orbits[bound] == sorted(
+            {v for _, _, v in iter_orbit(sys_, bound)})
+        assert quotient_census(sys_).principal == orbits[bound]
+    assert orbits[1] == [D(1, 0)]
+    assert len(orbits[3]) < len(orbits[4])
+
+
 def test_engine_step_budget():
     sys_ = gen.with_bounds(obstructed(), max_steps=0)
     with pytest.raises(ReductionLimitError):

@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from . import multiindex as mi
-from .errors import DigitLimitError, StructuralError
+from .errors import StructuralError
 
 
 class Indep(namedtuple("Indep", "i j")):
@@ -433,25 +433,22 @@ def _mono_text(m: tuple) -> str:
 
 
 def to_text(p: DiffPoly) -> str:
-    """p as text; DigitLimitError when a coefficient, an order entry or an
-    exponent is too long to print."""
+    """p as text; the interpreter's ValueError when a coefficient, an order
+    entry or an exponent is too long to print."""
     if p.is_zero():
         return "0"
     parts = []
-    try:
-        for idx, (m, c) in enumerate(p.sorted_terms()):
-            neg = c < 0
-            mag = -c if neg else c
-            if m and mag == 1:
-                body = _mono_text(m)
-            elif m:
-                body = f"{mag}*{_mono_text(m)}"
-            else:
-                body = str(mag)
-            if idx == 0:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-    except ValueError:  # str() of an int past sys.get_int_max_str_digits()
-        raise DigitLimitError() from None
+    for idx, (m, c) in enumerate(p.sorted_terms()):
+        neg = c < 0
+        mag = -c if neg else c
+        if m and mag == 1:
+            body = _mono_text(m)
+        elif m:
+            body = f"{mag}*{_mono_text(m)}"
+        else:
+            body = str(mag)
+        if idx == 0:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append(("- " if neg else "+ ") + body)
     return " ".join(parts)

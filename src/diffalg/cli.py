@@ -11,7 +11,8 @@ Commands:
 Exit codes: 0 passive / success, 1 input or structural error, 2 obstructed,
 3 inconsistent, 4 step or enumeration budget exceeded or a result too long
 to print.  Output is deterministic: the same input bytes produce the same
-output bytes.
+output bytes.  main() alone maps errors to exit codes, the interpreter's
+ValueError for an integer too long to print among them.
 
 A process runs one command, so the parser is a table and render() replaces
 json.dumps: argparse's first build and the indenting encoder cost more than
@@ -28,12 +29,11 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from math import comb
 from typing import Callable, NoReturn, Optional
 
 from .algebra import Deriv, DiffPoly, Indep, monomial_sort_key, poly_from_json, to_text
-from .errors import (DigitLimitError, EnumerationLimitError, ParseError, ReductionLimitError, StructuralError,
-                     UnreadableFileError)
+from .errors import EnumerationLimitError, ParseError, ReductionLimitError, StructuralError, UnreadableFileError
+from .multiindex import count_up_to_order
 from .normal import SolvedForm, reduce
 from .passivity import (
     EXIT_FOR_VERDICT,
@@ -58,13 +58,10 @@ def render(obj) -> str:
     its lead and tail so converted.  Besides those, obj may hold dicts with
     str keys, lists, plain tuples, str, int, bool and None, each of exactly
     that type; any other value raises TypeError, and an integer too long to
-    print raises DigitLimitError.  Fragments and the monomial cache live for
-    this call only."""
+    print the interpreter's ValueError.  Fragments and the monomial cache
+    live for this call only."""
     out: list[str] = []
-    try:
-        _render(obj, "\n", out, {})
-    except ValueError:  # str() of an int past sys.get_int_max_str_digits()
-        raise DigitLimitError() from None
+    _render(obj, "\n", out, {})
     return "".join(out)
 
 
@@ -273,9 +270,9 @@ def cmd_quotient(file, ranking, max_steps, pretty, order) -> int:
 def cmd_ranking_audit(file, ranking, pretty, samples, exhaustive_order, seed) -> int:
     problem = load_problem(file, ranking, gate_ranking=False)
     n, m = problem.ctx
-    pool = m * comb(n + exhaustive_order, n)  # the exhaustive pass compares every pair in every direction
+    pool = m * count_up_to_order(n, exhaustive_order)  # the exhaustive pass compares every pair in every direction
     problem.bounds.check_enumeration("ranking audit exhaustive pass", pool * pool * n, "(u, v, direction) triples")
-    problem.bounds.check_enumeration("ranking audit sampled pass", comb(n + SAMPLE_ORDER, n), "multi-indices")
+    problem.bounds.check_enumeration("ranking audit sampled pass", count_up_to_order(n, SAMPLE_ORDER), "multi-indices")
     problem.bounds.check_enumeration("ranking audit sampled pass", samples, "samples")
     report = audit_compatibility(problem.ranking, samples, exhaustive_order=exhaustive_order, seed=seed)
     _emit(pretty, report.to_json, lambda: [f"{len(report.counterexamples)} counterexamples"])
@@ -401,8 +398,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         message, code = f"cannot open {exc}", EXIT_INPUT
     except StructuralError as exc:
         message, code = f"input error: {exc}", EXIT_INPUT
-    except (ReductionLimitError, EnumerationLimitError, DigitLimitError) as exc:
+    except (ReductionLimitError, EnumerationLimitError) as exc:
         message, code = f"resource limit: {exc}", EXIT_RESOURCE
+    except ValueError as exc:  # str() of a result past sys.get_int_max_str_digits(); input is caught where read
+        if "integer string conversion" not in str(exc):
+            raise
+        message, code = (f"resource limit: a result holds an integer of more than {sys.get_int_max_str_digits()}"
+                         " digits, the interpreter's limit for integer string conversion", EXIT_RESOURCE)
     _write(message, sys.stderr)
     return code
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  None marks a result integer
+too long to print: str() raises the interpreter's ValueError, and cli.main
+alone turns it into exit 4."""
 
-import sys
+SIZE_BITS = 10**4  # sizes of this many bits or more print as "at least 2**k"; count_up_to_order stops past it
 
 
 class StructuralError(ValueError):
@@ -33,20 +35,12 @@ class ReductionLimitError(RuntimeError):
 class EnumerationLimitError(RuntimeError):
     """A phase would walk more items than its budget: for a census or slice,
     the n index entries of each of the m * C(n + order_bound, n) derivatives
-    up to the bound."""
+    up to the bound.  A size past 2**SIZE_BITS may be a lower bound."""
 
     def __init__(self, phase: str, size: int, limit: int, items: str = "index entries"):
-        shown = size if size.bit_length() < 10**4 else f"at least 2**{size.bit_length() - 1}"  # past 3,000 digits
+        shown = size if size.bit_length() < SIZE_BITS else f"at least 2**{size.bit_length() - 1}"  # past 3,000 digits
         super().__init__(f"{phase} would enumerate {shown} {items}, above max_enumeration {limit}")
         self.phase = phase
         self.size = size
         self.limit = limit
 
-
-class DigitLimitError(RuntimeError):
-    """A result holds an integer with more decimal digits than the
-    interpreter converts to text, sys.get_int_max_str_digits()."""
-
-    def __init__(self):
-        super().__init__(f"a result holds an integer of more than {sys.get_int_max_str_digits()} digits,"
-                         " the interpreter's limit for integer string conversion")

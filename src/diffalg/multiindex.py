@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement
 from operator import add as _add, le, sub
 from typing import Iterator, Optional
 
-from .errors import StructuralError
+from .errors import SIZE_BITS, StructuralError
 
 Index = tuple[int, ...]
 
@@ -80,3 +80,16 @@ def iter_up_to_order(n: int, bound: int) -> Iterator[Index]:
         top = (total,)
         for c in combinations_with_replacement(range(total + 1), n - 1):
             yield tuple(map(sub, c + top, (0,) + c))
+
+
+def count_up_to_order(n: int, bound: int) -> int:
+    """C(n + bound, n), the length of iter_up_to_order(n, bound), or a lower
+    bound past 2**SIZE_BITS: step j leaves C(big + j, j), each factor (big +
+    j) / j is at least 2, and so at most SIZE_BITS + 1 steps run."""
+    small, big = sorted((n, bound))
+    c = 1
+    for j in range(1, small + 1):
+        c = c * (big + j) // j
+        if c.bit_length() > SIZE_BITS:
+            break
+    return c

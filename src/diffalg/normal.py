@@ -20,13 +20,12 @@ A system holds its Bounds, and every phase run on it reads its budgets there.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb
 from operator import add, le, sub
 from typing import Iterator, Optional, Sequence
 
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, shift_deriv, to_text, var_to_json
-from .errors import DigitLimitError, EnumerationLimitError, ReductionLimitError, StructuralError
+from .errors import EnumerationLimitError, ReductionLimitError, StructuralError
 from .ranking import Ranking, class_to_json
 
 
@@ -144,19 +143,15 @@ class SolvedSystem:
     def require_enumerable(self, phase: str) -> None:
         """Refuse, naming the phase, a census or slice whose m * C(n +
         order_bound, n) derivatives up to the bound hold more index entries,
-        n each, than max_enumeration."""
+        n each, than max_enumeration; the count stops past 2**SIZE_BITS."""
         n, m = self.ctx
-        self.bounds.check_enumeration(phase, m * comb(n + self.bounds.order_bound, n) * n)
+        self.bounds.check_enumeration(phase, m * mi.count_up_to_order(n, self.bounds.order_bound) * n)
 
     def require_reducible(self, f: DiffPoly) -> None:
         """Raise unless the system is conditionally solvable and f shares its
         ambient: the preconditions of normal_form and of reduce alike."""
         if not self.solvability.ok:
-            try:
-                message = f"system is not conditionally solvable: {self.solvability.violations}"
-            except ValueError:  # a class key past sys.get_int_max_str_digits()
-                raise DigitLimitError() from None
-            raise StructuralError(message)
+            raise StructuralError(f"system is not conditionally solvable: {self.solvability.violations}")
         if f.ctx != self.ctx:
             raise StructuralError("polynomial ambient differs from system ambient")
 

@@ -44,7 +44,7 @@ from typing import Optional, Union
 
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, Rational, _frac_from_str, shift_deriv, var_to_json
-from .errors import DigitLimitError, StructuralError
+from .errors import StructuralError
 
 
 BASE = ()  # the class key of a polynomial with no derivative variables
@@ -55,10 +55,7 @@ def class_to_json(key: tuple):
     Fractions as strings."""
     if not key:
         return "base"
-    try:
-        return [p if isinstance(p, int) else str(p) for p in key]
-    except ValueError:  # str() of an int past sys.get_int_max_str_digits()
-        raise DigitLimitError() from None
+    return [p if isinstance(p, int) else str(p) for p in key]
 
 
 RankingSpec = Union[str, dict]

@@ -5,7 +5,8 @@
 Each case takes a problem file from problems/, mutates it (a value of
 another type, a dropped or added key, deep nesting, an extreme integer) and
 runs one command on it with mutated --order, --max-steps, --ranking and
---target values.  Every cli.main call must return an exit code 0-4 and
+--target values, and ranking-audit's --samples, --exhaustive-order and
+--seed.  Every cli.main call must return an exit code 0-4 and
 raise nothing.  The script caps its own address space and CPU time, and
 each case gets FUZZ_CASE_S of wall time.  The last line of stdout is one
 JSON object: {"cases": CASES, "exit_codes": {code: count}, "failures":
@@ -48,6 +49,9 @@ COMMANDS = ["check", "quotient", "reduce", "syzygies", "ranking-audit"]
 ORDERS = ["0", "1", "3", "8", "1000000", str(10**30)]
 STEPS = ["0", "1", "5", "40", str(10**30)]
 BAD_COUNTS = ["-1", "x", "1.5", ""]
+SAMPLES = ["1", "50", str(10**6 + 1), str(10**30)]  # the default 10,000 samples take 0.3 s a case
+SEEDS = ["0", "-7", str(10**30)]
+BAD_SEEDS = ["x", "1.5", ""]
 RANKINGS = ["orderly", "elimination", '{"weights": [[0, 1, 1], [1, 0, 0]]}', '"orderly"']
 BAD_RANKINGS = ["bogus", '{"weights": []}', '{"weights": [[0, -1, 1]]}', "[1]", "{", "null"]
 BAD_SHARE = 0.2
@@ -142,7 +146,11 @@ def draw(rng: random.Random, corpus: list) -> tuple[list[str], str]:
     if command == "reduce":
         flags += ["--target", rng.choice(TARGETS)]
     if command == "ranking-audit":
-        flags += ["--samples", "50"]  # the default 10,000 samples take 0.3 s a case
+        flags += ["--samples", _value(rng, SAMPLES, BAD_COUNTS + ["0"])]
+        if rng.random() < 0.5:
+            flags += ["--exhaustive-order", _value(rng, ORDERS, BAD_COUNTS)]
+        if rng.random() < 0.5:
+            flags += ["--seed", _value(rng, SEEDS, BAD_SEEDS)]
     return [command, *flags], text
 
 

@@ -545,6 +545,39 @@ def test_integers_past_the_digit_limit_end_cleanly(tmp_path, problem, argv, code
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message.format(path=path) + "\n")
 
 
+@pytest.mark.parametrize("text, code", [("not a digit limit", None), (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits", 4)])
+def test_only_the_digit_limit_value_error_exits_4(monkeypatch, text, code):
+    # main turns the interpreter's digit-limit ValueError into exit 4 and lets
+    # any other ValueError, a bug, surface as a traceback
+    def handler(**kwargs):
+        raise ValueError(text)
+
+    monkeypatch.setitem(COMMANDS, "syzygies", (handler, *COMMANDS["syzygies"][1:]))
+    if code is None:
+        with pytest.raises(ValueError, match=text):
+            main(["syzygies", HEAT])
+    else:
+        assert run_cli_full("syzygies", HEAT) == (code, "", LONG_RESULT + "\n")
+
+
+@pytest.mark.parametrize("argv", [["check", "--order", str(10**30)], ["quotient", "--order", str(10**30)],
+                                  ["ranking-audit", "--exhaustive-order", str(10**30)]],
+                         ids=["check", "quotient", "audit"])
+def test_a_huge_order_in_a_wide_ambient_is_refused_at_once(tmp_path, argv):
+    # C(10**5 + 10**30, 10**5) has millions of bits; its count stops once it
+    # passes 2**10**4 bits, so the refusal prints a lower bound at once
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 100000, "m": 1, "equations": []}))
+    start = perf_counter()
+    code, out, err = run_cli_full(argv[0], str(path), *argv[1:])
+    assert perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert re.fullmatch(r"resource limit: (census|ranking audit exhaustive pass) would enumerate at least 2\*\*\d+"
+                        r" (index entries|\(u, v, direction\) triples), above max_enumeration 1000000\n", err)
+    assert int(re.search(r"2\*\*(\d+)", err).group(1)) >= 10**4
+
+
 @pytest.mark.parametrize("argv, code", [(["check", HEAT], 0), (["check", str(PROBLEMS / "obstructed.json")], 2),
                                         (["ranking-audit", HEAT], 0), (["check", HEAT, "--pretty"], 0), (["-h"], 0)])
 def test_closed_stdout_is_not_a_traceback(argv, code):

@@ -2,12 +2,14 @@
 
 import tracemalloc
 from itertools import islice, product
+from math import comb
 from time import perf_counter
 
 import pytest
 
 from diffalg import StructuralError
 from diffalg import multiindex as mi
+from diffalg.errors import SIZE_BITS
 
 
 def test_add():
@@ -123,3 +125,19 @@ def test_iter_up_to_order_is_lazy_and_output_linear():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 10 ** 6
+
+
+def test_count_up_to_order_is_the_binomial_or_a_lower_bound_past_the_threshold():
+    # exact below 2**SIZE_BITS; past it, a bound between 2**SIZE_BITS and
+    # C(n + t, n), which is what an "at least 2**k" refusal prints
+    for n in [*range(1, 40), 100, 1000, 4000, 100000]:
+        for t in [*range(40), 100, 1000, 5000]:
+            exact, got = comb(n + t, n), mi.count_up_to_order(n, t)
+            if exact < 2**SIZE_BITS:
+                assert got == exact, (n, t)
+            else:
+                assert 2**SIZE_BITS <= got <= exact, (n, t)
+    # a huge ambient and a huge order: each factor at least doubles the count
+    start = perf_counter()
+    assert mi.count_up_to_order(10**30, 10**30).bit_length() > SIZE_BITS
+    assert perf_counter() - start < 1

@@ -75,10 +75,11 @@ def iter_up_to_order(n: int, bound: int) -> Iterator[Index]:
     sequence of its partial sums c = (a_1, a_1 + a_2, ...), a nondecreasing
     choice of n - 1 values in 0..t that combinations_with_replacement()
     yields in exactly this order; each index costs O(n) in C and grades are
-    produced lazily, so the cost is linear in the output."""
+    produced lazily, so the cost is linear in the output.  At n = 1 the one
+    empty choice gets an empty pool: 0..t would make each grade cost t."""
     for total in range(bound + 1):
         top = (total,)
-        for c in combinations_with_replacement(range(total + 1), n - 1):
+        for c in combinations_with_replacement(range(total + 1) if n > 1 else (), n - 1):
             yield tuple(map(sub, c + top, (0,) + c))
 
 

@@ -9,18 +9,18 @@ what makes the rewriting terminate.
 reduce() eliminates, greatest first, every derivative variable lying in some
 equation's orbit (the principal derivatives), by substituting the prolonged
 rewrite rule.  The remainder depends only on the x's and the parametric
-derivatives, and is the fixpoint of the substitution find_principal() fixes:
-rewrite order changes only the trace.  SolvedSystem.normal_form() computes
-that fixpoint from normal forms memoized on the system itself, and the
-slice takes each candidate tail NF(D_k T) from it as
-normal_form(T.total_derivative(k)).
+derivatives, and is the fixpoint of the substitution find_principal() fixes,
+nearest lead first: rewrite order changes only the trace.
+SolvedSystem.normal_form() computes that fixpoint from normal forms memoized
+on the system itself, and the slice takes each candidate tail NF(D_k T) from
+it as normal_form(T.total_derivative(k)).
 A system holds its Bounds, and every phase run on it reads its budgets there.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import add, le, sub
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from . import multiindex as mi
@@ -72,7 +72,7 @@ class SolvedSystem:
     ranking are; the bounds and the memos are not compared.
     """
 
-    __slots__ = ("equations", "ranking", "bounds", "solvability", "_rule", "_nf", "_prolonged", "_orbits")
+    __slots__ = ("equations", "ranking", "bounds", "solvability", "_nearest", "_rule", "_nf", "_prolonged", "_orbits")
 
     def __init__(self, equations: Sequence[SolvedForm], ranking: Ranking, bounds: Bounds = Bounds()):
         self.equations = tuple(equations)
@@ -87,6 +87,9 @@ class SolvedSystem:
                 "coincident leads; run coincident_lead_analysis on the raw list first"
             )
         self.solvability = check_conditionally_solvable(self)
+        self._nearest: dict[int, list] = {}  # unknown -> [(equation, lead order a)], largest (|a|, a) first
+        for idx, (i, a) in sorted(enumerate(leads), key=lambda e: (mi.order(e[1].order), e[1].order), reverse=True):
+            self._nearest.setdefault(i, []).append((idx, a))
         self._rule: dict[Deriv, Optional[tuple[int, mi.Index]]] = {}
         self._nf: dict[Deriv, DiffPoly] = {}
         self._orbits: dict[int, dict[Deriv, None]] = {}  # order bound -> the shifted leads up to it
@@ -117,11 +120,11 @@ class SolvedSystem:
             return self._rule[v]
 
     def prolongation(self, idx: int, shift: mi.Index) -> DiffPoly:
-        """D^shift of equation idx's rewrite image -tail; a new one applies
-        |shift| derivations, which max_enumeration bounds."""
+        """D^shift of equation idx's rewrite image -tail; a new one is charged
+        |shift| * n index entries, n per derivation, against max_enumeration."""
         if (idx, shift) in self._prolonged:
             return self._prolonged[(idx, shift)]
-        self.bounds.check_enumeration("prolongation", mi.order(shift), "derivations")
+        self.bounds.check_enumeration("prolongation", mi.order(shift) * len(shift))
         step = mi.zero(len(shift))
         poly = self._prolonged[(idx, step)]
         for k, reps in enumerate(shift):
@@ -235,27 +238,16 @@ def check_conditionally_solvable(sys: SolvedSystem) -> SolvabilityReport:
 
 
 def find_principal(sys: SolvedSystem, v: Deriv) -> Optional[tuple[int, mi.Index]]:
-    """The equation whose lead's orbit contains v, with the shift.
-
-    Among several matches the smallest |shift| wins, ties broken
-    lexicographically on the shift.  None when v is parametric.  A lead of
-    v's unknown whose order has another length than v's is a StructuralError.
-    """
-    best, b = None, v.order
-    for idx, (lead, _) in enumerate(sys.equations):
-        if lead.i != v.i:
-            continue
-        a = lead.order
-        if len(a) != len(b):
-            raise StructuralError(f"multi-index length mismatch: {a} vs {b}")
-        if all(map(le, a, b)):
-            shift = tuple(map(sub, b, a))
-            rank = (sum(shift), shift)
-            if best is None or rank < best[0]:
-                best = (rank, idx, shift)
-    if best is None:
-        return None
-    return best[1], best[2]
+    """The equation whose lead's orbit contains v, with the shift, nearest
+    lead first: the smallest |shift| = |v| - |a| wins, ties broken by the
+    lexicographically smallest shift v - a.  That is the first lead a that v
+    dominates in its unknown's pairs, sorted largest (|a|, a) first.  None
+    when v is parametric; a lead of another length than v is a StructuralError."""
+    for idx, a in sys._nearest.get(v.i, ()):
+        shift = mi.try_subtract(a, v.order)
+        if shift is not None:
+            return idx, shift
+    return None
 
 
 class ReduceStep(namedtuple("ReduceStep", "eq shift eliminated")):
@@ -344,21 +336,21 @@ def normalized_slice(sys: SolvedSystem) -> SliceResult:
     one tail.
 
     The orbit is walked in SolvedSystem.orbit's order, where each v - e_k
-    comes before v.  A lead's tail is NF(tail), and a shifted lead v gets
-    NF(D_k T(v - e_k)) from each one-step predecessor in the orbit.  Every
-    candidate must agree with the first; disagreements are recorded as
-    mismatches (the local coherence check of Riquier/Janet).
+    comes before v.  A lead, whose rule has a zero shift, gets NF(tail), and
+    a shifted lead v gets NF(D_k T(v - e_k)) from each one-step predecessor
+    in the orbit.  Every candidate must agree with the first; disagreements
+    are recorded as mismatches (the local coherence check of Riquier/Janet).
     Predecessors and forms are built unchecked by tuple.__new__: a tail is
     a normal form, free of every principal derivative and so of its lead.
     """
     sys.require_enumerable("normalized slice")
-    lead_eq = {eq.lead: idx for idx, eq in enumerate(sys.equations)}
     tails: dict[Deriv, DiffPoly] = {}
     mismatches: list[dict] = []
     for v in sys.orbit():
         first = None  # (source, tail) of the first candidate
-        if v in lead_eq:
-            first = {"eq": lead_eq[v]}, sys.normal_form(sys.equations[lead_eq[v]].tail)
+        idx, shift = sys.rule(v)
+        if not any(shift):
+            first = {"eq": idx}, sys.normal_form(sys.equations[idx].tail)
         a = v.order
         for k in range(len(a)):
             prev = tuple.__new__(Deriv, (v.i, a[:k] + (a[k] - 1,) + a[k + 1:])) if a[k] else None

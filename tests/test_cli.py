@@ -332,10 +332,16 @@ def test_a_huge_n_exceeds_the_budget(tmp_path, n, argv):
 
 
 def test_a_prolongation_of_huge_order_exceeds_the_budget(tmp_path):
-    # each derivation of a new prolongation counts against max_enumeration
-    # before any is applied: the pair of u_(1,0) and u_(2**31,1) prolongs the
-    # first equation 2**31 times, and reducing u_(0,2**31) by u_(0,1) = x1
-    # prolongs it 2**31 - 1 times
+    # each derivation of a new prolongation counts its n index entries
+    # against max_enumeration before any is applied: at n = 2 the pair of
+    # u_(1,0) and u_(2**31,1) prolongs the first equation 2**31 times, and
+    # reducing u_(0,2**31) by u_(0,1) = x1 prolongs it 2**31 - 1 times; at
+    # n = 1000 the pair of u_(e1) = -u_(e2) and u_(20000 e2) = -x1 prolongs
+    # the first 20000 times, which the width makes 2 * 10**7 entries
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": 1000, "m": 1, "equations": [
+        {"lead": ["u", 1, [1] + [0] * 999], "tail": [{"c": "1", "m": [[["u", 1, [0, 1] + [0] * 998], 1]]}]},
+        {"lead": ["u", 1, [0, 20000] + [0] * 998], "tail": [{"c": "1", "m": [[["x", 1], 1]]}]}]}))
     path = tmp_path / "deep.json"
     path.write_text(json.dumps({"n": 2, "m": 1, "equations": [
         {"lead": ["u", 1, [1, 0]], "tail": []},
@@ -346,11 +352,24 @@ def test_a_prolongation_of_huge_order_exceeds_the_budget(tmp_path):
     path.write_text(json.dumps({"n": 2, "m": 1, "equations": [
         {"lead": ["u", 1, [0, 1]], "tail": [{"c": "-1", "m": [[["x", 1], 1]]}]}]}))
     reduced = run_cli_full("reduce", str(path), "--target", target)
+    widened = run_cli_full("check", str(wide), "--order", "0")
     assert perf_counter() - start < 1
-    assert checked == (4, "", "resource limit: prolongation would enumerate 2147483648 derivations,"
+    assert checked == (4, "", "resource limit: prolongation would enumerate 4294967296 index entries,"
                               " above max_enumeration 1000000\n")
-    assert reduced == (4, "", "resource limit: prolongation would enumerate 2147483647 derivations,"
+    assert reduced == (4, "", "resource limit: prolongation would enumerate 4294967294 index entries,"
                               " above max_enumeration 1000000\n")
+    assert widened == (4, "", "resource limit: prolongation would enumerate 20000000 index entries,"
+                              " above max_enumeration 1000000\n")
+
+
+def test_a_one_variable_census_is_linear_in_its_order(tmp_path):
+    # at n = 1 each grade holds one index: 20001 of them take well under 1 s
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"n": 1, "m": 1, "equations": []}))
+    start = perf_counter()
+    code, out, err = run_cli_full("quotient", str(path), "--order", "20000")
+    assert perf_counter() - start < 1
+    assert (code, json.loads(out)["parametric_total"], err) == (0, 20001, "")
 
 
 @pytest.mark.parametrize("argv", [["check"], ["quotient"], ["reduce", "--target", "[]"]],

@@ -102,6 +102,10 @@ def test_iter_up_to_order_linear_in_output():
     got = list(mi.iter_up_to_order(40, 2))
     assert len(got) == 1 + 40 + 40 * 41 // 2
     assert got[-1] == (2,) + (0,) * 39
+    # at n = 1 each grade yields its one index without a pool of t + 1 entries
+    start = perf_counter()
+    assert list(mi.iter_up_to_order(1, 20000)) == [(t,) for t in range(20001)]
+    assert perf_counter() - start < 1
 
 
 def test_iter_up_to_order_is_lazy_and_output_linear():

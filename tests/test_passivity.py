@@ -371,10 +371,10 @@ def test_max_enumeration_refuses_census_and_slice():
 
 
 def find_principal_reference(sys_, v):
-    """find_principal as a scan of every equation with the generator-based
-    try_subtract it used before: a length check, then dominance and the
-    shift entry by entry; the smallest |shift| wins, ties broken
-    lexicographically on the shift."""
+    """find_principal's rule as a scan of every equation, in place of its
+    nearest-first table: a length check, then dominance and the shift entry
+    by entry; the smallest |shift| wins, ties broken lexicographically on
+    the shift."""
     best = None
     for idx, eq in enumerate(sys_.equations):
         a, b = eq.lead.order, v.order
@@ -421,6 +421,23 @@ def test_find_principal_matches_reference():
         with pytest.raises(StructuralError):
             finder(tie, Deriv(1, (1, 1)))
         assert finder(tie, Deriv(2, (1, 1))) is None
+
+
+def test_find_principal_matches_reference_with_many_leads():
+    # one unknown with 8 to 12 distinct leads of order <= 4 at n = 3, so the
+    # table's order decides among several dominated leads
+    ctx = Context(3, 1)
+    zero = DiffPoly.zero(ctx)
+    pool = list(mi.iter_up_to_order(3, 4))
+    crowded = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        leads = rng.sample(pool, rng.randint(8, 12))
+        sys_ = SolvedSystem([SolvedForm(ctx.u(1, a), zero) for a in leads], Ranking.orderly(ctx))
+        for v in ctx.derivs(6):
+            assert find_principal(sys_, v) == find_principal_reference(sys_, v)
+            crowded = max(crowded, sum(mi.try_subtract(a, v.order) is not None for a in leads))
+    assert crowded >= 3
 
 
 def test_incremental_slice_matches_reduce_randomized():

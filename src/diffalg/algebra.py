@@ -212,9 +212,6 @@ class DiffPoly:
         if self.ctx != other.ctx:
             raise StructuralError(f"ambient mismatch: {self.ctx} vs {other.ctx}")
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -435,7 +432,7 @@ def _mono_text(m: tuple) -> str:
 def to_text(p: DiffPoly) -> str:
     """p as text; the interpreter's ValueError when a coefficient, an order
     entry or an exponent is too long to print."""
-    if p.is_zero():
+    if not p:
         return "0"
     parts = []
     for idx, (m, c) in enumerate(p.sorted_terms()):

@@ -215,7 +215,7 @@ class SolvabilityReport(namedtuple("SolvabilityReport", "ok violations")):
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "violations": self.violations}
+        return self._asdict()
 
 
 def check_conditionally_solvable(sys: SolvedSystem) -> SolvabilityReport:
@@ -254,11 +254,7 @@ class ReduceStep(namedtuple("ReduceStep", "eq shift eliminated")):
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "eq": self.eq,
-            "shift": list(self.shift),
-            "eliminated": self.eliminated,
-        }
+        return self._asdict()
 
 
 ReduceResult = namedtuple("ReduceResult", "remainder trace")  # trace: the ReduceSteps in order

@@ -95,7 +95,7 @@ class Certificate(namedtuple("Certificate", "cofactors")):
 
     def verify(self, inst: MembershipInstance) -> bool:
         if not inst.generators:
-            return inst.target.is_zero() and not self.cofactors
+            return not inst.target and not self.cofactors
         return self.expand(inst.generators) == inst.target
 
     def to_json(self) -> list:
@@ -131,7 +131,7 @@ def membership(inst: MembershipInstance) -> Optional[Certificate]:
     cofactor_degree.  Returns the certificate, or None (refusal at bounds)."""
     ctx = inst.target.ctx
     if not inst.generators:
-        return Certificate([]) if inst.target.is_zero() else None
+        return Certificate([]) if not inst.target else None
     pool = list(inst.pool) if inst.pool is not None else _default_pool(inst)
     basis = _monomials_over(pool, inst.cofactor_degree)
 

@@ -45,7 +45,7 @@ EXIT_FOR_VERDICT = {PASSIVE: 0, NOT_PASSIVE: 2, OBSTRUCTED: 2, INCONSISTENT: 3}
 def _status(remainder: DiffPoly, zero: str) -> str:
     """zero for a zero remainder, inconsistent for one free of derivatives,
     obstructed otherwise."""
-    if remainder.is_zero():
+    if not remainder:
         return zero
     return OBSTRUCTED if remainder.support_derivs() else INCONSISTENT
 
@@ -194,13 +194,7 @@ class DerivedRelation(namedtuple("DerivedRelation", "lead first_eq second_eq rem
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "lead": self.lead,
-            "first_eq": self.first_eq,
-            "second_eq": self.second_eq,
-            "remainder": self.remainder,
-            "status": self.status,
-        }
+        return self._asdict()
 
 
 class CoincidenceReport(namedtuple("CoincidenceReport", "verdict system relations")):

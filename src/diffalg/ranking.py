@@ -142,15 +142,6 @@ class Ranking:
         dots = tuple(sum(map(mul, row, vec)) for row in self._rows)
         return dots + v.order if self.units else tuple(map(Fraction, dots, self._dens))
 
-    def compare(self, u: Deriv, v: Deriv) -> int:
-        """-1, 0 or 1.  Zero either means u == v or a coarse-ranking tie."""
-        ku, kv = self.key(u), self.key(v)
-        if ku < kv:
-            return -1
-        if kv < ku:
-            return 1
-        return 0
-
     @property
     def is_total(self) -> bool:
         """Whether W has full column rank: exactly the condition for equal
@@ -240,14 +231,14 @@ def audit_compatibility(rk: Ranking, sample_budget: int, exhaustive_order: int =
     def check_b(u: Deriv, k: int) -> None:
         nonlocal checked_b
         checked_b += 1
-        if rk.compare(u, shift_deriv(u, k)) != -1:
+        if not rk.key(u) < rk.key(shift_deriv(u, k)):
             found.setdefault(Counterexample("b", u, None, k))
 
     def check_a(u: Deriv, v: Deriv, k: int) -> None:
         """Axiom (a) in direction k for a pair already known to have u < v."""
         nonlocal checked_a
         checked_a += 1
-        if rk.compare(shift_deriv(u, k), shift_deriv(v, k)) != -1:
+        if not rk.key(shift_deriv(u, k)) < rk.key(shift_deriv(v, k)):
             found.setdefault(Counterexample("a", u, v, k))
 
     pool = list(ctx.derivs(exhaustive_order))
@@ -269,6 +260,6 @@ def audit_compatibility(rk: Ranking, sample_budget: int, exhaustive_order: int =
         v = Deriv(rng.randint(1, ctx.m), rng.choice(indices))
         k = rng.randint(1, ctx.n)
         check_b(u, k)
-        if rk.compare(u, v) == -1:
+        if rk.key(u) < rk.key(v):
             check_a(u, v, k)
     return AuditReport(exhaustive_order, sample_budget, checked_a, checked_b, list(found))

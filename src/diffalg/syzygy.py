@@ -38,12 +38,7 @@ class TauPair(namedtuple("TauPair", "i j shift_i shift_j")):
         return {(self.i, self.shift_i): Fraction(1), (self.j, self.shift_j): Fraction(-1)}
 
     def to_json(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "shift_i": list(self.shift_i),
-            "shift_j": list(self.shift_j),
-        }
+        return self._asdict()
 
 
 def tau_generators(leads: Sequence[Deriv]) -> list[TauPair]:

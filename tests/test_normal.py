@@ -97,9 +97,9 @@ def test_reduce_examples():
     sys_ = system(SolvedForm(D(1, 0), -X(2)))
     res = reduce(U(1, 1), sys_)
     assert res.remainder == DiffPoly.constant(CTX, 1)
-    assert [s.to_json() for s in res.trace] == [{"eq": 0, "shift": [0, 1], "eliminated": D(1, 1)}]
+    assert [s.to_json() for s in res.trace] == [{"eq": 0, "shift": (0, 1), "eliminated": D(1, 1)}]
     assert json.loads(render(res.trace[0].to_json()))["eliminated"] == ["u", 1, [1, 1]]
-    assert reduce(U(2, 0), sys_).remainder.is_zero()
+    assert not reduce(U(2, 0), sys_).remainder
     f = gen.power(X(1), 2) + DiffPoly.constant(CTX, 3)
     assert reduce(f, sys_).remainder == f
 

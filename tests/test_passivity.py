@@ -84,7 +84,7 @@ def test_check_pair_satisfied():
     taus = tau_generators(sys_.leads())
     result = check_pair(sys_, taus[0])
     assert result.status == "satisfied"
-    assert result.combination.is_zero() and result.remainder.is_zero()
+    assert not result.combination and not result.remainder
 
 
 def test_check_pair_inconsistent():
@@ -148,7 +148,7 @@ def test_satisfied_pairs_oracle_certified():
     for tau in taus:
         result = check_pair(sys_, tau)
         assert result.status == "satisfied"
-        if result.combination.is_zero():
+        if not result.combination:
             continue
         gens = prolong(sys_, 3)
         inst = MembershipInstance(result.combination, gens, 3, 3)

@@ -48,16 +48,16 @@ def broken_ranking(ctx):
 
 
 def test_orderly_compare():
-    assert ORD.compare(D(1, 0, 1), D(1, 2, 0)) == -1
-    assert ORD.compare(D(1, 1, 0), D(2, 1, 0)) == -1
-    assert ORD.compare(D(1, 1, 1), D(1, 1, 1)) == 0
-    assert ORD.compare(D(1, 1, 1), D(1, 2, 0)) == -1  # same order, lex on alpha
+    assert ORD.key(D(1, 0, 1)) < ORD.key(D(1, 2, 0))
+    assert ORD.key(D(1, 1, 0)) < ORD.key(D(2, 1, 0))
+    assert ORD.key(D(1, 1, 1)) == ORD.key(D(1, 1, 1))
+    assert ORD.key(D(1, 1, 1)) < ORD.key(D(1, 2, 0))  # same order, lex on alpha
 
 
 def test_elimination_compare():
     for a in [(0, 0), (5, 5), (0, 3)]:
         for b in [(0, 0), (1, 0)]:
-            assert ELIM.compare(D(1, *a), D(2, *b)) == -1
+            assert ELIM.key(D(1, *a)) < ELIM.key(D(2, *b))
 
 
 def test_class_key_ordering():
@@ -110,13 +110,12 @@ def test_compare_totality_transitivity():
     for rk in (ORD, ELIM):
         for _ in range(200):
             u, v, w = (gen.rand_deriv(rng, CTX, 4) for _ in range(3))
-            cuv, cvw, cuw = rk.compare(u, v), rk.compare(v, w), rk.compare(u, w)
-            assert cuv in (-1, 0, 1)
-            assert cuv == -rk.compare(v, u)
-            if rk.is_total and cuv == 0:
+            ku, kv, kw = rk.key(u), rk.key(v), rk.key(w)
+            assert (ku < kv) + (ku == kv) + (kv < ku) == 1
+            if rk.is_total and ku == kv:
                 assert u == v
-            if cuv <= 0 and cvw <= 0:
-                assert cuw <= 0
+            if ku <= kv and kv <= kw:
+                assert ku <= kw
 
 
 def test_audit_builtin_rankings_clean():
@@ -137,7 +136,7 @@ def test_audit_broken_ranking_reports_b():
     assert any(c.axiom == "b" for c in report.counterexamples)
     bad = next(c for c in report.counterexamples if c.axiom == "b")
     rk = broken_ranking(CTX)
-    assert rk.compare(bad.u, shift_deriv(bad.u, bad.direction)) == 0
+    assert rk.key(bad.u) == rk.key(shift_deriv(bad.u, bad.direction))
 
 
 def test_audit_negated_weights_fail():
@@ -155,9 +154,9 @@ def test_axioms_hold_randomized():
             v = gen.rand_deriv(rng, CTX, 5)
             k = rng.randint(1, CTX.n)
             su, sv = shift_deriv(u, k), shift_deriv(v, k)
-            assert rk.compare(u, su) == -1
-            if rk.compare(u, v) == -1:
-                assert rk.compare(su, sv) == -1
+            assert rk.key(u) < rk.key(su)
+            if rk.key(u) < rk.key(v):
+                assert rk.key(su) < rk.key(sv)
 
 
 def test_derivation_preserves_class_order():
@@ -348,15 +347,15 @@ def reference_audit(rk: Ranking, sample_budget: int, exhaustive_order: int = 3, 
     def check_b(u, k):
         nonlocal checked_b
         checked_b += 1
-        if rk.compare(u, shift_deriv(u, k)) != -1:
+        if not rk.key(u) < rk.key(shift_deriv(u, k)):
             found.setdefault(Counterexample("b", u, None, k))
 
     def check_a(u, v, k):
         nonlocal checked_a
-        if rk.compare(u, v) != -1:
+        if not rk.key(u) < rk.key(v):
             return
         checked_a += 1
-        if rk.compare(shift_deriv(u, k), shift_deriv(v, k)) != -1:
+        if not rk.key(shift_deriv(u, k)) < rk.key(shift_deriv(v, k)):
             found.setdefault(Counterexample("a", u, v, k))
 
     pool = list(ctx.derivs(exhaustive_order))

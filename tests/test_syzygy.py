@@ -37,7 +37,7 @@ def P(*order, i=1, ctx=CTX):
 def test_tau_generators_same_unknown():
     taus = tau_generators([U(2, 0), U(0, 1)])
     assert len(taus) == 1
-    assert taus[0].to_json() == {"i": 0, "j": 1, "shift_i": [0, 1], "shift_j": [2, 0]}
+    assert taus[0].to_json() == {"i": 0, "j": 1, "shift_i": (0, 1), "shift_j": (2, 0)}
 
 
 def test_tau_generators_distinct_unknowns_empty():

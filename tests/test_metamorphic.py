@@ -82,8 +82,8 @@ def translation(ctx: Context):
 
 
 def permutation(ctx: Context, pi: tuple):
-    """(variable map, polynomial map) of the direction permutation that sends
-    direction j to pi[j - 1] + 1."""
+    """The (variable, polynomial, multi-index) maps of the direction
+    permutation that sends direction j to pi[j - 1] + 1."""
     def index(a):
         out = [0] * len(a)
         for j, e in enumerate(a):
@@ -135,9 +135,7 @@ def test_r2_translation_maps_verdicts_remainders_and_slices():
 def test_r1_direction_permutation_maps_passive_systems():
     passive = compared = 0
     for name, problem in systems():
-        n = problem.ctx.n
-        if n < 2:
-            continue
+        n = problem.ctx.n  # at least 2 on every system here
         pi = tuple(random.Random(name).sample(range(n), n))
         if pi == tuple(range(n)):
             pi = pi[1:] + pi[:1]

@@ -16,12 +16,10 @@ _EXPORTS = {  # submodule -> the public names it defines
     "errors": ("EnumerationLimitError", "ReductionLimitError", "StructuralError"),
     "normal": ("Bounds", "SolvedForm", "SolvedSystem", "autoreduce",
                "check_conditionally_solvable", "find_principal", "normalized_slice", "reduce"),
-    "oracle": ("Certificate", "MembershipInstance", "divide_by_normalized", "membership", "prolong",
-               "syzygy_oracle"),
     "passivity": ("Census", "CompatibilityResult", "PassivityReport", "check_pair", "coincident_lead_analysis",
                   "decide_passivity", "is_passive", "quotient_census"),
     "ranking": ("BASE", "Ranking", "audit_compatibility"),
-    "syzygy": ("TauPair", "module_apply", "operator_apply", "tau_generators"),
+    "syzygy": ("TauPair", "operator_apply", "tau_generators"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

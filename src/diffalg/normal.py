@@ -50,7 +50,7 @@ class SolvedForm(namedtuple("SolvedForm", "lead tail")):
     def __new__(cls, lead: Deriv, tail: DiffPoly) -> "SolvedForm":
         tail.ctx.check_var(lead)
         if lead in tail.support_derivs():
-            raise StructuralError(f"tail of solved form depends on its own lead {lead}")
+            raise StructuralError(f"tail of solved form depends on its own lead {var_to_json(lead)}")
         return super().__new__(cls, lead, tail)
 
     @property

@@ -17,7 +17,7 @@ reject JSON booleans, and keys the schema does not name are rejected.
 A weight ranking is accepted only when it satisfies both shift axioms, which
 ranking.shift_violation decides exactly: every direction column of the
 weight matrix must be lexicographically positive.  A rule that fails is
-rejected with the same first counterexample the sampled oracle
+rejected with the same first counterexample the sampled check
 (audit_compatibility, the ranking-audit command) reports.
 """
 

@@ -27,7 +27,7 @@ and lexicographic order is invariant under translation, so (a) always holds;
 lexicographically positive.  shift_violation is the gate a problem file
 passes at load.
 
-audit_compatibility is the independent sampled oracle behind the
+audit_compatibility is the independent sampled check behind the
 ranking-audit command: it checks both axioms on an exhaustive bounded range
 plus a sampled range and reports every counterexample verbatim.  It never
 raises: a failed audit is a result, not an error.
@@ -141,19 +141,6 @@ class Ranking:
         vec = (v.i,) + v.order
         dots = tuple(sum(map(mul, row, vec)) for row in self._rows)
         return dots + v.order if self.units else tuple(map(Fraction, dots, self._dens))
-
-    @property
-    def is_total(self) -> bool:
-        """Whether W has full column rank: exactly the condition for equal
-        keys to imply equal variables for every number of unknowns m.  A
-        rank-deficient W can still separate the variables when m is small
-        (with m = 1 the column of the unknown index never matters).  No
-        command asks, so linalg loads only here."""
-        from . import linalg
-
-        n = self.ctx.n
-        units = [(0, *mi.unit(n, k)) for k in range(1, n + 1)] if self.units else []
-        return linalg.rank([dict(enumerate(row)) for row in (*self.weights, *units)], n + 1) == n + 1
 
     # -- induced structure on polynomials -------------------------------------
 

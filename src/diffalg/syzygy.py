@@ -9,9 +9,10 @@ the diamond shifts:
 
     tau_ij = X^{diamond(a_i, a_j)} e_i - X^{diamond(a_j, a_i)} e_j
 
-which shifts both leads onto their join.  The independent check that these
-generate every syzygy, oracle.syzygy_oracle(), lives with the tests' other
-oracles.
+which shifts both leads onto their join.  operator_apply() applies a vector
+to the full equations.  The formal image of a vector on the leads and the
+independent check that the tau pairs generate every syzygy serve only the
+tests, and live beside them in tests/reference/.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ class TauPair(namedtuple("TauPair", "i j shift_i shift_j")):
     unknown: X^{shift_i} e_i - X^{shift_j} e_j."""
 
     __slots__ = ()
-
-    def vector(self) -> Vector:
-        return {(self.i, self.shift_i): Fraction(1), (self.j, self.shift_j): Fraction(-1)}
 
     def to_json(self) -> dict:
         return self._asdict()
@@ -60,21 +58,6 @@ def _check_positions(d: Vector, k: int, what: str) -> None:
     for pos, _ in d:
         if not 0 <= pos < k:
             raise StructuralError(f"module vector position {pos} is outside 0..{k - 1} for {k} {what}")
-
-
-def module_apply(d: Vector, leads: Sequence[Deriv]) -> dict[Deriv, Fraction]:
-    """The formal combination sum_i d_i . lead_i under the shift action,
-    collected exactly; an empty dict means d is a syzygy of the leads."""
-    _check_positions(d, len(leads), "leads")
-    out: dict[Deriv, Fraction] = {}
-    for (pos, shift), c in d.items():
-        target = Deriv(leads[pos].i, mi.add(shift, leads[pos].order))
-        val = out.get(target, Fraction(0)) + c
-        if val:
-            out[target] = val
-        else:
-            out.pop(target, None)
-    return out
 
 
 def operator_apply(d: Vector, sys: SolvedSystem) -> DiffPoly:

@@ -1,4 +1,4 @@
-"""Independent cross-checks used by the tests; no command loads this module.
+"""Independent cross-checks used by the tests; the package never imports them.
 
 Bounded ideal membership: membership of a target in the ideal spanned by a
 finite generator list is decided, at explicit bounds, by solving one exact
@@ -13,6 +13,9 @@ operator combination of syzygy.tau_generators().
 
 divide_by_normalized() is the one-shot division by a normalized set, whose
 tails mention no lead at all, that SolvedSystem.normal_form() must agree with.
+
+A module vector is held as syzygy.Vector, {(position, shift): coefficient};
+module_apply() is its formal image under the shift action on a lead list.
 """
 
 from __future__ import annotations
@@ -22,42 +25,28 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from . import linalg, multiindex as mi
-from .algebra import (
-    Context,
-    Deriv,
-    DiffPoly,
-    Indep,
-    Variable,
-    monomial,
-    monomial_sort_key,
-    poly_to_json,
-)
-from .errors import StructuralError
-from .normal import SolvedForm, SolvedSystem, iter_orbit
-from .syzygy import TauPair, Vector, tau_generators
+from diffalg import multiindex as mi
+from diffalg.algebra import Context, Deriv, DiffPoly, Indep, Variable, monomial, monomial_sort_key
+from diffalg.errors import StructuralError
+from diffalg.normal import SolvedForm, SolvedSystem, iter_orbit
+from diffalg.syzygy import TauPair, Vector, _check_positions, tau_generators
+
+from . import linalg
 
 
-def prolong(sys: SolvedSystem, order_bound: int) -> list[DiffPoly]:
+def prolong(sys: SolvedSystem, order_bound: int, class_bound=None) -> list[DiffPoly]:
     """All derivative images of the equations whose shifted lead stays within
-    the order bound, as explicit polynomials."""
-    return [
-        sys.equations[idx].poly().total_derivative_multi(shift)
-        for idx, shift, _ in iter_orbit(sys, order_bound)
-    ]
+    the order bound, as explicit polynomials.
 
-
-def prolong_within_class(sys: SolvedSystem, class_bound, order_bound: int) -> list[DiffPoly]:
-    """Prolongations whose shifted lead has ranking class at most class_bound.
-
-    This is the generator list for the class-restricted membership question:
-    whether a polynomial of a given class is reachable from orbit elements
-    that do not exceed that class.
+    With class_bound, only those whose shifted lead has ranking class at most
+    class_bound: the generator list for the class-restricted membership
+    question, whether a polynomial of a given class is reachable from orbit
+    elements that do not exceed that class.
     """
     return [
         sys.equations[idx].poly().total_derivative_multi(shift)
         for idx, shift, shifted in iter_orbit(sys, order_bound)
-        if sys.ranking.key(shifted) <= class_bound
+        if class_bound is None or sys.ranking.key(shifted) <= class_bound
     ]
 
 
@@ -86,9 +75,9 @@ class Certificate(namedtuple("Certificate", "cofactors")):
     __slots__ = ()
 
     def expand(self, generators: list[DiffPoly]) -> DiffPoly:
-        total = DiffPoly.zero(generators[0].ctx) if generators else None
-        if total is None:
+        if not generators:
             raise StructuralError("certificate without generators")
+        total = DiffPoly.zero(generators[0].ctx)
         for q, g in zip(self.cofactors, generators):
             total = total + q * g
         return total
@@ -98,23 +87,14 @@ class Certificate(namedtuple("Certificate", "cofactors")):
             return not inst.target and not self.cofactors
         return self.expand(inst.generators) == inst.target
 
-    def to_json(self) -> list:
-        return [poly_to_json(q) for q in self.cofactors]
-
 
 def _default_pool(inst: MembershipInstance) -> list[Variable]:
-    ctx = inst.target.ctx
-    pool: set[Variable] = {Indep(j) for j in range(1, ctx.n + 1)}
-    for p in [inst.target, *inst.generators]:
-        for mono in p.terms:
-            for v, _ in mono:
-                pool.add(v)
-    kept = [
-        v
-        for v in pool
-        if not isinstance(v, Deriv) or mi.order(v.order) <= inst.order_bound
-    ]
-    return sorted(kept)
+    """Every independent variable and every derivative of order at most
+    order_bound that the target or a generator mentions."""
+    pool: set[Variable] = {Indep(j) for j in range(1, inst.target.ctx.n + 1)}
+    pool.update(v for p in (inst.target, *inst.generators) for mono in p.terms for v, _ in mono
+                if not isinstance(v, Deriv) or mi.order(v.order) <= inst.order_bound)
+    return sorted(pool)
 
 
 def _monomials_over(pool: Sequence[Variable], degree: int) -> list[tuple]:
@@ -140,17 +120,10 @@ def membership(inst: MembershipInstance) -> Optional[Certificate]:
     if solution is None:
         return None
 
-    cofactors = []
-    pos = 0
-    for _ in inst.generators:
-        terms: dict[tuple, Fraction] = {}
-        for mono in basis:
-            c = solution[pos]
-            pos += 1
-            if c:
-                terms[mono] = terms.get(mono, Fraction(0)) + c
-        cofactors.append(DiffPoly(ctx, terms))
-    return Certificate(cofactors)
+    # the basis holds each monomial once, so a cofactor reads its slice of the solution
+    k = len(basis)
+    return Certificate([DiffPoly(ctx, {mono: c for mono, c in zip(basis, solution[t * k:(t + 1) * k]) if c})
+                        for t in range(len(inst.generators))])
 
 
 # -- division by a normalized set ---------------------------------------------
@@ -185,7 +158,34 @@ def divide_by_normalized(
     return out
 
 
-# -- independent generation check ---------------------------------------------
+# -- the module action and the independent generation check ---------------------
+
+
+def coordinate_image(leads: Sequence[Deriv], pos: int, shift: mi.Index) -> Deriv:
+    """The derivative the coordinate X^shift e_pos maps to: leads[pos] shifted."""
+    return Deriv(leads[pos].i, mi.add(shift, leads[pos].order))
+
+
+def tau_vector(tau: TauPair, sigma: Optional[mi.Index] = None) -> Vector:
+    """X^sigma tau = X^{sigma+shift_i} e_i - X^{sigma+shift_j} e_j as a module
+    vector; sigma defaults to 0."""
+    sigma = sigma or mi.zero(len(tau.shift_i))
+    return {(tau.i, mi.add(sigma, tau.shift_i)): Fraction(1), (tau.j, mi.add(sigma, tau.shift_j)): Fraction(-1)}
+
+
+def module_apply(d: Vector, leads: Sequence[Deriv]) -> dict[Deriv, Fraction]:
+    """The formal combination sum_i d_i . lead_i under the shift action,
+    collected exactly; an empty dict means d is a syzygy of the leads."""
+    _check_positions(d, len(leads), "leads")
+    out: dict[Deriv, Fraction] = {}
+    for (pos, shift), c in d.items():
+        target = coordinate_image(leads, pos, shift)
+        val = out.get(target, Fraction(0)) + c
+        if val:
+            out[target] = val
+        else:
+            out.pop(target, None)
+    return out
 
 
 class CertifiedSyzygy(namedtuple("CertifiedSyzygy", "syzygy combination")):
@@ -196,8 +196,7 @@ class CertifiedSyzygy(namedtuple("CertifiedSyzygy", "syzygy combination")):
     def expand(self, taus: Sequence[TauPair]) -> Vector:
         total: Vector = {}
         for (t, sigma), c in self.combination.items():
-            for (pos, shift), x in taus[t].vector().items():
-                coord = (pos, mi.add(sigma, shift))
+            for coord, x in tau_vector(taus[t], sigma).items():
                 total[coord] = total.get(coord, Fraction(0)) + c * x
         return {coord: c for coord, c in total.items() if c}
 
@@ -216,12 +215,10 @@ def _slice_columns(leads: Sequence[Deriv], degree_bound: int):
     n = len(leads[0].order)
     coords: list[tuple[int, mi.Index]] = []
     fibers: dict[Deriv, list[int]] = {}
-    for pos, lead in enumerate(leads):
+    for pos in range(len(leads)):
         for shift in mi.iter_up_to_order(n, degree_bound):
-            col = len(coords)
+            fibers.setdefault(coordinate_image(leads, pos, shift), []).append(len(coords))
             coords.append((pos, shift))
-            target = Deriv(lead.i, mi.add(shift, lead.order))
-            fibers.setdefault(target, []).append(col)
     return coords, fibers
 
 
@@ -240,22 +237,19 @@ def certify_combination(
     """
     fibers: dict[Deriv, Vector] = {}
     for (pos, shift), c in sv.items():
-        target = Deriv(leads[pos].i, mi.add(shift, leads[pos].order))
-        fibers.setdefault(target, {})[(pos, shift)] = c
+        fibers.setdefault(coordinate_image(leads, pos, shift), {})[(pos, shift)] = c
 
     combo: Vector = {}
     for target in sorted(fibers):
         cert_cols: list[tuple[int, mi.Index]] = []
         columns: list[Vector] = []
         for t, tau in enumerate(taus):
-            if leads[tau.i].i != target.i:
-                continue
-            join_order = mi.add(leads[tau.i].order, tau.shift_i)
-            sigma = mi.try_subtract(join_order, target.order)
+            join = coordinate_image(leads, tau.i, tau.shift_i)
+            sigma = mi.try_subtract(join.order, target.order) if join.i == target.i else None
             if sigma is None or mi.order(sigma) > degree_bound:
                 continue
             cert_cols.append((t, sigma))
-            columns.append({(pos, mi.add(sigma, shift)): c for (pos, shift), c in tau.vector().items()})
+            columns.append(tau_vector(tau, sigma))
 
         solution = linalg.solve_labeled(columns, fibers[target])
         if solution is None:
@@ -289,17 +283,9 @@ def syzygy_oracle(leads: Sequence[Deriv], degree_bound: int) -> SyzygyOracleResu
             continue
         # one row: the coefficients of every coordinate mapping onto target
         rows = [{t: Fraction(1) for t in range(len(cols))}]
-        for vec in linalg.nullspace(rows, len(cols)):
-            sv = {coords[cols[t]]: c for t, c in enumerate(vec) if c}
-            if sv:
-                spanning.append(sv)
+        # each basis vector has a 1 in its free column, so none is zero
+        spanning += [{coords[cols[t]]: c for t, c in enumerate(vec) if c} for vec in linalg.nullspace(rows, len(cols))]
 
-    certified: list[CertifiedSyzygy] = []
-    failures: list[Vector] = []
-    for sv in spanning:
-        cert = certify_combination(sv, taus, leads, degree_bound)
-        if cert is None:
-            failures.append(sv)
-        else:
-            certified.append(cert)
-    return SyzygyOracleResult(degree_bound, taus, spanning, certified, failures)
+    certs = [certify_combination(sv, taus, leads, degree_bound) for sv in spanning]
+    return SyzygyOracleResult(degree_bound, taus, spanning, [cert for cert in certs if cert is not None],
+                              [sv for sv, cert in zip(spanning, certs) if cert is None])

@@ -16,24 +16,20 @@ from pathlib import Path
 from diffalg import (
     Context,
     DiffPoly,
-    MembershipInstance,
     Ranking,
     SolvedForm,
     SolvedSystem,
     audit_compatibility,
-    divide_by_normalized,
     is_passive,
-    membership,
     normalized_slice,
-    prolong,
     quotient_census,
     reduce,
-    syzygy_oracle,
 )
 from diffalg import multiindex as mi
 from diffalg.cli import main
 
 import gen
+from reference.oracle import MembershipInstance, divide_by_normalized, membership, prolong, syzygy_oracle
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

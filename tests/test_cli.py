@@ -482,7 +482,7 @@ def test_problem_round_trip():
             assert poly_from_json(problem.ctx, entry["tail"]) == form.tail
 
 
-def test_problem_validation():
+def test_problem_validation(tmp_path):
     with pytest.raises(StructuralError):
         problem_from_dict({"n": 2})
     with pytest.raises(StructuralError):
@@ -497,6 +497,12 @@ def test_problem_validation():
     problem = problem_from_dict({"n": 2, "m": 1, "equations": []})
     assert problem.bounds.order_bound == 6 and problem.bounds.max_steps == 100000
     assert problem.bounds.max_enumeration == 10 ** 6
+    # a tail that holds its own lead is named in the file's notation
+    own = tmp_path / "own_lead.json"
+    own.write_text(json.dumps({"n": 1, "m": 1, "equations": [
+        {"lead": ["u", 1, [1]], "tail": [{"c": "1", "m": [[["u", 1, [1]], 1]]}]}]}))
+    assert run_cli_full("check", str(own)) == (
+        1, "", "input error: equations[0]: tail of solved form depends on its own lead ['u', 1, [1]]\n")
 
 
 SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -843,11 +849,10 @@ def run_python(code, *args, **kwargs):
 
 def test_check_path_loads_no_argparse():
     # argparse's first build loads gettext and locale, and dataclasses loads
-    # inspect; a process that runs one command cannot afford them, nor the
-    # membership oracle, which only the tests use
+    # inspect; a process that runs one command cannot afford them
     proc = run_python(
         "from diffalg.cli import main; main(['check', sys.argv[2]]);"
-        " print(sorted({'argparse', 'gettext', 'locale', 'dataclasses', 'inspect', 'diffalg.oracle'}"
+        " print(sorted({'argparse', 'gettext', 'locale', 'dataclasses', 'inspect'}"
         " & set(sys.modules)), file=sys.stderr)", HEAT)
     assert proc.returncode == 0 and json.loads(proc.stdout)["verdict"] == "passive"
     assert proc.stderr == "[]\n"
@@ -897,7 +902,7 @@ def test_package_exports_load_lazily():
     namespace = {}
     exec("from diffalg import *", namespace)
     del namespace["__builtins__"]
-    assert sorted(namespace) == diffalg.__all__ and len(diffalg.__all__) == 42
+    assert sorted(namespace) == diffalg.__all__ and len(diffalg.__all__) == 35
     for name in diffalg.__all__:
         assert getattr(diffalg, name) is namespace[name]
         assert name in dir(diffalg)
@@ -913,14 +918,21 @@ def test_package_exports_load_lazily():
 # -- start-up ---------------------------------------------------------------------
 
 
-def test_cli_import_leaves_out_the_oracles():
-    # the syzygy oracle, divide_by_normalized and exact linear algebra serve
-    # the tests and Ranking.is_total; a command compiles none of them
-    proc = run_python("import diffalg.cli; print(sorted({'diffalg.oracle', 'diffalg.linalg'} & set(sys.modules)))")
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
-    proc = run_python("from diffalg import syzygy_oracle, divide_by_normalized;"
-                      " print(syzygy_oracle.__module__, divide_by_normalized.__module__)")
-    assert (proc.returncode, proc.stdout) == (0, "diffalg.oracle diffalg.oracle\n"), proc.stderr
+def test_package_ships_only_what_the_cli_loads():
+    # every module of the package is one `import diffalg.cli` loads, so the
+    # package ships no test-only code; __main__ is `python -m diffalg`, which
+    # runs a command when imported.  Every public name resolves, and resolving
+    # them all loads no module beyond that closure
+    proc = run_python(
+        "import json, pkgutil, diffalg, diffalg.cli;"
+        " loaded = lambda: sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('diffalg.'));"
+        " shipped = sorted(m.name for m in pkgutil.iter_modules(diffalg.__path__) if m.name != '__main__');"
+        " by_cli = loaded(); [getattr(diffalg, name) for name in diffalg.__all__];"
+        " print(json.dumps([shipped, by_cli, loaded()]))")
+    assert proc.returncode == 0, proc.stderr
+    shipped, by_cli, by_exports = json.loads(proc.stdout)
+    assert by_cli == shipped and by_exports == shipped
+    assert {"algebra", "cli", "normal", "passivity", "syzygy"} <= set(shipped)
 
 
 def test_commands_import_nothing_at_run_time():

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from diffalg import linalg
+from reference import linalg
 
 
 def F(x):

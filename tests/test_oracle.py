@@ -4,21 +4,10 @@ import random
 
 import pytest
 
-from diffalg import (
-    Context,
-    DiffPoly,
-    MembershipInstance,
-    Ranking,
-    SolvedForm,
-    SolvedSystem,
-    StructuralError,
-    membership,
-    prolong,
-    reduce,
-)
-from diffalg.oracle import prolong_within_class, variables_within_class
+from diffalg import Context, DiffPoly, Ranking, SolvedForm, SolvedSystem, StructuralError, reduce
 
 import gen
+from reference.oracle import MembershipInstance, membership, prolong, variables_within_class
 
 CTX = Context(2, 1)
 ORD = Ranking.orderly(CTX)
@@ -125,7 +114,7 @@ def test_negative_control_inconsistent_gradient():
 
     from diffalg.ranking import BASE
 
-    restricted = prolong_within_class(sys_, BASE, 3)
+    restricted = prolong(sys_, 3, class_bound=BASE)
     assert restricted == []
     pool = variables_within_class(CTX, ORD, BASE, 3)
     assert pool == [CTX.x(1), CTX.x(2)]  # no derivative ranks at or below base
@@ -135,7 +124,7 @@ def test_negative_control_inconsistent_gradient():
 def test_class_restricted_prolong_filters():
     sys_ = heat()
     key = ORD.key(D(2, 0))
-    gens = prolong_within_class(sys_, key, 4)
+    gens = prolong(sys_, 4, class_bound=key)
     # only the unshifted equation has lead class <= class(u_(2,0))
     assert len(gens) == 1
     pool = variables_within_class(CTX, ORD, key, 4)

@@ -12,7 +12,6 @@ from diffalg import (
     Context,
     DiffPoly,
     EnumerationLimitError,
-    MembershipInstance,
     Ranking,
     ReductionLimitError,
     SolvedForm,
@@ -22,12 +21,9 @@ from diffalg import (
     check_pair,
     coincident_lead_analysis,
     decide_passivity,
-    divide_by_normalized,
     is_passive,
-    membership,
     normalized_slice,
     operator_apply,
-    prolong,
     quotient_census,
     reduce,
     tau_generators,
@@ -36,10 +32,11 @@ from diffalg import multiindex as mi
 from diffalg.algebra import Deriv
 from diffalg.cli import render
 from diffalg.normal import find_principal, iter_orbit
-from diffalg.oracle import prolong_within_class, variables_within_class
 from diffalg.problem import load_problem, problem_from_dict
 
 import gen
+from reference.oracle import (MembershipInstance, divide_by_normalized, membership, prolong, tau_vector,
+                              variables_within_class)
 
 CTX = Context(2, 1)
 ORD = Ranking.orderly(CTX)
@@ -163,7 +160,7 @@ def test_obstruction_is_genuine():
     result = check_pair(sys_, tau_generators(sys_.leads())[0])
     assert result.status == "obstructed"
     bound = result.class_bound
-    gens = prolong_within_class(sys_, bound, 4)
+    gens = prolong(sys_, 4, class_bound=bound)
     pool = variables_within_class(CTX, ORD, bound, 4)
     inst = MembershipInstance(result.remainder, gens, 3, 4, pool=pool)
     assert membership(inst) is None
@@ -587,7 +584,7 @@ def test_pair_combination_matches_operator_apply():
         if sys_ is None:
             continue
         for tau in tau_generators(sys_.leads()):
-            expected = operator_apply(tau.vector(), sys_)
+            expected = operator_apply(tau_vector(tau), sys_)
             assert check_pair(sys_, tau).combination == expected
             pairs += 1
     assert pairs >= 5

@@ -195,14 +195,6 @@ class DiffPoly:
         return p
 
     @classmethod
-    def zero(cls, ctx: Context) -> "DiffPoly":
-        return cls._of(ctx, {})
-
-    @classmethod
-    def constant(cls, ctx: Context, c: Rational) -> "DiffPoly":
-        return cls(ctx, {(): c})
-
-    @classmethod
     def variable(cls, ctx: Context, v: Variable) -> "DiffPoly":
         return cls._of(ctx, {((ctx.check_var(v), 1),): Fraction(1)})
 
@@ -242,8 +234,8 @@ class DiffPoly:
         return self + (-other)
 
     def __mul__(self, other: Union["DiffPoly", Rational]) -> "DiffPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if isinstance(other, (int, Fraction)):  # a Fraction times a rational is a Fraction
+            return DiffPoly._of(self.ctx, {m: c * other for m, c in self.terms.items()} if other else {})
         self._check_ctx(other)
         res: dict[tuple, Fraction] = {}
         for m1, c1 in self.terms.items():
@@ -251,15 +243,7 @@ class DiffPoly:
                 _accumulate(res, monomial_product(m1, m2), c1 * c2)
         return DiffPoly._of(self.ctx, res)
 
-    def __rmul__(self, other: Rational) -> "DiffPoly":
-        return self.scale(other)
-
-    def scale(self, c: Rational) -> "DiffPoly":
-        if not c:
-            return DiffPoly.zero(self.ctx)
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
-        return DiffPoly._of(self.ctx, {m: c * x for m, x in self.terms.items()})
+    __rmul__ = __mul__  # only a rational reaches it: DiffPoly * DiffPoly is __mul__
 
     # -- calculus ------------------------------------------------------------
 
@@ -301,10 +285,10 @@ class DiffPoly:
         """Replace every variable v in images by images[v], all at once (an
         image's own variables are not substituted again), expanded into one
         accumulator.  Each power of an image is built once per call."""
-        powers: dict[Variable, list[DiffPoly]] = {}  # v -> [images[v], images[v]**2, ...]
+        powers: dict[Variable, dict[int, DiffPoly]] = {}  # v -> {e: images[v]**e}, the powers built
         for v, g in images.items():
             self._check_ctx(g)
-            powers[v] = [g]
+            powers[v] = {1: g}
         res: dict[tuple, Fraction] = {}
         for m, c in self.terms.items():
             rest, factor = [], None
@@ -313,10 +297,8 @@ class DiffPoly:
                 if built is None:
                     rest.append(p)
                     continue
-                e = p[1]
-                while len(built) < e:
-                    built.append(built[-1] * built[0])
-                factor = built[e - 1] if factor is None else factor * built[e - 1]
+                power = _power(built, p[1])
+                factor = power if factor is None else factor * power
             if factor is None:
                 _accumulate(res, m, c)
                 continue
@@ -334,6 +316,22 @@ class DiffPoly:
         """Terms in descending canonical monomial order (leading first)."""
         terms = self.terms
         return [(m, terms[m]) for m in sorted(terms, key=monomial_sort_key, reverse=True)]
+
+
+def _power(built: dict[int, DiffPoly], e: int) -> DiffPoly:
+    """built[e], the e-th power of built[1], squared up the halving chain e,
+    e // 2, ... from the powers built: O(log e) products, every square kept."""
+    chain, k = [], e
+    while k not in built:
+        chain.append(k)
+        k //= 2
+    for t in reversed(chain):
+        even = t - t % 2
+        if even not in built:
+            built[even] = built[t // 2] * built[t // 2]
+        if t % 2:
+            built[t] = built[even] * built[1]
+    return built[e]
 
 
 # -- serialization -----------------------------------------------------------

@@ -268,6 +268,8 @@ def cmd_quotient(file, ranking, max_steps, pretty, order) -> int:
 
 
 def cmd_ranking_audit(file, ranking, pretty, samples, exhaustive_order, seed) -> int:
+    if not samples:  # count admits 0, but the sampled pass draws at least one
+        raise StructuralError("argument --samples: must be a positive integer, got 0")
     problem = load_problem(file, ranking, gate_ranking=False)
     n, m = problem.ctx
     pool = m * count_up_to_order(n, exhaustive_order)  # the exhaustive pass compares every pair in every direction

@@ -34,13 +34,6 @@ def zero(n: int) -> Index:
     return (0,) * n
 
 
-def unit(n: int, k: int) -> Index:
-    """Unit index e_k, direction k in 1..n."""
-    if not 1 <= k <= n:
-        raise StructuralError(f"direction {k} out of range 1..{n}")
-    return tuple(1 if t == k - 1 else 0 for t in range(n))
-
-
 def order(a: Index) -> int:
     """Total order |a|."""
     return sum(a)
@@ -51,14 +44,8 @@ def add(a: Index, b: Index) -> Index:
     return tuple(map(_add, a, b))
 
 
-def join(a: Index, b: Index) -> Index:
-    """Componentwise maximum."""
-    _same_length(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def diamond(a: Index, b: Index) -> Index:
-    """The shift with a + diamond(a, b) == join(a, b)."""
+    """The shift that raises a to the componentwise maximum of a and b."""
     _same_length(a, b)
     return tuple(max(x, y) - x for x, y in zip(a, b))
 

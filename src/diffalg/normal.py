@@ -104,9 +104,6 @@ class SolvedSystem:
     def ctx(self) -> Context:
         return self.ranking.ctx
 
-    def __len__(self):
-        return len(self.equations)
-
     def leads(self) -> list[Deriv]:
         return [eq.lead for eq in self.equations]
 
@@ -293,7 +290,7 @@ def autoreduce(sys: SolvedSystem) -> SolvedSystem:
     eqs = list(sys.equations)
     for s in range(len(eqs)):
         others = SolvedSystem(tuple(eqs[:s] + eqs[s + 1:]), sys.ranking, sys.bounds)
-        if not len(others):
+        if not others.equations:
             continue
         eqs[s] = SolvedForm(eqs[s].lead, others.normal_form(eqs[s].tail))
     return SolvedSystem(tuple(eqs), sys.ranking, sys.bounds)

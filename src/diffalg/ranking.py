@@ -35,6 +35,7 @@ raises: a failed audit is a result, not an error.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -94,14 +95,6 @@ class Ranking:
             other.ctx, other.kind, other.weights)
 
     @classmethod
-    def orderly(cls, ctx: Context) -> "Ranking":
-        return cls.from_spec(ctx, "orderly")
-
-    @classmethod
-    def elimination(cls, ctx: Context) -> "Ranking":
-        return cls.from_spec(ctx, "elimination")
-
-    @classmethod
     def from_weights(cls, ctx: Context, rows) -> "Ranking":
         if not isinstance(rows, list) or not rows:
             raise StructuralError("weight ranking needs a non-empty list of rows")
@@ -127,8 +120,8 @@ class Ranking:
         if isinstance(spec, dict) and set(spec) == {"weights"}:
             return cls.from_weights(ctx, spec["weights"])
         raise StructuralError(
-            f"bad ranking spec {spec!r}; expected 'orderly', 'elimination',"
-            " or {'weights': [[...], ...]}"
+            f"bad ranking spec {json.dumps(spec)}; expected \"orderly\", \"elimination\","
+            ' or {"weights": [[...], ...]}'
         )
 
     # -- comparison ----------------------------------------------------------

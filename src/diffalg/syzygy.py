@@ -65,7 +65,7 @@ def operator_apply(d: Vector, sys: SolvedSystem) -> DiffPoly:
     iterated total derivatives.  For a syzygy of the leads, every lead-derived
     top term cancels and only derived tails remain."""
     _check_positions(d, len(sys.equations), "equations")
-    total = DiffPoly.zero(sys.ctx)
+    total = DiffPoly(sys.ctx)
     for (pos, shift), c in d.items():
-        total = total + sys.equations[pos].poly().total_derivative_multi(shift).scale(c)
+        total = total + sys.equations[pos].poly().total_derivative_multi(shift) * c
     return total

@@ -31,7 +31,7 @@ def with_bounds(sys_, **fields):
 
 def power(f, e):
     """f ** e by repeated multiplication, for e >= 0."""
-    result = DiffPoly.constant(f.ctx, 1)
+    result = DiffPoly(f.ctx, {(): 1})
     for _ in range(e):
         result = result * f
     return result
@@ -157,7 +157,7 @@ def family_problem(rng, family, n, bound):
         return tuple(int(t == k) for t in range(1, n + 1))
 
     def u(i, a):
-        return DiffPoly.variable(ctx, Deriv(i, a)).scale(rng.choice([1, 2, 3, -1, -2]))
+        return DiffPoly.variable(ctx, Deriv(i, a)) * rng.choice([1, 2, 3, -1, -2])
 
     if family == "riccati":
         eqs = [(Deriv(1, unit(k)), u(1, zero) * u(1, zero)) for k in range(1, n + 1)]
@@ -165,7 +165,7 @@ def family_problem(rng, family, n, bound):
         phi = rand_poly_over(rng, ctx, [Indep(j) for j in range(1, n + 1)], terms=4, max_degree=4)
         eqs = [(Deriv(1, unit(k)), phi.total_derivative(k)) for k in range(1, n + 1)]
     else:
-        tail = DiffPoly.zero(ctx)
+        tail = DiffPoly(ctx)
         for k in range(2, n + 1):
             tail = tail + u(1, unit(k))
         eqs = [(Deriv(1, (2,) + zero[1:]), tail)]

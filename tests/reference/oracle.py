@@ -77,7 +77,7 @@ class Certificate(namedtuple("Certificate", "cofactors")):
     def expand(self, generators: list[DiffPoly]) -> DiffPoly:
         if not generators:
             raise StructuralError("certificate without generators")
-        total = DiffPoly.zero(generators[0].ctx)
+        total = DiffPoly(generators[0].ctx)
         for q, g in zip(self.cofactors, generators):
             total = total + q * g
         return total

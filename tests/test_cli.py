@@ -180,6 +180,43 @@ def test_ranking_override():
     assert json.loads(out)["verdict"] == "passive"
 
 
+@pytest.mark.parametrize("spec", ["true", '{"weights": [[0, 1, 1]], "rows": 1}', '"grevlex"', "[[0, 1, 1]]"])
+def test_bad_ranking_spec_is_printed_as_json(tmp_path, spec):
+    expected = (1, "", f'input error: bad ranking spec {spec}; expected "orderly", "elimination",'
+                       ' or {"weights": [[...], ...]}\n')
+    assert run_cli_full("check", HEAT, "--ranking", spec) == expected
+    data = json.loads(Path(HEAT).read_text())
+    data["ranking"] = json.loads(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert run_cli_full("check", str(path)) == expected
+
+
+def test_a_power_of_an_image_is_built_by_squaring(tmp_path):
+    # one rewrite of u_(2,0)^E by heat's u_(2,0) -> u_(0,1) needs the E-th
+    # power of the image: squaring builds it in O(log E) products, where one
+    # product at a time would take 10^9 of them
+    target = json.dumps([{"c": "1", "m": [[["u", 1, [2, 0]], 10 ** 9]]}])
+    start = perf_counter()
+    reduced = run_cli_full("reduce", HEAT, "--target", target, "--pretty")
+    assert perf_counter() - start < 1
+    assert reduced == (0, "remainder: u[1,(0,1)]^1000000000\nsteps: 1\n", "")
+    # u_(2,0) = u_(0,1)^E and u_(0,1) = x1: every normal form of the pair
+    # check and the slice substitutes x1 into a power near E = 10^6
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps({"n": 2, "m": 1, "equations": [
+        {"lead": ["u", 1, [2, 0]], "tail": [{"c": "-1", "m": [[["u", 1, [0, 1]], 10 ** 6]]}]},
+        {"lead": ["u", 1, [0, 1]], "tail": [{"c": "-1", "m": [[["x", 1], 1]]}]},
+    ]}))
+    start = perf_counter()
+    code, out, err = run_cli_full("check", str(path))
+    assert perf_counter() - start < 1
+    report = json.loads(out)
+    assert (code, err, report["verdict"]) == (0, "", "passive")
+    lead = {(f["lead"][1], tuple(f["lead"][2])): f["tail"] for f in report["normalized_slice"]["generators"]}
+    assert lead[(1, (2, 0))] == [{"c": "-1", "m": [[["x", 1], 10 ** 6]]}]
+
+
 def test_malformed_json_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 2,\n  "m": }')
@@ -795,6 +832,7 @@ def test_help_exits_0(capsys):
     (["check", HEAT, "--pretty=1"], "argument --pretty: ignored explicit argument '1'"),
     (["syzygies", HEAT, "--max-steps", "0"], "unrecognized arguments: --max-steps 0"),
     (["ranking-audit", HEAT, "--max-steps=0"], "unrecognized arguments: --max-steps=0"),
+    (["ranking-audit", HEAT, "--samples", "0"], "argument --samples: must be a positive integer, got 0"),
 ])
 def test_usage_error_messages(argv, message):
     assert run_cli_full(*argv) == (1, "", f"input error: {message}\n")
@@ -1017,7 +1055,7 @@ def random_leaf(rng):
     if rng.random() < 0.4:
         return gen.rand_variable(rng, ctx, 3)
     f = gen.rand_poly(rng, ctx)
-    return f.scale(Fraction(-(10 ** 30) - 7, 3 ** 40)) if rng.random() < 0.3 else f
+    return f * Fraction(-(10 ** 30) - 7, 3 ** 40) if rng.random() < 0.3 else f
 
 
 def random_form(rng):
@@ -1057,9 +1095,9 @@ def test_render_matches_json_dumps():
         assert render(obj) == json.dumps(obj, indent=2, sort_keys=True)
     ctx1, ctx = Context(1, 1), Context(2, 2)
     x1, u = DiffPoly.variable(ctx, Indep(1)), DiffPoly.variable(ctx, Deriv(2, (0, 3)))
-    f = (x1 * x1 * u - DiffPoly.constant(ctx, Fraction(-22, 7))) * u + x1.scale(Fraction(10 ** 20, 3))
+    f = (x1 * x1 * u - DiffPoly(ctx, {(): Fraction(-22, 7)})) * u + x1 * Fraction(10 ** 20, 3)
     edges = [
-        DiffPoly.zero(ctx), DiffPoly.constant(ctx, Fraction(-5, 3)), x1 * x1 * DiffPoly.variable(ctx, Indep(2)),
+        DiffPoly(ctx), DiffPoly(ctx, {(): Fraction(-5, 3)}), x1 * x1 * DiffPoly.variable(ctx, Indep(2)),
         f, DiffPoly.variable(ctx1, Deriv(1, (4,))) * DiffPoly.variable(ctx1, Indep(1)), Deriv(1, (2,)), Indep(3),
     ]
     # one monomial, and one variable, at several indents in a single call
@@ -1081,14 +1119,14 @@ def test_render_matches_json_dumps():
     # slice generators: SolvedForm leaves bare, in lists, at several indents
     # and next to lists of Derivs, with an empty tail and a large coefficient
     fa, fb = SolvedForm(Deriv(2, (2, 2)), p2), SolvedForm(Deriv(1, (0, 0, 4)), p3)
-    fc, fd = SolvedForm(Deriv(1, (1, 1)), DiffPoly.zero(ctx)), SolvedForm(Deriv(1, (0, 0)), f)
+    fc, fd = SolvedForm(Deriv(1, (1, 1)), DiffPoly(ctx)), SolvedForm(Deriv(1, (0, 0)), f)
     payloads += [fa, fc, [fa, fb, fc, fd], {"g": [fc, fd], "h": {"i": fa}}, (fa, [fb, [fc, [fd]]]),
                  [d2, d2, fa], [fa, d2, d2], {"d": [d2, d2], "f": [fb, fb], "e": [d3, fb]}, [[fa], [d2, d2], fa.tail]]
     payloads += [random_payload(rng, leaf=random_form) for _ in range(150)]
     # census-sized reports: an empty system with n = 8 at bound 4, and heat
     # with n = 6 at bound 5, whose slice has 84 generators
     empty_ctx = Context(8, 1)
-    census = is_passive(SolvedSystem((), Ranking.orderly(empty_ctx), Bounds(order_bound=4))).to_json()
+    census = is_passive(SolvedSystem((), Ranking.from_spec(empty_ctx, "orderly"), Bounds(order_bound=4))).to_json()
     heat = problem_from_dict(gen.family_problem(random.Random(3), "heat", 6, 5))
     report = is_passive(SolvedSystem(heat.forms, heat.ranking, Bounds(order_bound=5))).to_json()
     assert len(census["census"]["parametric"]) == 495 and len(report["normalized_slice"]["generators"]) == 84
@@ -1132,7 +1170,7 @@ def test_reports_render_as_their_plain_json(monkeypatch, tmp_path):
     assert [tree["verdict"] for tree in trees[-6::2]] == ["passive"] * 3
     for _ in range(40):
         ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
-        system = gen.rand_solved_system(rng, ctx, Ranking.orderly(ctx), rng.randint(1, 4))
+        system = gen.rand_solved_system(rng, ctx, Ranking.from_spec(ctx, "orderly"), rng.randint(1, 4))
         forms = list(system.equations)
         xs = [Indep(j) for j in range(1, ctx.n + 1)]
         forms += [SolvedForm(eq.lead, eq.tail + gen.rand_poly_over(rng, ctx, xs)) for eq in forms[:rng.randint(0, 2)]]

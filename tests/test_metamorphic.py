@@ -89,7 +89,7 @@ def verdict(outcome) -> str:
 
 def translation(ctx: Context):
     """p -> p with x_j replaced by x_j + c_j, for small nonzero rationals c_j."""
-    images = {Indep(j): DiffPoly.variable(ctx, Indep(j)) + DiffPoly.constant(ctx, Fraction((-1) ** j * j, 3))
+    images = {Indep(j): DiffPoly.variable(ctx, Indep(j)) + DiffPoly(ctx, {(): Fraction((-1) ** j * j, 3)})
               for j in range(1, ctx.n + 1)}
     return lambda p: p.substitute_all(images)
 
@@ -116,7 +116,7 @@ def permuted_ranking(rk: Ranking, index) -> Ranking:
     """The weight rule whose direction columns are rk's, implicit unit rows
     included, permuted as index permutes a multi-index."""
     n = rk.ctx.n
-    units = [(0, *mi.unit(n, k)) for k in range(1, n + 1)] if rk.units else []
+    units = [tuple(int(t == k) for t in range(n + 1)) for k in range(1, n + 1)] if rk.units else []
     rows = [[str(row[0])] + [str(w) for w in index(row[1:])] for row in (*rk.weights, *units)]
     return Ranking.from_weights(rk.ctx, rows)
 

@@ -33,7 +33,7 @@ import gen
 from reference.oracle import MembershipInstance, divide_by_normalized, membership, prolong
 
 CTX = Context(2, 1)
-ORD = Ranking.orderly(CTX)
+ORD = Ranking.from_spec(CTX, "orderly")
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
@@ -73,19 +73,19 @@ def test_check_conditionally_solvable():
 
 
 def test_find_principal():
-    sys_ = system(SolvedForm(D(2, 0), DiffPoly.zero(CTX)))
+    sys_ = system(SolvedForm(D(2, 0), DiffPoly(CTX)))
     assert find_principal(sys_, D(3, 1)) == (0, (1, 1))
     assert find_principal(sys_, D(1, 0)) is None
     ctx2 = Context(2, 2)
     sys2 = SolvedSystem(
-        (SolvedForm(ctx2.u(1, (2, 0)), DiffPoly.zero(ctx2)),), Ranking.orderly(ctx2)
+        (SolvedForm(ctx2.u(1, (2, 0)), DiffPoly(ctx2)),), Ranking.from_spec(ctx2, "orderly")
     )
     assert find_principal(sys2, ctx2.u(2, (0, 0))) is None
 
 
 def test_find_principal_minimal_shift():
     sys_ = system(
-        SolvedForm(D(1, 0), DiffPoly.zero(CTX)),
+        SolvedForm(D(1, 0), DiffPoly(CTX)),
         SolvedForm(D(2, 1), -U(0, 1)),
     )
     # both leads divide u_(2,1); the second needs shift (0,0), the first (1,1)
@@ -96,11 +96,11 @@ def test_find_principal_minimal_shift():
 def test_reduce_examples():
     sys_ = system(SolvedForm(D(1, 0), -X(2)))
     res = reduce(U(1, 1), sys_)
-    assert res.remainder == DiffPoly.constant(CTX, 1)
+    assert res.remainder == DiffPoly(CTX, {(): 1})
     assert [s.to_json() for s in res.trace] == [{"eq": 0, "shift": (0, 1), "eliminated": D(1, 1)}]
     assert json.loads(render(res.trace[0].to_json()))["eliminated"] == ["u", 1, [1, 1]]
     assert not reduce(U(2, 0), sys_).remainder
-    f = gen.power(X(1), 2) + DiffPoly.constant(CTX, 3)
+    f = gen.power(X(1), 2) + DiffPoly(CTX, {(): 3})
     assert reduce(f, sys_).remainder == f
 
 
@@ -120,7 +120,7 @@ def test_reduce_idempotent_and_linear():
     rng = random.Random(31)
     for _ in range(30):
         ctx = Context(2, rng.randint(1, 2))
-        rk = Ranking.orderly(ctx)
+        rk = Ranking.from_spec(ctx, "orderly")
         sys_ = gen.rand_solved_system(rng, ctx, rk, rng.randint(1, 3))
         f = gen.rand_poly(rng, ctx, terms=3, max_degree=2, max_order=3)
         g = gen.rand_poly(rng, ctx, terms=3, max_degree=2, max_order=3)
@@ -134,7 +134,7 @@ def test_remainder_free_of_principal_derivatives():
     rng = random.Random(32)
     for _ in range(25):
         ctx = Context(2, 2)
-        rk = Ranking.orderly(ctx)
+        rk = Ranking.from_spec(ctx, "orderly")
         sys_ = gen.rand_solved_system(rng, ctx, rk, 2)
         f = gen.rand_poly(rng, ctx, terms=3, max_degree=2, max_order=3)
         r = reduce(f, sys_).remainder
@@ -163,7 +163,7 @@ def test_reduce_on_engine_memo_equals_reference():
     steps = 0
     for _ in range(80):
         ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
-        rk = rng.choice([Ranking.orderly(ctx), Ranking.elimination(ctx)])
+        rk = rng.choice([Ranking.from_spec(ctx, "orderly"), Ranking.from_spec(ctx, "elimination")])
         sys_ = gen.rand_solved_system(rng, ctx, rk, rng.randint(1, 3))
         for _ in range(4):
             f = gen.rand_poly(rng, ctx, terms=4, max_degree=2, max_order=4)
@@ -198,7 +198,7 @@ def test_autoreduce_fixed_point_and_singleton():
         SolvedForm(D(0, 1), -X(1) - X(2)),
     )
     assert autoreduce(sys_) == sys_
-    single = system(SolvedForm(D(1, 0), DiffPoly.zero(CTX)))
+    single = system(SolvedForm(D(1, 0), DiffPoly(CTX)))
     assert autoreduce(single) == single
 
 
@@ -228,7 +228,7 @@ def test_normalized_generators_unique_for_equal_lead_sets():
         SolvedForm(D(1, 0), -X(2)),
         SolvedForm(D(0, 1), -X(1)),
     )
-    c = DiffPoly.constant(CTX, 3)
+    c = DiffPoly(CTX, {(): 3})
     b2 = system(
         SolvedForm(D(1, 0), -X(2) + c * (U(0, 1) - X(1))),
         SolvedForm(D(0, 1), -X(1)),
@@ -303,14 +303,19 @@ def test_slice_missing_or_extra_lead_is_not_certified():
         dropped = certify_slice(sys_, forms, result.mismatches)
         assert not dropped.leads_match_orbit and not dropped.certified
         assert dropped.to_json()["leads_match_orbit"] is False
-    for extra in (SolvedForm(D(0, 1), DiffPoly.zero(CTX)), result.forms[0]):
+    for extra in (SolvedForm(D(0, 1), DiffPoly(CTX)), result.forms[0]):
         padded = certify_slice(sys_, result.forms + [extra], result.mismatches)
         assert not padded.leads_match_orbit and not padded.certified
+    # the same leads, but one tail holds the principal u_(2,0): not reduced
+    dirty = [SolvedForm(f.lead, f.tail + U(2, 0)) if f.lead == D(3, 0) else f for f in result.forms]
+    unreduced = certify_slice(sys_, dirty, result.mismatches)
+    assert unreduced.leads_match_orbit and not unreduced.tails_reduced and not unreduced.certified
+    assert unreduced.to_json()["tails_reduced"] is False
 
 
 def test_normalized_slice_agrees_with_reduce():
     sys_ = system(
-        SolvedForm(D(1, 0), DiffPoly.zero(CTX)),
+        SolvedForm(D(1, 0), DiffPoly(CTX)),
         SolvedForm(D(0, 1), -X(2)),
     )
     rng = random.Random(34)
@@ -376,7 +381,7 @@ def test_derived_normal_form_on_random_systems():
     passive = nonzero = 0
     while passive < 12:
         ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
-        sys_ = gen.rand_solved_system(rng, ctx, Ranking.orderly(ctx), rng.randint(1, 4))
+        sys_ = gen.rand_solved_system(rng, ctx, Ranking.from_spec(ctx, "orderly"), rng.randint(1, 4))
         if decide_passivity(sys_).verdict == "passive":
             passive += 1
             nonzero += check_slice_tails(sys_, 3)

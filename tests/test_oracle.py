@@ -10,7 +10,7 @@ import gen
 from reference.oracle import MembershipInstance, membership, prolong, variables_within_class
 
 CTX = Context(2, 1)
-ORD = Ranking.orderly(CTX)
+ORD = Ranking.from_spec(CTX, "orderly")
 
 
 def X(j, ctx=CTX):
@@ -30,7 +30,7 @@ def heat():
 
 
 def test_prolong_counts():
-    sys_ = SolvedSystem((SolvedForm(D(1, 0), DiffPoly.zero(CTX)),), ORD)
+    sys_ = SolvedSystem((SolvedForm(D(1, 0), DiffPoly(CTX)),), ORD)
     polys = prolong(sys_, 2)
     assert [p for p in polys] == [U(1, 0), U(1, 1), U(2, 0)]
     assert prolong(sys_, 0) == []
@@ -43,13 +43,13 @@ def test_membership_trivial():
     inst = MembershipInstance(gens[0], gens, 2, 2)
     cert = membership(inst)
     assert cert is not None and cert.verify(inst)
-    zero_inst = MembershipInstance(DiffPoly.zero(CTX), gens, 2, 2)
+    zero_inst = MembershipInstance(DiffPoly(CTX), gens, 2, 2)
     zcert = membership(zero_inst)
     assert zcert is not None and not zcert.expand(gens)
 
 
 def test_membership_no_generators():
-    assert membership(MembershipInstance(DiffPoly.zero(CTX), [], 2, 2)) is not None
+    assert membership(MembershipInstance(DiffPoly(CTX), [], 2, 2)) is not None
     assert membership(MembershipInstance(X(1), [], 2, 2)) is None
 
 
@@ -79,7 +79,7 @@ def test_agreement_with_reduce_trace():
     done = 0
     while done < 12:
         ctx = Context(2, 1)
-        rk = Ranking.orderly(ctx)
+        rk = Ranking.from_spec(ctx, "orderly")
         sys_ = gen.rand_solved_system(rng, ctx, rk, rng.randint(1, 2), max_order=2,
                                       tail_terms=1, tail_degree=1)
         f = gen.rand_poly(rng, ctx, terms=2, max_degree=2, max_order=2)
@@ -104,9 +104,9 @@ def test_negative_control_inconsistent_gradient():
     # ideal, but not from orbit elements of class base or below --
     # the obstruction is genuine, not a reduction artifact
     sys_ = SolvedSystem(
-        (SolvedForm(D(1, 0), DiffPoly.zero(CTX)), SolvedForm(D(0, 1), -X(1))), ORD
+        (SolvedForm(D(1, 0), DiffPoly(CTX)), SolvedForm(D(0, 1), -X(1))), ORD
     )
-    one = DiffPoly.constant(CTX, 1)
+    one = DiffPoly(CTX, {(): 1})
 
     full = prolong(sys_, 3)
     found = membership(MembershipInstance(one, full, 3, 3))

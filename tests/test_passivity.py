@@ -39,7 +39,7 @@ from reference.oracle import (MembershipInstance, divide_by_normalized, membersh
                               variables_within_class)
 
 CTX = Context(2, 1)
-ORD = Ranking.orderly(CTX)
+ORD = Ranking.from_spec(CTX, "orderly")
 
 
 def X(j, ctx=CTX):
@@ -64,7 +64,7 @@ def heat():
 
 def gradient(rhs2):
     return system(
-        SolvedForm(D(1, 0), DiffPoly.zero(CTX)),
+        SolvedForm(D(1, 0), DiffPoly(CTX)),
         SolvedForm(D(0, 1), -rhs2),
     )
 
@@ -88,7 +88,7 @@ def test_check_pair_inconsistent():
     sys_ = gradient(X(1))
     result = check_pair(sys_, tau_generators(sys_.leads())[0])
     assert result.status == "inconsistent"
-    assert result.remainder == DiffPoly.constant(CTX, 1)
+    assert result.remainder == DiffPoly(CTX, {(): 1})
 
 
 def test_check_pair_obstructed():
@@ -113,7 +113,7 @@ def test_is_passive_gradient_verdicts():
     assert all(p.status == "satisfied" for p in ok.pairs)
     bad = is_passive(gradient(X(1)))
     assert bad.verdict == "inconsistent" and bad.exit_code == 3
-    assert bad.pairs[0].remainder == DiffPoly.constant(CTX, 1)
+    assert bad.pairs[0].remainder == DiffPoly(CTX, {(): 1})
     assert bad.census is None and bad.normalized is None
     obs = is_passive(obstructed())
     assert obs.verdict == "not-passive" and obs.exit_code == 2
@@ -175,7 +175,7 @@ def test_quotient_census_heat():
 
 def test_quotient_census_empty_system():
     ctx = Context(1, 1)
-    sys_ = SolvedSystem((), Ranking.orderly(ctx))
+    sys_ = SolvedSystem((), Ranking.from_spec(ctx, "orderly"))
     census = quotient_census(gen.with_bounds(sys_, order_bound=5))
     assert len(census.parametric) == 6 and census.principal == []
 
@@ -207,7 +207,7 @@ def test_census_monotone_under_extension():
     base = heat()
     extended = system(
         SolvedForm(D(2, 0), -U(0, 1)),
-        SolvedForm(D(0, 1), DiffPoly.zero(CTX)),
+        SolvedForm(D(0, 1), DiffPoly(CTX)),
     )
     assert is_passive(extended).verdict == "passive"
     c_base = quotient_census(gen.with_bounds(base, order_bound=5)).counts
@@ -254,14 +254,14 @@ def test_coincident_leads_derived_relation():
 
 
 def test_coincident_leads_distinct_passthrough():
-    forms = [SolvedForm(D(1, 0), DiffPoly.zero(CTX)), SolvedForm(D(0, 1), -X(2))]
+    forms = [SolvedForm(D(1, 0), DiffPoly(CTX)), SolvedForm(D(0, 1), -X(2))]
     report = coincident_lead_analysis(forms, ORD)
     assert report.verdict == "ok" and report.relations == []
     assert list(report.system.equations) == forms
 
 
 def test_check_pair_requires_solvable():
-    sys_ = system(SolvedForm(D(0, 1), -U(2, 0)), SolvedForm(D(1, 0), DiffPoly.zero(CTX)))
+    sys_ = system(SolvedForm(D(0, 1), -U(2, 0)), SolvedForm(D(1, 0), DiffPoly(CTX)))
     taus = tau_generators(sys_.leads())
     with pytest.raises(StructuralError):
         check_pair(sys_, taus[0])
@@ -278,7 +278,7 @@ def random_systems(seed, count, passive_only=False):
     out = []
     while len(out) < count:
         ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
-        rk = Ranking.orderly(ctx) if rng.random() < 0.6 else Ranking.elimination(ctx)
+        rk = Ranking.from_spec(ctx, "orderly") if rng.random() < 0.6 else Ranking.from_spec(ctx, "elimination")
         sys_ = gen.rand_solved_system(rng, ctx, rk, rng.randint(1, 4))
         if not passive_only or decide_passivity(sys_).verdict == "passive":
             out.append((rng, sys_))
@@ -327,9 +327,9 @@ def test_census_matches_find_principal_randomized():
     rng = random.Random(77)
     for _ in range(30):
         ctx = Context(rng.randint(1, 3), 2)
-        rk = Ranking.orderly(ctx) if rng.random() < 0.5 else Ranking.elimination(ctx)
+        rk = Ranking.from_spec(ctx, "orderly") if rng.random() < 0.5 else Ranking.from_spec(ctx, "elimination")
         draws.append((gen.rand_solved_system(rng, ctx, rk, rng.randint(1, 4)), rng.randint(0, 4)))
-    wide = SolvedSystem((), Ranking.orderly(Context(9, 2)))
+    wide = SolvedSystem((), Ranking.from_spec(Context(9, 2), "orderly"))
     draws.append((wide, 3))
     for sys_, bound in draws:
         census = quotient_census(gen.with_bounds(sys_, order_bound=bound))
@@ -348,12 +348,12 @@ def test_max_enumeration_refuses_census_and_slice():
     # m * C(n + bound, n) = 2 * C(5, 3) = 20 derivatives up to order 2, of
     # n = 3 index entries each: 60 entries pass a budget of 60, not of 59
     ctx = Context(3, 2)
-    forms = (SolvedForm(ctx.u(1, (1, 0, 0)), DiffPoly.zero(ctx)),)
+    forms = (SolvedForm(ctx.u(1, (1, 0, 0)), DiffPoly(ctx)),)
 
     def at(limit):
-        return SolvedSystem(forms, Ranking.orderly(ctx), Bounds(order_bound=2, max_enumeration=limit))
+        return SolvedSystem(forms, Ranking.from_spec(ctx, "orderly"), Bounds(order_bound=2, max_enumeration=limit))
 
-    sys_ = SolvedSystem(forms, Ranking.orderly(ctx), Bounds(order_bound=2))
+    sys_ = SolvedSystem(forms, Ranking.from_spec(ctx, "orderly"), Bounds(order_bound=2))
     assert is_passive(at(60)) == is_passive(sys_)
     assert quotient_census(at(60)) == quotient_census(sys_) and normalized_slice(at(60)) == normalized_slice(sys_)
     for phase, run in [("census", quotient_census), ("normalized slice", normalized_slice), ("census", is_passive)]:
@@ -363,7 +363,7 @@ def test_max_enumeration_refuses_census_and_slice():
         assert str(caught.value) == f"{phase} would enumerate 60 index entries, above max_enumeration 59"
     # the verdict itself enumerates nothing: a not-passive system keeps its report
     bad = SolvedSystem((SolvedForm(ctx.u(1, (0, 1, 0)), -DiffPoly.variable(ctx, ctx.u(1, (2, 0, 0)))),),
-                       Ranking.orderly(ctx), Bounds(order_bound=2, max_enumeration=0))
+                       Ranking.from_spec(ctx, "orderly"), Bounds(order_bound=2, max_enumeration=0))
     assert is_passive(bad).verdict == "not-passive"
 
 
@@ -397,14 +397,14 @@ def test_find_principal_matches_reference():
             found += expected is not None
     assert found >= 500
     ctx = Context(3, 2)
-    zero = DiffPoly.zero(ctx)
+    zero = DiffPoly(ctx)
     # u_(0,1,0) and u_(1,0,0) both reach u_(1,1,0) by a shift of order 1:
     # the lexicographically smaller shift (0,1,0) picks the second equation
     tie = SolvedSystem((SolvedForm(ctx.u(1, (0, 1, 0)), zero), SolvedForm(ctx.u(1, (1, 0, 0)), zero)),
-                       Ranking.orderly(ctx))
+                       Ranking.from_spec(ctx, "orderly"))
     # u_(1,0,0) divides u_(2,1,0), which divides u_(3,1,1): the nearer lead wins
     nested = SolvedSystem((SolvedForm(ctx.u(1, (1, 0, 0)), zero), SolvedForm(ctx.u(1, (2, 1, 0)), zero)),
-                          Ranking.orderly(ctx))
+                          Ranking.from_spec(ctx, "orderly"))
     cases = [(tie, (1, 1, 0), (1, (0, 1, 0))), (tie, (2, 2, 1), (1, (1, 2, 1))),
              (nested, (2, 1, 0), (1, (0, 0, 0))), (nested, (3, 1, 1), (1, (1, 0, 1))),
              (nested, (3, 0, 2), (0, (2, 0, 2))), (nested, (0, 4, 4), None)]
@@ -424,13 +424,13 @@ def test_find_principal_matches_reference_with_many_leads():
     # one unknown with 8 to 12 distinct leads of order <= 4 at n = 3, so the
     # table's order decides among several dominated leads
     ctx = Context(3, 1)
-    zero = DiffPoly.zero(ctx)
+    zero = DiffPoly(ctx)
     pool = list(mi.iter_up_to_order(3, 4))
     crowded = 0
     for seed in range(8):
         rng = random.Random(seed)
         leads = rng.sample(pool, rng.randint(8, 12))
-        sys_ = SolvedSystem([SolvedForm(ctx.u(1, a), zero) for a in leads], Ranking.orderly(ctx))
+        sys_ = SolvedSystem([SolvedForm(ctx.u(1, a), zero) for a in leads], Ranking.from_spec(ctx, "orderly"))
         for v in ctx.derivs(6):
             assert find_principal(sys_, v) == find_principal_reference(sys_, v)
             crowded = max(crowded, sum(mi.try_subtract(a, v.order) is not None for a in leads))

@@ -21,9 +21,9 @@ to x_k with the chain rule over every derivative variable:
     D_k f = df/dx_k + sum over (i, alpha) of df/du^i_alpha * u^i_{alpha+e_k}
 
 The sum is finite because f has finite support.  DiffPoly.total_derivative
-(the one chain rule) and DiffPoly.substitute_all are the kernels behind every
-term of a normal form.  All arithmetic is exact (fractions.Fraction); nothing
-in this module rounds.
+(the one chain rule) and DiffPoly.substitute (of a map of images) are the
+kernels behind every term of a normal form.  All arithmetic is exact
+(fractions.Fraction); nothing in this module rounds.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from __future__ import annotations
 import re
 import sys
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Union
 
 from . import multiindex as mi
-from .errors import StructuralError
+from .errors import StructuralError, quote
 
 
 class Indep(namedtuple("Indep", "i j")):
@@ -57,9 +57,9 @@ class Indep(namedtuple("Indep", "i j")):
 Deriv = namedtuple("Deriv", "i order")
 
 
-Variable = Union[Indep, Deriv]
+Variable = Indep | Deriv
 
-Rational = Union[Fraction, int]
+Rational = Fraction | int
 
 
 def shift_deriv(v: Deriv, k: int) -> Deriv:
@@ -174,7 +174,7 @@ class DiffPoly:
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: Context, terms: Optional[dict[tuple, Rational]] = None):
+    def __init__(self, ctx: Context, terms: dict[tuple, Rational] | None = None):
         canonical: dict[tuple, Fraction] = {}
         if terms:
             for m, c in terms.items():
@@ -233,7 +233,7 @@ class DiffPoly:
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         return self + (-other)
 
-    def __mul__(self, other: Union["DiffPoly", Rational]) -> "DiffPoly":
+    def __mul__(self, other: DiffPoly | Rational) -> "DiffPoly":
         if isinstance(other, (int, Fraction)):  # a Fraction times a rational is a Fraction
             return DiffPoly._of(self.ctx, {m: c * other for m, c in self.terms.items()} if other else {})
         self._check_ctx(other)
@@ -277,11 +277,7 @@ class DiffPoly:
 
     # -- structure -----------------------------------------------------------
 
-    def substitute(self, v: Variable, g: "DiffPoly") -> "DiffPoly":
-        """Replace every occurrence of v by g, expanded and canonicalized."""
-        return self.substitute_all({v: g})
-
-    def substitute_all(self, images: dict[Variable, "DiffPoly"]) -> "DiffPoly":
+    def substitute(self, images: dict[Variable, "DiffPoly"]) -> "DiffPoly":
         """Replace every variable v in images by images[v], all at once (an
         image's own variables are not substituted again), expanded into one
         accumulator.  Each power of an image is built once per call."""
@@ -345,13 +341,13 @@ def var_to_json(v: Variable) -> list:
 
 def var_from_json(ctx: Context, data) -> Variable:
     if not isinstance(data, list) or not data or data[0] not in ("x", "u"):
-        raise StructuralError(f"bad variable {data!r}; expected ['x', j] or ['u', i, [a...]]")
+        raise StructuralError(f"bad variable {quote(data)}; expected ['x', j] or ['u', i, [a...]]")
     if data[0] == "x":
         if len(data) != 2 or type(data[1]) is not int:
-            raise StructuralError(f"bad independent variable {data!r}")
+            raise StructuralError(f"bad independent variable {quote(data)}")
         return ctx.x(data[1])
     if len(data) != 3 or type(data[1]) is not int or not isinstance(data[2], list):
-        raise StructuralError(f"bad derivative variable {data!r}")
+        raise StructuralError(f"bad derivative variable {quote(data)}")
     return ctx.u(data[1], data[2])
 
 
@@ -368,7 +364,7 @@ def _frac_from_str(s) -> Fraction:
         except ValueError:  # int() of more digits than sys.get_int_max_str_digits()
             raise StructuralError(f"rational of {len(s)} characters exceeds the interpreter's integer string"
                                   f" conversion limit of {sys.get_int_max_str_digits()} digits") from None
-    raise StructuralError(f"bad rational {s!r}; expected a decimal-free 'p' or 'p/q' string")
+    raise StructuralError(f"bad rational {quote(s)}; expected a decimal-free 'p' or 'p/q' string")
 
 
 def poly_to_json(p: DiffPoly) -> list:
@@ -391,17 +387,17 @@ def poly_from_json(ctx: Context, data, where: str = "polynomial") -> DiffPoly:
                 raise StructuralError("expected object with 'c' and 'm'")
             unknown = [key for key in term if key not in ("c", "m")]
             if unknown:
-                raise StructuralError(f"unknown field {unknown[0]!r}")
+                raise StructuralError(f"unknown field {quote(unknown[0])}")
             c = _frac_from_str(term["c"])
             if not isinstance(term["m"], list):
-                raise StructuralError(f"'m' must be a list of factors, got {term['m']!r}")
+                raise StructuralError(f"'m' must be a list of factors, got {quote(term['m'])}")
             pairs = []
             for entry in term["m"]:
                 if not isinstance(entry, list) or len(entry) != 2:
-                    raise StructuralError(f"bad factor {entry!r}")
+                    raise StructuralError(f"bad factor {quote(entry)}")
                 v, e = var_from_json(ctx, entry[0]), entry[1]
                 if type(e) is not int or e <= 0:
-                    raise StructuralError(f"exponent must be a positive integer, got {e!r}")
+                    raise StructuralError(f"exponent must be a positive integer, got {quote(e)}")
                 pairs.append((v, e))
         except StructuralError as exc:
             raise StructuralError(f"{where}[{t}]: {exc}") from None

@@ -28,8 +28,8 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NoReturn, Optional
 
 from .algebra import Deriv, DiffPoly, Indep, monomial_sort_key, poly_from_json, to_text
 from .errors import EnumerationLimitError, ParseError, ReductionLimitError, StructuralError, UnreadableFileError
@@ -116,7 +116,7 @@ def _render(obj, newline: str, out: list[str], cache: dict) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _census_args(obj) -> Optional[list]:
+def _census_args(obj) -> list | None:
     """The unknown and order entries of every item, flattened, when obj holds
     Derivs only and their orders share one length ([] when obj is empty);
     else None."""
@@ -225,7 +225,7 @@ def cmd_check(file, ranking, max_steps, pretty, order) -> int:
         return out
 
     _emit(pretty, payload, lines)
-    return report.exit_code
+    return EXIT_FOR_VERDICT[report.verdict]
 
 
 def cmd_reduce(file, ranking, max_steps, pretty, target) -> int:
@@ -260,7 +260,7 @@ def cmd_quotient(file, ranking, max_steps, pretty, order) -> int:
     if report.verdict != PASSIVE:
         _emit(pretty, lambda: {"error": "census requires a passive system", "verdict": report.verdict},
               lambda: [f"not passive: verdict {report.verdict}"])
-        return report.exit_code
+        return EXIT_FOR_VERDICT[report.verdict]
     census = quotient_census(coincidence.system)
     _emit(pretty, census.to_json, lambda: [f"order bound {census.order_bound}:"
                                            f" {len(census.principal)} principal, {len(census.parametric)} parametric"])
@@ -317,7 +317,7 @@ def _usage(command: str) -> str:
     return " ".join(words) + "\n    " + summary
 
 
-def _help(command: Optional[str]) -> NoReturn:
+def _help(command: str | None):
     """Print the help of one command, or of all, from the table and exit 0."""
     _write(f"usage: {_usage(command)}" if command else
            "usage: diffalg <cmd> file [options]\n\n" + "\n".join(map(_usage, COMMANDS)), sys.stdout)
@@ -388,7 +388,7 @@ def parse_args(argv: list[str]):
     return handler, {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         handler, kwargs = parse_args(sys.argv[1:] if argv is None else argv)
         return handler(**kwargs)

@@ -2,7 +2,16 @@
 too long to print: str() raises the interpreter's ValueError, and cli.main
 alone turns it into exit 4."""
 
+import json
+
 SIZE_BITS = 10**4  # sizes of this many bits or more print as "at least 2**k"; count_up_to_order stops past it
+
+
+def quote(value) -> str:
+    """An input value in an error message, as the JSON that wrote it; what
+    JSON cannot hold, which only a library caller passes, as a JSON string
+    of its repr."""
+    return json.dumps(value, default=repr)
 
 
 class StructuralError(ValueError):

@@ -7,11 +7,11 @@ raises a to the componentwise join of a and b.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import combinations_with_replacement
 from operator import add as _add, le, sub
-from typing import Iterator, Optional
 
-from .errors import SIZE_BITS, StructuralError
+from .errors import SIZE_BITS, StructuralError, quote
 
 Index = tuple[int, ...]
 
@@ -19,24 +19,15 @@ Index = tuple[int, ...]
 def validate(a: Index, n: int) -> Index:
     a = tuple(a)
     if len(a) != n:
-        raise StructuralError(f"multi-index {a} has length {len(a)}, expected {n}")
+        raise StructuralError(f"multi-index {quote(list(a))} has length {len(a)}, expected {n}")
     if any(type(e) is not int or e < 0 for e in a):
-        raise StructuralError(f"multi-index {a} has a negative or non-integer entry")
+        raise StructuralError(f"multi-index {quote(list(a))} has a negative or non-integer entry")
     return a
 
 
 def _same_length(a: Index, b: Index) -> None:
     if len(a) != len(b):
         raise StructuralError(f"multi-index length mismatch: {a} vs {b}")
-
-
-def zero(n: int) -> Index:
-    return (0,) * n
-
-
-def order(a: Index) -> int:
-    """Total order |a|."""
-    return sum(a)
 
 
 def add(a: Index, b: Index) -> Index:
@@ -50,7 +41,7 @@ def diamond(a: Index, b: Index) -> Index:
     return tuple(max(x, y) - x for x, y in zip(a, b))
 
 
-def try_subtract(a: Index, b: Index) -> Optional[Index]:
+def try_subtract(a: Index, b: Index) -> Index | None:
     """b - a when b dominates a componentwise, else None."""
     _same_length(a, b)
     return tuple(map(sub, b, a)) if all(map(le, a, b)) else None

@@ -8,9 +8,10 @@ what makes the rewriting terminate.
 
 reduce() eliminates, greatest first, every derivative variable lying in some
 equation's orbit (the principal derivatives), by substituting the prolonged
-rewrite rule.  The remainder depends only on the x's and the parametric
-derivatives, and is the fixpoint of the substitution find_principal() fixes,
-nearest lead first: rewrite order changes only the trace.
+rewrite rule into the terms whose greatest principal derivative it is.  The
+remainder depends only on the x's and the parametric derivatives, and is the
+fixpoint of the substitution find_principal() fixes, nearest lead first:
+rewrite order changes only the trace.
 SolvedSystem.normal_form() computes that fixpoint from normal forms memoized
 on the system itself, and the slice takes each candidate tail NF(D_k T) from
 it as normal_form(T.total_derivative(k)).
@@ -19,12 +20,14 @@ A system holds its Bounds, and every phase run on it reads its budgets there.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import namedtuple
+from collections.abc import Iterator, Sequence
+from fractions import Fraction
 from operator import add
-from typing import Iterator, Optional, Sequence
 
 from . import multiindex as mi
-from .algebra import Context, Deriv, DiffPoly, shift_deriv, to_text, var_to_json
+from .algebra import Context, Deriv, DiffPoly, _accumulate, shift_deriv, to_text, var_to_json
 from .errors import EnumerationLimitError, ReductionLimitError, StructuralError
 from .ranking import Ranking, class_to_json
 
@@ -57,9 +60,6 @@ class SolvedForm(namedtuple("SolvedForm", "lead tail")):
     def ctx(self) -> Context:
         return self.tail.ctx
 
-    def poly(self) -> DiffPoly:
-        return DiffPoly.variable(self.ctx, self.lead) + self.tail
-
     def rhs(self) -> DiffPoly:
         """The rewrite image of the lead: -tail."""
         return -self.tail
@@ -88,12 +88,12 @@ class SolvedSystem:
             )
         self.solvability = check_conditionally_solvable(self)
         self._nearest: dict[int, list] = {}  # unknown -> [(equation, lead order a)], largest (|a|, a) first
-        for idx, (i, a) in sorted(enumerate(leads), key=lambda e: (mi.order(e[1].order), e[1].order), reverse=True):
+        for idx, (i, a) in sorted(enumerate(leads), key=lambda e: (sum(e[1].order), e[1].order), reverse=True):
             self._nearest.setdefault(i, []).append((idx, a))
-        self._rule: dict[Deriv, Optional[tuple[int, mi.Index]]] = {}
+        self._rule: dict[Deriv, tuple[int, mi.Index] | None] = {}
         self._nf: dict[Deriv, DiffPoly] = {}
         self._orbits: dict[int, dict[Deriv, None]] = {}  # order bound -> the shifted leads up to it
-        zero = mi.zero(ranking.ctx.n)
+        zero = (0,) * ranking.ctx.n
         self._prolonged = {(idx, zero): eq.rhs() for idx, eq in enumerate(self.equations)}
 
     def __eq__(self, other):
@@ -107,7 +107,7 @@ class SolvedSystem:
     def leads(self) -> list[Deriv]:
         return [eq.lead for eq in self.equations]
 
-    def rule(self, v: Deriv) -> Optional[tuple[int, mi.Index]]:
+    def rule(self, v: Deriv) -> tuple[int, mi.Index] | None:
         """find_principal(self, v), memoized: the (equation, shift) whose
         prolonged rule rewrites v, or None when v is parametric."""
         try:
@@ -121,8 +121,8 @@ class SolvedSystem:
         |shift| * n index entries, n per derivation, against max_enumeration."""
         if (idx, shift) in self._prolonged:
             return self._prolonged[(idx, shift)]
-        self.bounds.check_enumeration("prolongation", mi.order(shift) * len(shift))
-        step = mi.zero(len(shift))
+        self.bounds.check_enumeration("prolongation", sum(shift) * len(shift))
+        step = (0,) * len(shift)
         poly = self._prolonged[(idx, step)]
         for k, reps in enumerate(shift):
             for _ in range(reps):
@@ -164,7 +164,7 @@ class SolvedSystem:
         """
         self.require_reducible(f)
         images = self._images(f)
-        return f.substitute_all(images) if images else f
+        return f.substitute(images) if images else f
 
     def _images(self, f: DiffPoly) -> dict[Deriv, DiffPoly]:
         """{v: NF(v)} for the principal v in f's support, memoized at one step
@@ -177,7 +177,7 @@ class SolvedSystem:
         # substitutions and pushes the normal forms still missing, its second
         # fills its own.  A rewrite cycle (no ranking has one) recharges until
         # the budget runs out.
-        stack: list[tuple[Deriv, Optional[list[Deriv]]]] = [(v, None) for v in top]
+        stack: list[tuple[Deriv, list[Deriv] | None]] = [(v, None) for v in top]
         while stack:
             v, hits = stack.pop()
             if v in self._nf:
@@ -194,7 +194,7 @@ class SolvedSystem:
                 # One simultaneous substitution equals substituting the hits
                 # one by one: every image is a normal form, so it holds no
                 # principal derivative that a later hit would rewrite.
-                self._nf[v] = image.substitute_all({w: self._nf[w] for w in hits}) if hits else image
+                self._nf[v] = image.substitute({w: self._nf[w] for w in hits}) if hits else image
         return {v: self._nf[v] for v in top}
 
 
@@ -204,7 +204,7 @@ def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.In
     shifted lead is a valid Deriv, built unchecked by tuple.__new__."""
     for idx, eq in enumerate(sys.equations):
         i, a = eq.lead
-        for shift in mi.iter_up_to_order(sys.ctx.n, order_bound - mi.order(a)):
+        for shift in mi.iter_up_to_order(sys.ctx.n, order_bound - sum(a)):
             yield idx, shift, tuple.__new__(Deriv, (i, tuple(map(add, a, shift))))
 
 
@@ -234,7 +234,7 @@ def check_conditionally_solvable(sys: SolvedSystem) -> SolvabilityReport:
     return SolvabilityReport(ok=not violations, violations=violations)
 
 
-def find_principal(sys: SolvedSystem, v: Deriv) -> Optional[tuple[int, mi.Index]]:
+def find_principal(sys: SolvedSystem, v: Deriv) -> tuple[int, mi.Index] | None:
     """The equation whose lead's orbit contains v, with the shift, nearest
     lead first: the smallest |shift| = |v| - |a| wins, ties broken by the
     lexicographically smallest shift v - a.  That is the first lead a that v
@@ -259,25 +259,41 @@ ReduceResult = namedtuple("ReduceResult", "remainder trace")  # trace: the Reduc
 
 def reduce(f: DiffPoly, sys: SolvedSystem) -> ReduceResult:
     """Divide f by the orbit of the system, greatest principal derivative
-    first, and return the remainder with the full rewrite trace.  The rule
-    of each derivative and each prolonged rule come from the system's
+    first, and return the remainder with the full rewrite trace.  Each term
+    waits in the bucket of its greatest principal derivative v, ranked by
+    (key(v), v); bucket None holds the remainder's terms.  A term that holds
+    the greatest v of all has it as its greatest, so a step rewrites v in
+    that bucket alone.  Rules and prolonged rules come from the system's
     memos (SolvedSystem.rule and .prolongation)."""
     sys.require_reducible(f)
-    rk, max_steps = sys.ranking, sys.bounds.max_steps
+    ctx, rk, rule, max_steps = sys.ctx, sys.ranking, sys.rule, sys.bounds.max_steps
+    buckets: dict[Deriv | None, dict[tuple, Fraction]] = {None: {}}
+    ranks: list[tuple[tuple, Deriv]] = []  # (key(v), v) of every bucket v but None, ascending
+
+    def place(terms: dict[tuple, Fraction]) -> None:
+        for m, c in terms.items():
+            top = max(((rk.key(v), v) for v, _ in m if v[0] and rule(v) is not None), default=None)
+            v = None if top is None else top[1]
+            if v not in buckets:
+                buckets[v] = {}
+                insort(ranks, top)
+            _accumulate(buckets[v], m, c)
+
+    place(f.terms)
     trace: list[ReduceStep] = []
-    current = f
-    steps = 0
-    while True:
-        hits = [v for v in current.support_derivs() if sys.rule(v) is not None]
-        if not hits:
-            return ReduceResult(current, trace)
-        steps += 1
-        if steps > max_steps:
-            raise ReductionLimitError(max_steps, to_text(current))
-        v = max(hits, key=lambda v: (rk.key(v), v))
-        idx, shift = sys.rule(v)
-        current = current.substitute(v, sys.prolongation(idx, shift))
+    while ranks:
+        v = ranks.pop()[1]
+        terms = buckets.pop(v)
+        if not terms:  # cancellation emptied it
+            continue
+        if len(trace) >= max_steps:
+            for bucket in buckets.values():
+                terms.update(bucket)
+            raise ReductionLimitError(max_steps, to_text(DiffPoly._of(ctx, terms)))
+        idx, shift = rule(v)
+        place(DiffPoly._of(ctx, terms).substitute({v: sys.prolongation(idx, shift)}).terms)
         trace.append(ReduceStep(idx, shift, v))
+    return ReduceResult(DiffPoly._of(ctx, buckets[None]), trace)
 
 
 def autoreduce(sys: SolvedSystem) -> SolvedSystem:
@@ -367,11 +383,11 @@ def certify_slice(sys: SolvedSystem, forms: list[SolvedForm], mismatches: list[d
     raised one step at a time to w."""
     rule, order_bound = sys.rule, sys.bounds.order_bound
     leads = {f.lead for f in forms}
-    within = [v for v in leads if mi.order(v.order) < order_bound]
+    within = [v for v in leads if sum(v.order) < order_bound]
     leads_match_orbit = (
         len(leads) == len(forms)
-        and all(mi.order(v.order) <= order_bound and rule(v) is not None for v in leads)
-        and all(eq.lead in leads for eq in sys.equations if mi.order(eq.lead.order) <= order_bound)
+        and all(sum(v.order) <= order_bound and rule(v) is not None for v in leads)
+        and all(eq.lead in leads for eq in sys.equations if sum(eq.lead.order) <= order_bound)
         and all(shift_deriv(v, k) in leads for v in within for k in range(1, sys.ctx.n + 1))
     )
     tails_reduced = all(rule(w) is None for f in forms for w in f.tail.support_derivs())

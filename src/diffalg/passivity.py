@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import filterfalse, repeat
+from collections.abc import Sequence
 from math import comb
-from typing import Sequence
 
 from . import multiindex as mi
 from .algebra import Deriv, DiffPoly
@@ -138,10 +138,6 @@ def quotient_census(sys: SolvedSystem) -> Census:
 class PassivityReport(namedtuple("PassivityReport", "verdict theta solvability pairs census normalized",
                                  defaults=(None, None))):
     __slots__ = ()
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_FOR_VERDICT[self.verdict]
 
     def to_json(self) -> dict:
         return {

@@ -24,13 +24,11 @@ rejected with the same first counterexample the sampled check
 from __future__ import annotations
 
 import json
-import os
 import sys
 from collections import namedtuple
-from typing import Optional
 
 from .algebra import Context, Deriv, poly_from_json, var_from_json
-from .errors import ParseError, StructuralError, UnreadableFileError
+from .errors import ParseError, StructuralError, UnreadableFileError, quote
 from .normal import Bounds, SolvedForm
 from .ranking import DEFAULT_RANKING, NAMED_RANKINGS, Ranking, shift_violation
 
@@ -55,21 +53,15 @@ def parse_json(text: str, source: str):
 def read_text(path: str) -> str:
     """The file's text as a text-mode open() reads it: decoded strictly as
     UTF-8, with CR LF and a lone CR read as LF, so JSON error positions
-    count the same lines.  The bytes come from os.read, which skips text
-    mode's incremental decoder and the file object, whose first use in a
-    process costs more than most parses."""
-    chunks = []
+    count the same lines.  The bytes are read in binary mode, which skips
+    text mode's incremental decoder."""
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            while chunk := os.read(fd, 1 << 16):  # a problem file is a few KiB
-                chunks.append(chunk)
-        finally:
-            os.close(fd)
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError:
         raise UnreadableFileError(path) from None
     try:
-        text = b"".join(chunks).decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid UTF-8 (byte {exc.start})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
@@ -77,7 +69,7 @@ def read_text(path: str) -> str:
 
 def _require(data: dict, key: str, kind, where: str):
     if key not in data:
-        raise StructuralError(f"{where}: missing field {key!r}")
+        raise StructuralError(f"{where}: missing field {quote(key)}")
     value = data[key]
     if type(value) is not kind:
         raise StructuralError(
@@ -89,7 +81,7 @@ def _require(data: dict, key: str, kind, where: str):
 def _known_fields(data: dict, allowed: tuple[str, ...], where: str) -> None:
     for key in data:
         if key not in allowed:
-            raise StructuralError(f"{where}: unknown field {key!r}")
+            raise StructuralError(f"{where}: unknown field {quote(key)}")
 
 
 def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
@@ -116,7 +108,7 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
     if violation is not None:
         raise StructuralError(
             "weight ranking fails the compatibility audit;"
-            f" first counterexample: {violation.to_json()}"
+            f" first counterexample: {quote(violation.to_json())}"
         )
 
     equations = _require(data, "equations", list, "problem")
@@ -143,7 +135,7 @@ def problem_from_dict(data: dict, gate_ranking: bool = True) -> Problem:
 
 
 def load_problem(
-    path: str, ranking_override: Optional[str] = None, gate_ranking: bool = True
+    path: str, ranking_override: str | None = None, gate_ranking: bool = True
 ) -> Problem:
     """Parse a problem file.  A ranking override is either one of the
     built-in names or inline JSON for a weight rule.  gate_ranking=False skips

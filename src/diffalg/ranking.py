@@ -35,17 +35,15 @@ raises: a failed audit is a result, not an error.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Optional, Union
 
 from . import multiindex as mi
 from .algebra import Context, Deriv, DiffPoly, Rational, _frac_from_str, shift_deriv, var_to_json
-from .errors import StructuralError
+from .errors import StructuralError, quote
 
 
 BASE = ()  # the class key of a polynomial with no derivative variables
@@ -59,7 +57,7 @@ def class_to_json(key: tuple):
     return [p if isinstance(p, int) else str(p) for p in key]
 
 
-RankingSpec = Union[str, dict]
+RankingSpec = str | dict
 
 # The leading rows of each named ranking over n directions; one unit row per
 # direction follows them.
@@ -120,7 +118,7 @@ class Ranking:
         if isinstance(spec, dict) and set(spec) == {"weights"}:
             return cls.from_weights(ctx, spec["weights"])
         raise StructuralError(
-            f"bad ranking spec {json.dumps(spec)}; expected \"orderly\", \"elimination\","
+            f"bad ranking spec {quote(spec)}; expected \"orderly\", \"elimination\","
             ' or {"weights": [[...], ...]}'
         )
 
@@ -160,7 +158,7 @@ class Counterexample(namedtuple("Counterexample", "axiom u v direction")):
         }
 
 
-def shift_violation(rk: Ranking) -> Optional[Counterexample]:
+def shift_violation(rk: Ranking) -> Counterexample | None:
     """The exact compatibility test: None when both axioms hold, else the
     axiom-(b) counterexample (u^1_0, shift e_k) for the smallest direction k
     whose weight column is not lexicographically positive.  That is the
@@ -169,7 +167,7 @@ def shift_violation(rk: Ranking) -> Optional[Counterexample]:
     for k in range(1, rk.ctx.n + 1):
         first = next((row[k] for row in rk.weights if row[k]), int(rk.units))
         if first <= 0:
-            return Counterexample("b", Deriv(1, mi.zero(rk.ctx.n)), None, k)
+            return Counterexample("b", Deriv(1, (0,) * rk.ctx.n), None, k)
     return None
 
 

@@ -18,8 +18,8 @@ tests, and live beside them in tests/reference/.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import multiindex as mi
 from .algebra import Deriv, DiffPoly
@@ -67,5 +67,6 @@ def operator_apply(d: Vector, sys: SolvedSystem) -> DiffPoly:
     _check_positions(d, len(sys.equations), "equations")
     total = DiffPoly(sys.ctx)
     for (pos, shift), c in d.items():
-        total = total + sys.equations[pos].poly().total_derivative_multi(shift) * c
+        eq = sys.equations[pos]
+        total = total + (DiffPoly.variable(sys.ctx, eq.lead) + eq.tail).total_derivative_multi(shift) * c
     return total

@@ -15,12 +15,12 @@ def degree(f):
 
 def max_deriv_order(f):
     """Largest |alpha| among f's support derivatives; 0 if there are none."""
-    return max((mi.order(v.order) for v in f.support_derivs()), default=0)
+    return max((sum(v.order) for v in f.support_derivs()), default=0)
 
 
 def max_eliminated_order(result):
     """Largest |alpha| a reduce trace eliminated; 0 for an empty trace."""
-    return max((mi.order(s.eliminated.order) for s in result.trace), default=0)
+    return max((sum(s.eliminated.order) for s in result.trace), default=0)
 
 
 def with_bounds(sys_, **fields):

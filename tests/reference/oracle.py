@@ -44,7 +44,7 @@ def prolong(sys: SolvedSystem, order_bound: int, class_bound=None) -> list[DiffP
     elements that do not exceed that class.
     """
     return [
-        sys.equations[idx].poly().total_derivative_multi(shift)
+        (DiffPoly.variable(sys.ctx, sys.equations[idx].lead) + sys.equations[idx].tail).total_derivative_multi(shift)
         for idx, shift, shifted in iter_orbit(sys, order_bound)
         if class_bound is None or sys.ranking.key(shifted) <= class_bound
     ]
@@ -93,7 +93,7 @@ def _default_pool(inst: MembershipInstance) -> list[Variable]:
     order_bound that the target or a generator mentions."""
     pool: set[Variable] = {Indep(j) for j in range(1, inst.target.ctx.n + 1)}
     pool.update(v for p in (inst.target, *inst.generators) for mono in p.terms for v, _ in mono
-                if not isinstance(v, Deriv) or mi.order(v.order) <= inst.order_bound)
+                if not isinstance(v, Deriv) or sum(v.order) <= inst.order_bound)
     return sorted(pool)
 
 
@@ -154,7 +154,7 @@ def divide_by_normalized(
         raise StructuralError("order must be a permutation of the form indices")
     out = f
     for pos in seq:
-        out = out.substitute(forms[pos].lead, forms[pos].rhs())
+        out = out.substitute({forms[pos].lead: forms[pos].rhs()})
     return out
 
 
@@ -169,7 +169,7 @@ def coordinate_image(leads: Sequence[Deriv], pos: int, shift: mi.Index) -> Deriv
 def tau_vector(tau: TauPair, sigma: Optional[mi.Index] = None) -> Vector:
     """X^sigma tau = X^{sigma+shift_i} e_i - X^{sigma+shift_j} e_j as a module
     vector; sigma defaults to 0."""
-    sigma = sigma or mi.zero(len(tau.shift_i))
+    sigma = sigma or (0,) * len(tau.shift_i)
     return {(tau.i, mi.add(sigma, tau.shift_i)): Fraction(1), (tau.j, mi.add(sigma, tau.shift_j)): Fraction(-1)}
 
 
@@ -246,7 +246,7 @@ def certify_combination(
         for t, tau in enumerate(taus):
             join = coordinate_image(leads, tau.i, tau.shift_i)
             sigma = mi.try_subtract(join.order, target.order) if join.i == target.i else None
-            if sigma is None or mi.order(sigma) > degree_bound:
+            if sigma is None or sum(sigma) > degree_bound:
                 continue
             cert_cols.append((t, sigma))
             columns.append(tau_vector(tau, sigma))

@@ -113,7 +113,7 @@ def test_criterion_4_decomposition_certified():
         bound = max(
             gen.max_eliminated_order(res),
             gen.max_deriv_order(f),
-            max(mi.order(eq.lead.order) for eq in sys_.equations),
+            max(sum(eq.lead.order) for eq in sys_.equations),
         )
         gens = prolong(sys_, bound)
         base_degree = max(gen.degree(f), gen.degree(diff), 1)
@@ -236,7 +236,7 @@ def test_criterion_9_theorem_coherence():
         # leads of the bounded normalized presentation == orbit within bound
         orbit = set()
         for eq in sys_.equations:
-            room = 4 - mi.order(eq.lead.order)
+            room = 4 - sum(eq.lead.order)
             for shift in mi.iter_up_to_order(sys_.ctx.n, max(room, -1)):
                 orbit.add(
                     type(eq.lead)(eq.lead.i, mi.add(eq.lead.order, shift))

@@ -15,7 +15,6 @@ from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -259,11 +258,11 @@ def test_unreadable_or_non_utf8_file_exits_1(tmp_path):
 
 def test_a_failed_read_names_its_path(monkeypatch):
     # the open succeeds and the read fails, so the OSError carries no file name
-    def failing_read(fd, size):
-        raise OSError(errno.EIO, os.strerror(errno.EIO))
+    class FailingRead(io.BytesIO):
+        def read(self, size=-1):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
 
-    monkeypatch.setattr(problem_module, "os", SimpleNamespace(O_RDONLY=os.O_RDONLY, open=os.open, close=os.close,
-                                                              read=failing_read))
+    monkeypatch.setattr(problem_module, "open", lambda path, mode: FailingRead(), raising=False)
     assert run_cli_full("check", HEAT) == (1, "", f"cannot open {HEAT}\n")
 
 
@@ -284,8 +283,8 @@ def test_line_ends_read_as_in_text_mode(tmp_path):
 
 
 def test_a_file_of_several_chunks_loads_whole(tmp_path):
-    # read_text reads 64 KiB at a time: whitespace padding makes the file
-    # several chunks long and puts a CR LF across the first chunk boundary
+    # whitespace padding makes the file several 64 KiB blocks long and puts
+    # a CR LF across the first block boundary
     text = Path(HEAT).read_bytes()
     assert text.startswith(b"{")
     padded = tmp_path / "heat.json"
@@ -527,7 +526,7 @@ def test_problem_validation(tmp_path):
     with pytest.raises(StructuralError):
         problem_from_dict({"n": 2, "m": 1, "equations": [], "ranking": "lex"})
     term = {"c": "1", "m": [], "cc": "1"}
-    with pytest.raises(StructuralError, match=r"^equations\[0\]\.tail\[0\]: unknown field 'cc'$"):
+    with pytest.raises(StructuralError, match=r'^equations\[0\]\.tail\[0\]: unknown field "cc"$'):
         problem_from_dict({"n": 2, "m": 1, "equations": [{"lead": ["u", 1, [1, 0]], "tail": [term]}]})
     with pytest.raises(StructuralError, match=r"^equations\[0\]\.lead: u index 5 out of range 1\.\.1$"):
         problem_from_dict({"n": 2, "m": 1, "equations": [{"lead": ["u", 5, [2, 0]], "tail": []}]})
@@ -741,7 +740,7 @@ def test_weight_gate_message(tmp_path):
     bad.write_text(json.dumps(data))
     assert run_cli_full("check", str(bad)) == (1, "", (
         "input error: weight ranking fails the compatibility audit; first counterexample:"
-        " {'axiom': 'b', 'u': ['u', 1, [0, 0]], 'v': None, 'direction': 2}\n"
+        ' {"axiom": "b", "u": ["u", 1, [0, 0]], "v": null, "direction": 2}\n'
     ))
 
 
@@ -774,7 +773,7 @@ def test_booleans_are_not_numbers(tmp_path, edit):
     code, out, err = run_cli_full("check", str(bad))
     assert (code, out) == (1, "") and err.startswith("input error: ")
     if "degree_bound" in data.get("bounds", {}):
-        assert err == "input error: problem.bounds: unknown field 'degree_bound'\n"
+        assert err == 'input error: problem.bounds: unknown field "degree_bound"\n'
 
 
 @pytest.mark.parametrize("argv", [
@@ -899,8 +898,9 @@ def test_check_path_loads_no_argparse():
 def test_benchmark_tracer_installs():
     # perfbench/trace.py wraps the per-layer functions by module attribute
     # name, so each one it reads must stay where it is, and the phases of a
-    # traced check must still call them through those names
-    path = str(PROBLEMS / "gradient_consistent.json")
+    # traced check must still call them through those names; this system's
+    # pair check and slice substitute normal forms
+    path = str(PROBLEMS / "elim_system.json")
     proc = run_python(
         "import json; sys.path.insert(0, sys.argv[2]); from perfbench.trace import Tracer, summarize;"
         " tracer = Tracer(); tracer.install(); from diffalg.cli import main;"
@@ -914,6 +914,8 @@ def test_benchmark_tracer_installs():
         assert metrics[span] > 0, span
     assert metrics["passivity.pair_count"] == metrics["normal.solvable_calls"] == 1
     assert metrics["normal.find_principal_calls"] > 0 and metrics["multiindex.indices_yielded"] > 0
+    # every normal form substitutes through DiffPoly.substitute, the name the tracer wraps
+    assert metrics["algebra.substitute_calls"] > 0 and metrics["algebra.peak_terms"] > 0
 
 
 def test_benchmark_traced_mode_reports_every_metric():
@@ -971,6 +973,17 @@ def test_package_ships_only_what_the_cli_loads():
     shipped, by_cli, by_exports = json.loads(proc.stdout)
     assert by_cli == shipped and by_exports == shipped
     assert {"algebra", "cli", "normal", "passivity", "syzygy"} <= set(shipped)
+
+
+def test_check_imports_no_typing():
+    # typing costs a fresh process about 6 ms; site-packages may import it
+    # themselves, so the interpreter runs without them (-S)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys; sys.path.insert(0, sys.argv[1]); from diffalg.cli import main;"
+         " code = main(['check', sys.argv[2]]); print(code, 'typing' in sys.modules, file=sys.stderr)", SRC, HEAT],
+        capture_output=True, text=True)
+    assert json.loads(proc.stdout)["verdict"] == "passive"
+    assert proc.stderr == "0 False\n"
 
 
 def test_commands_import_nothing_at_run_time():
@@ -1193,12 +1206,12 @@ def test_reports_render_as_their_plain_json(monkeypatch, tmp_path):
     ([[0, 1, 1], "x"], "weight row 1: expected a list, got str"),
     (3, "weight ranking needs a non-empty list of rows"),
     ([], "weight ranking needs a non-empty list of rows"),
-    ([["1e3", 1, 1]], "weight row 0: bad rational '1e3'; expected a decimal-free 'p' or 'p/q' string"),
-    ([[0, 1, 1], [" 1", 0, 0]], "weight row 1: bad rational ' 1'; expected a decimal-free 'p' or 'p/q' string"),
-    ([[0, "1.5", 1]], "weight row 0: bad rational '1.5'; expected a decimal-free 'p' or 'p/q' string"),
-    ([[0, 1, 1], [0, "1/0", 0]], "weight row 1: bad rational '1/0'; expected a decimal-free 'p' or 'p/q' string"),
+    ([["1e3", 1, 1]], "weight row 0: bad rational \"1e3\"; expected a decimal-free 'p' or 'p/q' string"),
+    ([[0, 1, 1], [" 1", 0, 0]], "weight row 1: bad rational \" 1\"; expected a decimal-free 'p' or 'p/q' string"),
+    ([[0, "1.5", 1]], "weight row 0: bad rational \"1.5\"; expected a decimal-free 'p' or 'p/q' string"),
+    ([[0, 1, 1], [0, "1/0", 0]], "weight row 1: bad rational \"1/0\"; expected a decimal-free 'p' or 'p/q' string"),
     ([[0, 1.5, 1]], "weight row 0: bad rational 1.5; expected a decimal-free 'p' or 'p/q' string"),
-    ([["2\n", 1, 1]], "weight row 0: bad rational '2\\n'; expected a decimal-free 'p' or 'p/q' string"),
+    ([["2\n", 1, 1]], "weight row 0: bad rational \"2\\n\"; expected a decimal-free 'p' or 'p/q' string"),
 ])
 def test_weight_ranking_shape(tmp_path, weights, message):
     data = json.loads(Path(HEAT).read_text())
@@ -1213,13 +1226,13 @@ def test_weight_ranking_shape(tmp_path, weights, message):
 @pytest.mark.parametrize("term, message", [
     ({"c": "1"}, "expected object with 'c' and 'm'"),
     (5, "expected object with 'c' and 'm'"),
-    ({"c": "1", "m": [], "cc": 1}, "unknown field 'cc'"),
-    ({"c": "0.5", "m": []}, "bad rational '0.5'; expected a decimal-free 'p' or 'p/q' string"),
+    ({"c": "1", "m": [], "cc": 1}, 'unknown field "cc"'),
+    ({"c": "0.5", "m": []}, "bad rational \"0.5\"; expected a decimal-free 'p' or 'p/q' string"),
     ({"c": "1", "m": 5}, "'m' must be a list of factors, got 5"),
     ({"c": "1", "m": [[["u", 1, [0, 1]], 0]]}, "exponent must be a positive integer, got 0"),
     ({"c": "1", "m": [[["u", 7, [0, 1]], 1]]}, "u index 7 out of range 1..1"),
-    ({"c": "2\n", "m": []}, "bad rational '2\\n'; expected a decimal-free 'p' or 'p/q' string"),
-    ({"c": "\u0663", "m": []}, "bad rational '\u0663'; expected a decimal-free 'p' or 'p/q' string"),
+    ({"c": "2\n", "m": []}, "bad rational \"2\\n\"; expected a decimal-free 'p' or 'p/q' string"),
+    ({"c": "\u0663", "m": []}, "bad rational \"\\u0663\"; expected a decimal-free 'p' or 'p/q' string"),
 ])
 def test_term_errors_name_their_path(tmp_path, term, message):
     data = json.loads(Path(HEAT).read_text())

@@ -91,7 +91,7 @@ def translation(ctx: Context):
     """p -> p with x_j replaced by x_j + c_j, for small nonzero rationals c_j."""
     images = {Indep(j): DiffPoly.variable(ctx, Indep(j)) + DiffPoly(ctx, {(): Fraction((-1) ** j * j, 3)})
               for j in range(1, ctx.n + 1)}
-    return lambda p: p.substitute_all(images)
+    return lambda p: p.substitute(images)
 
 
 def permutation(ctx: Context, pi: tuple):

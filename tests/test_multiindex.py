@@ -2,7 +2,7 @@
 
 import tracemalloc
 from itertools import islice, product
-from math import comb
+from math import comb, factorial
 from time import perf_counter
 
 import pytest
@@ -22,7 +22,7 @@ def test_diamond():
     assert mi.diamond((2, 1), (1, 3)) == (0, 2)
     assert mi.diamond((1, 3), (2, 1)) == (1, 0)
     for a in [(0, 0), (2, 1), (5, 0), (1, 2, 3)]:
-        assert mi.diamond(a, a) == mi.zero(len(a))
+        assert mi.diamond(a, a) == (0,) * len(a)
 
 
 def test_try_subtract():
@@ -70,10 +70,6 @@ def test_validate():
         mi.validate((1, -1), 2)
     with pytest.raises(StructuralError):
         mi.validate((1, 0), 3)
-
-
-def test_order():
-    assert mi.order((2, 0, 1)) == 3
 
 
 def test_iter_up_to_order():
@@ -142,3 +138,36 @@ def test_count_up_to_order_is_the_binomial_or_a_lower_bound_past_the_threshold()
     start = perf_counter()
     assert mi.count_up_to_order(10**30, 10**30).bit_length() > SIZE_BITS
     assert perf_counter() - start < 1
+
+
+def _least_reaching(j: int, bits: int) -> int:
+    """The least b with C(b + j, j) of at least the given bit length: with r
+    the j-th root of 2**(bits - 1) * j!, (b+1)...(b+j) passes r**j between
+    b = r - j and b = r."""
+    x = factorial(j) << (bits - 1)
+    r = 1 << -(-x.bit_length() // j)  # Newton from above ends on the floor of the root
+    while (s := ((j - 1) * r + x // r ** (j - 1)) // j) < r:
+        r = s
+    return next(b for b in range(max(r - j, 0), r + 1) if comb(b + j, j).bit_length() >= bits)
+
+
+def test_count_up_to_order_at_the_size_edge():
+    # each step at least doubles the count, so a step that lands on exactly
+    # SIZE_BITS bits is still below 2**SIZE_BITS and must not end the walk;
+    # for every step j of walks of length s, the least larger entry b whose
+    # step j reaches SIZE_BITS or SIZE_BITS + 1 bits, and b - 1
+    below = above = 0
+    for s in (1, 2, 3, 5):
+        for j in range(1, s + 1):
+            for bits in (SIZE_BITS, SIZE_BITS + 1):
+                b = _least_reaching(j, bits)
+                for big in (b - 1, b):
+                    for n, t in ((s, big), (big, s)):
+                        exact, got = comb(n + t, n), mi.count_up_to_order(n, t)
+                        if exact < 2**SIZE_BITS:
+                            assert got == exact, (n, t)
+                            below += 1
+                        else:
+                            assert 2**SIZE_BITS <= got <= exact, (n, t)
+                            above += 1
+    assert below and above

@@ -5,6 +5,7 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -152,7 +153,7 @@ def reduce_reference(f, sys_):
             return ReduceResult(current, trace)
         v, idx, shift = max(hits, key=lambda h: (rk.key(h[0]), (h[0].i, h[0].order)))
         replacement = sys_.equations[idx].rhs().total_derivative_multi(shift)
-        current = current.substitute(v, replacement)
+        current = current.substitute({v: replacement})
         trace.append(ReduceStep(idx, shift, v))
 
 
@@ -173,6 +174,22 @@ def test_reduce_on_engine_memo_equals_reference():
             assert to_text(got.remainder) == to_text(expected.remainder)
             steps += len(got.trace)
     assert steps > 250
+
+
+def test_reduce_is_linear_in_a_long_chain():
+    # u_x = u and the target u_(1) + ... + u_(N): each of the N steps rewrites
+    # one term, so a loop that rescans and rebuilds the whole polynomial on
+    # every step is quadratic in N and misses the time limit by far
+    ctx = Context(1, 1)
+    sys_ = SolvedSystem((SolvedForm(ctx.u(1, (1,)), -DiffPoly.variable(ctx, ctx.u(1, (0,)))),),
+                        Ranking.from_spec(ctx, "orderly"))
+    f = DiffPoly(ctx, {((ctx.u(1, (k,)), 1),): 1 for k in range(1, 2001)})
+    start = perf_counter()
+    got = reduce(f, sys_)
+    assert perf_counter() - start < 1
+    expected = reduce_reference(f, sys_)
+    assert got.trace == expected.trace and got.remainder == expected.remainder
+    assert got.remainder == DiffPoly(ctx, {((ctx.u(1, (0,)), 1),): 2000})
 
 
 # ranking with u_(1,0) below u_(0,1): order first, then unknown, then alpha_2;
@@ -214,10 +231,10 @@ def test_autoreduce_preserves_ideal():
     gens_before = prolong(sys_, 2)
     gens_after = prolong(out, 2)
     for eq in out.equations:
-        inst = MembershipInstance(eq.poly(), gens_before, 2, 2)
+        inst = MembershipInstance(DiffPoly.variable(CTX, eq.lead) + eq.tail, gens_before, 2, 2)
         assert membership(inst) is not None
     for eq in sys_.equations:
-        inst = MembershipInstance(eq.poly(), gens_after, 2, 2)
+        inst = MembershipInstance(DiffPoly.variable(CTX, eq.lead) + eq.tail, gens_after, 2, 2)
         assert membership(inst) is not None
 
 

@@ -32,7 +32,9 @@ from diffalg import multiindex as mi
 from diffalg.algebra import Deriv
 from diffalg.cli import render
 from diffalg.normal import find_principal, iter_orbit
+from diffalg.passivity import EXIT_FOR_VERDICT
 from diffalg.problem import load_problem, problem_from_dict
+from diffalg.syzygy import TauPair
 
 import gen
 from reference.oracle import (MembershipInstance, divide_by_normalized, membership, prolong, tau_vector,
@@ -102,21 +104,21 @@ def test_is_passive_heat():
     report = is_passive(gen.with_bounds(heat(), order_bound=2))
     assert report.verdict == "passive"
     assert report.pairs == []
-    assert report.exit_code == 0
+    assert EXIT_FOR_VERDICT[report.verdict] == 0
     assert report.theta == ORD.key(D(2, 0))
     assert report.normalized is not None and report.normalized.certified
 
 
 def test_is_passive_gradient_verdicts():
     ok = is_passive(gradient(X(2)))
-    assert ok.verdict == "passive" and ok.exit_code == 0
+    assert ok.verdict == "passive" and EXIT_FOR_VERDICT[ok.verdict] == 0
     assert all(p.status == "satisfied" for p in ok.pairs)
     bad = is_passive(gradient(X(1)))
-    assert bad.verdict == "inconsistent" and bad.exit_code == 3
+    assert bad.verdict == "inconsistent" and EXIT_FOR_VERDICT[bad.verdict] == 3
     assert bad.pairs[0].remainder == DiffPoly(CTX, {(): 1})
     assert bad.census is None and bad.normalized is None
     obs = is_passive(obstructed())
-    assert obs.verdict == "not-passive" and obs.exit_code == 2
+    assert obs.verdict == "not-passive" and EXIT_FOR_VERDICT[obs.verdict] == 2
 
 
 def test_is_passive_unsolvable_system():
@@ -258,6 +260,17 @@ def test_coincident_leads_distinct_passthrough():
     report = coincident_lead_analysis(forms, ORD)
     assert report.verdict == "ok" and report.relations == []
     assert list(report.system.equations) == forms
+
+
+def test_check_pair_refuses_a_pair_whose_join_stays():
+    # tau_generators' shifts raise both leads to one join, which cancels; these
+    # raise u_(0,1) to u_(1,1) but leave u_(2,0) where it is, so the
+    # combination u_(1,1) - 1 keeps the join, though it reduces to 0
+    sys_ = system(SolvedForm(D(0, 1), -X(1)), SolvedForm(D(2, 0), -U(1, 1)))
+    tau = TauPair(0, 1, (1, 0), (0, 0))
+    assert sys_.prolongation(1, (0, 0)) - sys_.prolongation(0, (1, 0)) == U(1, 1) - DiffPoly(CTX, {(): 1})
+    with pytest.raises(StructuralError, match=r"^pair \(0, 1\): top derivative .* failed to cancel$"):
+        check_pair(sys_, tau)
 
 
 def test_check_pair_requires_solvable():

@@ -52,13 +52,13 @@ def test_module_apply():
     leads = [U(2, 0), U(0, 1)]
     taus = tau_generators(leads)
     assert module_apply(tau_vector(taus[0]), leads) == {}
-    e1 = {(0, mi.zero(2)): Fraction(1)}  # the first basis vector
+    e1 = {(0, (0, 0)): Fraction(1)}  # the first basis vector
     assert module_apply(e1, leads) == {U(2, 0): Fraction(1)}
     shift = {(0, (1, 0)): Fraction(1)}
     assert module_apply(shift, [U(0, 0)]) == {U(1, 0): Fraction(1)}
     for pos in (2, -1):  # positions outside 0..k-1
         with pytest.raises(StructuralError):
-            module_apply({(pos, mi.zero(2)): Fraction(1)}, leads)
+            module_apply({(pos, (0, 0)): Fraction(1)}, leads)
 
 
 def test_every_tau_is_a_syzygy_randomized():

@@ -27,7 +27,7 @@ def validate(a: Index, n: int) -> Index:
 
 def _same_length(a: Index, b: Index) -> None:
     if len(a) != len(b):
-        raise StructuralError(f"multi-index length mismatch: {a} vs {b}")
+        raise StructuralError(f"multi-index length mismatch: {quote(list(a))} vs {quote(list(b))}")
 
 
 def add(a: Index, b: Index) -> Index:

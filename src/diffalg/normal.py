@@ -56,14 +56,6 @@ class SolvedForm(namedtuple("SolvedForm", "lead tail")):
             raise StructuralError(f"tail of solved form depends on its own lead {var_to_json(lead)}")
         return super().__new__(cls, lead, tail)
 
-    @property
-    def ctx(self) -> Context:
-        return self.tail.ctx
-
-    def rhs(self) -> DiffPoly:
-        """The rewrite image of the lead: -tail."""
-        return -self.tail
-
 
 class SolvedSystem:
     """A finite list of solved forms over one ambient, with its ranking, its
@@ -79,7 +71,7 @@ class SolvedSystem:
         self.ranking = ranking
         self.bounds = bounds
         for eq in self.equations:
-            if eq.ctx != ranking.ctx:
+            if eq.tail.ctx != ranking.ctx:
                 raise StructuralError("equation ambient differs from ranking ambient")
         leads = self.leads()
         if len(set(leads)) != len(leads):
@@ -94,7 +86,7 @@ class SolvedSystem:
         self._nf: dict[Deriv, DiffPoly] = {}
         self._orbits: dict[int, dict[Deriv, None]] = {}  # order bound -> the shifted leads up to it
         zero = (0,) * ranking.ctx.n
-        self._prolonged = {(idx, zero): eq.rhs() for idx, eq in enumerate(self.equations)}
+        self._prolonged = {(idx, zero): -eq.tail for idx, eq in enumerate(self.equations)}
 
     def __eq__(self, other):
         return isinstance(other, SolvedSystem) and (self.equations, self.ranking) == (

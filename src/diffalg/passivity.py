@@ -26,8 +26,8 @@ from collections.abc import Sequence
 from math import comb
 
 from . import multiindex as mi
-from .algebra import Deriv, DiffPoly
-from .errors import StructuralError
+from .algebra import Deriv, DiffPoly, var_to_json
+from .errors import StructuralError, quote
 from .normal import Bounds, SolvedForm, SolvedSystem, normalized_slice
 from .ranking import Ranking, class_to_json
 from .syzygy import TauPair, tau_generators
@@ -85,7 +85,7 @@ def check_pair(sys: SolvedSystem, tau: TauPair) -> CompatibilityResult:
     join = Deriv(lead_i.i, mi.add(lead_i.order, tau.shift_i))
     if join in combination.support_derivs():
         raise StructuralError(
-            f"pair ({tau.i}, {tau.j}): top derivative {join} failed to cancel"
+            f"pair ({tau.i}, {tau.j}): top derivative {quote(var_to_json(join))} failed to cancel"
         )
     remainder = sys.normal_form(combination)
     return CompatibilityResult(

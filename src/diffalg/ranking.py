@@ -93,7 +93,15 @@ class Ranking:
             other.ctx, other.kind, other.weights)
 
     @classmethod
-    def from_weights(cls, ctx: Context, rows) -> "Ranking":
+    def from_spec(cls, ctx: Context, spec: RankingSpec) -> "Ranking":
+        if isinstance(spec, str) and spec in NAMED_RANKINGS:
+            return cls(ctx, spec, tuple(map(tuple, NAMED_RANKINGS[spec](ctx.n))))
+        if not (isinstance(spec, dict) and set(spec) == {"weights"}):
+            raise StructuralError(
+                f"bad ranking spec {quote(spec)}; expected \"orderly\", \"elimination\","
+                ' or {"weights": [[...], ...]}'
+            )
+        rows = spec["weights"]
         if not isinstance(rows, list) or not rows:
             raise StructuralError("weight ranking needs a non-empty list of rows")
         parsed = []
@@ -110,17 +118,6 @@ class Ranking:
             except StructuralError as exc:
                 raise StructuralError(f"weight row {r}: {exc}") from None
         return cls(ctx, "weights", tuple(parsed))
-
-    @classmethod
-    def from_spec(cls, ctx: Context, spec: RankingSpec) -> "Ranking":
-        if isinstance(spec, str) and spec in NAMED_RANKINGS:
-            return cls(ctx, spec, tuple(map(tuple, NAMED_RANKINGS[spec](ctx.n))))
-        if isinstance(spec, dict) and set(spec) == {"weights"}:
-            return cls.from_weights(ctx, spec["weights"])
-        raise StructuralError(
-            f"bad ranking spec {quote(spec)}; expected \"orderly\", \"elimination\","
-            ' or {"weights": [[...], ...]}'
-        )
 
     # -- comparison ----------------------------------------------------------
 

@@ -1,11 +1,64 @@
-"""Seeded random generators shared by the test modules."""
+"""Builders, seeded random generators and the CLI capture shared by the
+test modules."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-import random
 
-from diffalg import Bounds, Context, DiffPoly, SolvedForm, SolvedSystem, monomial, poly_to_json
+from diffalg import Bounds, Context, DiffPoly, Ranking, SolvedForm, SolvedSystem, monomial, poly_to_json
 from diffalg import multiindex as mi
 from diffalg.algebra import Deriv, Indep, var_to_json
+from diffalg.cli import main
+
+CTX = Context(2, 1)
+ORD = Ranking.from_spec(CTX, "orderly")
+
+
+def X(j, ctx=CTX):
+    """The independent variable x_j as a polynomial."""
+    return DiffPoly.variable(ctx, ctx.x(j))
+
+
+def U(*order, i=1, ctx=CTX):
+    """The derivative u^i_order as a polynomial."""
+    return DiffPoly.variable(ctx, ctx.u(i, order))
+
+
+def D(*order, i=1, ctx=CTX):
+    """The derivative variable u^i_order itself."""
+    return ctx.u(i, order)
+
+
+def C(c, ctx=CTX):
+    """The constant polynomial c."""
+    return DiffPoly(ctx, {(): c})
+
+
+def system(*forms, rk=ORD):
+    return SolvedSystem(tuple(forms), rk)
+
+
+def heat():
+    """u_xx = u_y: passive."""
+    return system(SolvedForm(D(2, 0), -U(0, 1)))
+
+
+def gradient(rhs2):
+    """u_x = 0, u_y = rhs2: passive exactly when D_x rhs2 reduces to 0."""
+    return system(SolvedForm(D(1, 0), DiffPoly(CTX)), SolvedForm(D(0, 1), -rhs2))
+
+
+def obstructed():
+    """u_xx = u_y, u_xy = u_x: its one pair leaves a nonzero remainder."""
+    return system(SolvedForm(D(2, 0), -U(0, 1)), SolvedForm(D(1, 1), -U(1, 0)))
+
+
+def run_cli(*argv):
+    """(exit code, stdout, stderr) of cli.main(argv), run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def degree(f):

@@ -142,7 +142,7 @@ def divide_by_normalized(
         raise StructuralError("normalized set has coincident leads")
     lead_set = set(leads)
     for pos, b in enumerate(forms):
-        if f.ctx != b.ctx:
+        if f.ctx != b.tail.ctx:
             raise StructuralError("ambient mismatch in normalized set")
         overlap = b.tail.support_derivs() & lead_set
         if overlap:
@@ -154,7 +154,7 @@ def divide_by_normalized(
         raise StructuralError("order must be a permutation of the form indices")
     out = f
     for pos in seq:
-        out = out.substitute({forms[pos].lead: forms[pos].rhs()})
+        out = out.substitute({forms[pos].lead: -forms[pos].tail})
     return out
 
 

@@ -6,10 +6,8 @@ one PASS line so a plain `pytest -s tests/test_acceptance.py` reads as a
 checklist.
 """
 
-import io
 import json
 import random
-from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
@@ -26,9 +24,9 @@ from diffalg import (
     reduce,
 )
 from diffalg import multiindex as mi
-from diffalg.cli import main
 
 import gen
+from gen import run_cli
 from reference.oracle import MembershipInstance, divide_by_normalized, membership, prolong, syzygy_oracle
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -154,7 +152,7 @@ def test_criterion_6_ranking_axioms():
             audit = audit_compatibility(rk, 10000, exhaustive_order=5)
             assert audit.ok, audit.counterexamples[:3]
             checked += audit.checked_a + audit.checked_b
-    broken = Ranking.from_weights(Context(2, 2), [[1, 0, 0]])
+    broken = Ranking.from_spec(Context(2, 2), {"weights": [[1, 0, 0]]})
     bad = audit_compatibility(broken, 10000, exhaustive_order=5)
     assert not bad.ok
     assert any(c.axiom == "b" for c in bad.counterexamples)
@@ -163,10 +161,8 @@ def test_criterion_6_ranking_axioms():
 
 def test_criterion_7_canonical_verdicts():
     def run(name):
-        out = io.StringIO()
-        with redirect_stdout(out):
-            code = main(["check", str(PROBLEMS / name)])
-        return code, json.loads(out.getvalue())
+        code, out, _ = run_cli("check", str(PROBLEMS / name))
+        return code, json.loads(out)
 
     code, rep = run("heat.json")
     assert code == 0 and rep["verdict"] == "passive"
@@ -265,13 +261,6 @@ def test_criterion_10_cli_determinism():
     for path in sorted(PROBLEMS.glob("*.json")):
         for command, extra in commands.items():
             argv = [command, str(path)] + extra
-
-            def once():
-                out, err = io.StringIO(), io.StringIO()
-                with redirect_stdout(out), redirect_stderr(err):
-                    code = main(list(argv))
-                return code, out.getvalue(), err.getvalue()
-
-            assert once() == once(), (path.name, command)
+            assert run_cli(*argv) == run_cli(*argv), (path.name, command)
             runs += 1
     report(10, f"byte-identical stdout/stderr across two runs for {runs} command/file pairs")

@@ -21,20 +21,7 @@ from diffalg.algebra import (_RATIONAL_RE, Deriv, Indep, _frac_from_str, monomia
                              shift_deriv, var_from_json, var_to_json)
 
 import gen
-
-CTX = Context(2, 1)
-
-
-def X(j, ctx=CTX):
-    return DiffPoly.variable(ctx, ctx.x(j))
-
-
-def U(*order, i=1, ctx=CTX):
-    return DiffPoly.variable(ctx, ctx.u(i, order))
-
-
-def C(c, ctx=CTX):
-    return DiffPoly(ctx, {(): c})
+from gen import C, CTX, U, X
 
 
 def test_context_validation():

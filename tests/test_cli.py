@@ -12,7 +12,6 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
@@ -29,25 +28,12 @@ from diffalg.problem import Bounds, load_problem, problem_from_dict
 import diffalg.problem as problem_module
 
 import gen
+from gen import run_cli
 from test_golden import COMMANDS as GOLDEN_COMMANDS, _argv as golden_argv
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SRC = PROBLEMS.parent / "src"
 HEAT = str(PROBLEMS / "heat.json")
-
-
-def run_cli(*argv):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = main(list(argv))
-    return code, out.getvalue()
-
-
-def run_cli_full(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_check_exit_codes():
@@ -60,7 +46,7 @@ def test_check_exit_codes():
 
 
 def test_check_heat_report():
-    code, out = run_cli("check", str(PROBLEMS / "heat.json"))
+    code, out, _ = run_cli("check", str(PROBLEMS / "heat.json"))
     report = json.loads(out)
     assert report["verdict"] == "passive"
     assert report["census"]["parametric_total"] == 5
@@ -68,7 +54,7 @@ def test_check_heat_report():
 
 
 def test_check_inconsistent_remainder_is_one():
-    _, out = run_cli("check", str(PROBLEMS / "gradient_inconsistent.json"))
+    _, out, _ = run_cli("check", str(PROBLEMS / "gradient_inconsistent.json"))
     report = json.loads(out)
     assert report["verdict"] == "inconsistent"
     assert report["pairs"][0]["remainder"] == [{"c": "1", "m": []}]
@@ -76,26 +62,26 @@ def test_check_inconsistent_remainder_is_one():
 
 def test_reduce_command():
     target = json.dumps([{"c": "1", "m": [[["u", 1, [1, 1]], 1]]}])
-    code, out = run_cli(
+    code, out, _ = run_cli(
         "reduce", str(PROBLEMS / "gradient_consistent.json"), "--target", target
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["remainder"] == []
     assert payload["trace"] == [{"eq": 0, "shift": [0, 1], "eliminated": ["u", 1, [1, 1]]}]
-    code, out = run_cli("reduce", str(PROBLEMS / "heat.json"), "--target", "[]")
+    code, out, _ = run_cli("reduce", str(PROBLEMS / "heat.json"), "--target", "[]")
     assert json.loads(out)["remainder"] == []
 
 
 def test_reduce_plain_target_passthrough():
     target = json.dumps([{"c": "1", "m": [[["x", 1], 1]]}])
-    _, out = run_cli("reduce", str(PROBLEMS / "heat.json"), "--target", target)
+    _, out, _ = run_cli("reduce", str(PROBLEMS / "heat.json"), "--target", target)
     assert json.loads(out)["remainder"] == [{"c": "1", "m": [[["x", 1], 1]]}]
 
 
 def test_repeated_factors_merge(tmp_path):
     target = json.dumps([{"c": "1", "m": [[["x", 1], 1], [["x", 1], 2]]}, {"c": "-1", "m": [[["x", 1], 3]]}])
-    _, out = run_cli("reduce", HEAT, "--target", target)
+    _, out, _ = run_cli("reduce", HEAT, "--target", target)
     assert json.loads(out)["remainder"] == []
     data = json.loads(Path(HEAT).read_text())
     u01 = ["u", 1, [0, 1]]
@@ -104,12 +90,12 @@ def test_repeated_factors_merge(tmp_path):
         data["equations"][0]["tail"] = [{"c": "-1", "m": factors}]
         path = tmp_path / f"square{len(factors)}.json"
         path.write_text(json.dumps(data))
-        outputs.append(run_cli_full("check", str(path)))
+        outputs.append(run_cli("check", str(path)))
     assert outputs[0] == outputs[1]
 
 
 def test_syzygies_command():
-    code, out = run_cli("syzygies", str(PROBLEMS / "gradient_consistent.json"))
+    code, out, _ = run_cli("syzygies", str(PROBLEMS / "gradient_consistent.json"))
     assert code == 0
     assert json.loads(out)["taus"] == [
         {"i": 0, "j": 1, "shift_i": [0, 1], "shift_j": [1, 0]}
@@ -117,15 +103,15 @@ def test_syzygies_command():
 
 
 def test_quotient_command():
-    code, out = run_cli("quotient", str(PROBLEMS / "heat.json"), "--order", "2")
+    code, out, _ = run_cli("quotient", str(PROBLEMS / "heat.json"), "--order", "2")
     assert code == 0
     assert json.loads(out)["parametric_total"] == 5
-    code, _ = run_cli("quotient", str(PROBLEMS / "obstructed.json"))
+    code, _, _ = run_cli("quotient", str(PROBLEMS / "obstructed.json"))
     assert code == 2
 
 
 def test_ranking_audit_command():
-    code, out = run_cli(
+    code, out, _ = run_cli(
         "ranking-audit", str(PROBLEMS / "heat.json"), "--samples", "500"
     )
     assert code == 0
@@ -139,19 +125,19 @@ def test_ranking_audit_refuses_an_audit_too_large(tmp_path):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"n": 14, "m": 1, "equations": []}))
     start = perf_counter()
-    limited = run_cli_full("ranking-audit", str(path))
+    limited = run_cli("ranking-audit", str(path))
     assert perf_counter() - start < 2
     assert limited == (4, "", "resource limit: ranking audit exhaustive pass would enumerate 6473600"
                               " (u, v, direction) triples, above max_enumeration 1000000\n")
     # the sampled pass draws from the C(2 + 8, 2) = 45 indices up to order 8,
     # and its samples are charged too
     path.write_text(json.dumps({"n": 2, "m": 1, "equations": [], "bounds": {"max_enumeration": 45}}))
-    assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "1", "--samples", "45")[0] == 0
-    assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "2", "--samples", "50") == (
+    assert run_cli("ranking-audit", str(path), "--exhaustive-order", "1", "--samples", "45")[0] == 0
+    assert run_cli("ranking-audit", str(path), "--exhaustive-order", "2", "--samples", "50") == (
         4, "", "resource limit: ranking audit exhaustive pass would enumerate 72 (u, v, direction) triples,"
                " above max_enumeration 45\n")
     path.write_text(json.dumps({"n": 2, "m": 1, "equations": [], "bounds": {"max_enumeration": 44}}))
-    assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "0", "--samples", "50") == (
+    assert run_cli("ranking-audit", str(path), "--exhaustive-order", "0", "--samples", "50") == (
         4, "", "resource limit: ranking audit sampled pass would enumerate 45 multi-indices,"
                " above max_enumeration 44\n")
 
@@ -160,19 +146,19 @@ def test_ranking_audit_charges_its_samples(tmp_path):
     # each sample is one (u, v, direction) triple: 1000001 of them are refused
     # before the audit draws any, under the default budget
     start = perf_counter()
-    limited = run_cli_full("ranking-audit", HEAT, "--samples", "1000001")
+    limited = run_cli("ranking-audit", HEAT, "--samples", "1000001")
     assert perf_counter() - start < 1
     assert limited == (4, "", "resource limit: ranking audit sampled pass would enumerate 1000001 samples,"
                               " above max_enumeration 1000000\n")
     path = tmp_path / "small.json"
     path.write_text(json.dumps({"n": 2, "m": 1, "equations": [], "bounds": {"max_enumeration": 50}}))
-    assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "1", "--samples", "50")[0] == 0
-    assert run_cli_full("ranking-audit", str(path), "--exhaustive-order", "1", "--samples", "51") == (
+    assert run_cli("ranking-audit", str(path), "--exhaustive-order", "1", "--samples", "50")[0] == 0
+    assert run_cli("ranking-audit", str(path), "--exhaustive-order", "1", "--samples", "51") == (
         4, "", "resource limit: ranking audit sampled pass would enumerate 51 samples, above max_enumeration 50\n")
 
 
 def test_ranking_override():
-    code, out = run_cli(
+    code, out, _ = run_cli(
         "check", str(PROBLEMS / "heat.json"), "--ranking", "elimination"
     )
     assert code == 0
@@ -183,12 +169,12 @@ def test_ranking_override():
 def test_bad_ranking_spec_is_printed_as_json(tmp_path, spec):
     expected = (1, "", f'input error: bad ranking spec {spec}; expected "orderly", "elimination",'
                        ' or {"weights": [[...], ...]}\n')
-    assert run_cli_full("check", HEAT, "--ranking", spec) == expected
+    assert run_cli("check", HEAT, "--ranking", spec) == expected
     data = json.loads(Path(HEAT).read_text())
     data["ranking"] = json.loads(spec)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
-    assert run_cli_full("check", str(path)) == expected
+    assert run_cli("check", str(path)) == expected
 
 
 def test_a_power_of_an_image_is_built_by_squaring(tmp_path):
@@ -197,7 +183,7 @@ def test_a_power_of_an_image_is_built_by_squaring(tmp_path):
     # product at a time would take 10^9 of them
     target = json.dumps([{"c": "1", "m": [[["u", 1, [2, 0]], 10 ** 9]]}])
     start = perf_counter()
-    reduced = run_cli_full("reduce", HEAT, "--target", target, "--pretty")
+    reduced = run_cli("reduce", HEAT, "--target", target, "--pretty")
     assert perf_counter() - start < 1
     assert reduced == (0, "remainder: u[1,(0,1)]^1000000000\nsteps: 1\n", "")
     # u_(2,0) = u_(0,1)^E and u_(0,1) = x1: every normal form of the pair
@@ -208,7 +194,7 @@ def test_a_power_of_an_image_is_built_by_squaring(tmp_path):
         {"lead": ["u", 1, [0, 1]], "tail": [{"c": "-1", "m": [[["x", 1], 1]]}]},
     ]}))
     start = perf_counter()
-    code, out, err = run_cli_full("check", str(path))
+    code, out, err = run_cli("check", str(path))
     assert perf_counter() - start < 1
     report = json.loads(out)
     assert (code, err, report["verdict"]) == (0, "", "passive")
@@ -234,7 +220,7 @@ def test_deep_nesting_is_a_parse_error(tmp_path):
     deep.write_text(DEEP)
     for argv, source in ((["check", str(deep)], deep), (["reduce", HEAT, "--target", DEEP], "--target"),
                          (["check", HEAT, "--ranking", DEEP], "--ranking")):
-        assert run_cli_full(*argv) == (1, "", f"parse error: JSON nested too deeply in {source}\n")
+        assert run_cli(*argv) == (1, "", f"parse error: JSON nested too deeply in {source}\n")
 
 
 def test_missing_file_exit_1():
@@ -263,7 +249,7 @@ def test_a_failed_read_names_its_path(monkeypatch):
             raise OSError(errno.EIO, os.strerror(errno.EIO))
 
     monkeypatch.setattr(problem_module, "open", lambda path, mode: FailingRead(), raising=False)
-    assert run_cli_full("check", HEAT) == (1, "", f"cannot open {HEAT}\n")
+    assert run_cli("check", HEAT) == (1, "", f"cannot open {HEAT}\n")
 
 
 def test_line_ends_read_as_in_text_mode(tmp_path):
@@ -271,7 +257,7 @@ def test_line_ends_read_as_in_text_mode(tmp_path):
     # column a text-mode read gives; the raw bytes would put it on line 2
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"n": 1,\r\n "m": 1,\r "equations": [,]}')
-    assert run_cli_full("check", str(bad)) == (1, "", "parse error at line 3 column 16: Expecting value\n")
+    assert run_cli("check", str(bad)) == (1, "", "parse error at line 3 column 16: Expecting value\n")
     with pytest.raises(json.JSONDecodeError) as raw:
         json.loads(bad.read_bytes().decode())
     assert (raw.value.lineno, raw.value.colno) == (2, 25)
@@ -279,7 +265,7 @@ def test_line_ends_read_as_in_text_mode(tmp_path):
     crlf.write_bytes(Path(HEAT).read_bytes().replace(b"\n", b"\r\n"))
     assert crlf.read_bytes().count(b"\r\n") > 1
     assert load_problem(str(crlf)) == load_problem(HEAT)
-    assert run_cli_full("check", str(crlf)) == run_cli_full("check", HEAT)
+    assert run_cli("check", str(crlf)) == run_cli("check", HEAT)
 
 
 def test_a_file_of_several_chunks_loads_whole(tmp_path):
@@ -292,7 +278,7 @@ def test_a_file_of_several_chunks_loads_whole(tmp_path):
     assert padded.read_bytes()[(1 << 16) - 1:(1 << 16) + 1] == b"\r\n"
     assert padded.stat().st_size > 4 * (1 << 16)
     assert load_problem(str(padded)) == load_problem(HEAT)
-    assert run_cli_full("check", str(padded)) == run_cli_full("check", HEAT)
+    assert run_cli("check", str(padded)) == run_cli("check", HEAT)
 
 
 def test_semantic_errors_exit_1(tmp_path):
@@ -307,7 +293,7 @@ def test_semantic_errors_exit_1(tmp_path):
 
 def test_resource_limit_exit_4(tmp_path):
     target = json.dumps([{"c": "1", "m": [[["u", 1, [2, 1]], 1]]}])
-    code, _ = run_cli(
+    code, _, _ = run_cli(
         "reduce", str(PROBLEMS / "heat.json"), "--target", target, "--max-steps", "0"
     )
     assert code == 4
@@ -321,7 +307,7 @@ def test_max_enumeration_refuses_a_census_too_large(tmp_path, command):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"n": 4000, "m": 1, "equations": [], "bounds": {"order_bound": 2}}))
     start = perf_counter()
-    limited = run_cli_full(command, str(path))
+    limited = run_cli(command, str(path))
     assert perf_counter() - start < 1
     assert limited == (4, "", "resource limit: census would enumerate 32024004000 index entries,"
                               " above max_enumeration 1000000\n")
@@ -329,19 +315,19 @@ def test_max_enumeration_refuses_a_census_too_large(tmp_path, command):
     # not their 10^10 index entries
     path.write_text(json.dumps({"n": 100000, "m": 1, "equations": [], "bounds": {"order_bound": 1}}))
     start = perf_counter()
-    limited = run_cli_full(command, str(path))
+    limited = run_cli(command, str(path))
     assert perf_counter() - start < 1
     assert limited == (4, "", "resource limit: census would enumerate 10000100000 index entries,"
                               " above max_enumeration 1000000\n")
     # the budget is n * m * C(n + order_bound, n) = 3 * 2 * 10 = 60 entries,
     # at most as large as allowed
     path.write_text(json.dumps({"n": 3, "m": 2, "equations": [], "bounds": {"order_bound": 2, "max_enumeration": 60}}))
-    code, out, err = run_cli_full(command, str(path))
+    code, out, err = run_cli(command, str(path))
     assert (code, err) == (0, "")
     assert json.loads(out).get("census", json.loads(out))["parametric_total"] == 20
-    assert run_cli_full(command, str(path), "--order", "3")[0] == 4
+    assert run_cli(command, str(path), "--order", "3")[0] == 4
     path.write_text(json.dumps({"n": 3, "m": 2, "equations": [], "bounds": {"order_bound": 2, "max_enumeration": 59}}))
-    assert run_cli_full(command, str(path)) == (4, "", "resource limit: census would enumerate 60 index entries,"
+    assert run_cli(command, str(path)) == (4, "", "resource limit: census would enumerate 60 index entries,"
                                                        " above max_enumeration 59\n")
 
 
@@ -384,11 +370,11 @@ def test_a_prolongation_of_huge_order_exceeds_the_budget(tmp_path):
         {"lead": ["u", 1, [2**31, 1]], "tail": [{"c": "-1", "m": [[["x", 2], 1]]}]}]}))
     target = json.dumps([{"c": "1", "m": [[["u", 1, [0, 2**31]], 1]]}])
     start = perf_counter()
-    checked = run_cli_full("check", str(path))
+    checked = run_cli("check", str(path))
     path.write_text(json.dumps({"n": 2, "m": 1, "equations": [
         {"lead": ["u", 1, [0, 1]], "tail": [{"c": "-1", "m": [[["x", 1], 1]]}]}]}))
-    reduced = run_cli_full("reduce", str(path), "--target", target)
-    widened = run_cli_full("check", str(wide), "--order", "0")
+    reduced = run_cli("reduce", str(path), "--target", target)
+    widened = run_cli("check", str(wide), "--order", "0")
     assert perf_counter() - start < 1
     assert checked == (4, "", "resource limit: prolongation would enumerate 4294967296 index entries,"
                               " above max_enumeration 1000000\n")
@@ -403,7 +389,7 @@ def test_a_one_variable_census_is_linear_in_its_order(tmp_path):
     path = tmp_path / "line.json"
     path.write_text(json.dumps({"n": 1, "m": 1, "equations": []}))
     start = perf_counter()
-    code, out, err = run_cli_full("quotient", str(path), "--order", "20000")
+    code, out, err = run_cli("quotient", str(path), "--order", "20000")
     assert perf_counter() - start < 1
     assert (code, json.loads(out)["parametric_total"], err) == (0, 20001, "")
 
@@ -420,9 +406,9 @@ def test_max_steps_reaches_coincident_leads(tmp_path, argv):
         {"lead": ["u", 1, [0, 1]], "tail": [{"c": "-1", "m": [[["x", 1], 1]]}]},
         {"lead": ["u", 1, [1, 0]], "tail": [{"c": "-1", "m": [[["x", 1], 1]]}]},
     ]}))
-    limited = run_cli_full(argv[0], str(path), *argv[1:])
+    limited = run_cli(argv[0], str(path), *argv[1:])
     assert limited == (4, "", "resource limit: reduction exceeded 0 steps; last state: u[1,(0,1)] - x[1]\n")
-    code, out, err = run_cli_full(argv[0], str(path), *argv[1:], "--max-steps", "100")
+    code, out, err = run_cli(argv[0], str(path), *argv[1:], "--max-steps", "100")
     assert err == "" and code == (0 if argv[0] == "reduce" else 3)
     if argv[0] == "check":
         assert json.loads(out)["coincident_leads"]["relations"][0]["status"] == "merged"
@@ -457,7 +443,7 @@ def test_one_engine_per_command(monkeypatch, command):
         target = json.dumps([{"c": "1", "m": [[["u", 1, [1] * n], 1]]}])
         extra = ["--target", target] if command == "reduce" else []
         calls.update(system=0, solvable=0)
-        code, _, _ = run_cli_full(command, str(path), *extra)
+        code, _, _ = run_cli(command, str(path), *extra)
         assert code in (0, 1, 2, 3), path.name
         assert calls == {"system": 1, "solvable": 1}, path.name
 
@@ -469,7 +455,7 @@ def test_weight_ranking_audit_gate(tmp_path):
     bad.write_text(json.dumps(data))
     assert run_cli("check", str(bad))[0] == 1
     # the audit command itself bypasses the gate and reports the failure
-    code, out = run_cli("ranking-audit", str(bad), "--samples", "200")
+    code, out, _ = run_cli("ranking-audit", str(bad), "--samples", "200")
     assert code == 0
     report = json.loads(out)
     assert report["ok"] is False and report["counterexamples"]
@@ -486,8 +472,8 @@ def test_determinism_all_commands_all_problems():
     for path in sorted(PROBLEMS.glob("*.json")):
         for command, extra in commands.items():
             argv = [command, str(path)] + extra
-            first = run_cli_full(*argv)
-            second = run_cli_full(*argv)
+            first = run_cli(*argv)
+            second = run_cli(*argv)
             assert first == second, (path.name, command)
 
 
@@ -537,7 +523,7 @@ def test_problem_validation(tmp_path):
     own = tmp_path / "own_lead.json"
     own.write_text(json.dumps({"n": 1, "m": 1, "equations": [
         {"lead": ["u", 1, [1]], "tail": [{"c": "1", "m": [[["u", 1, [1]], 1]]}]}]}))
-    assert run_cli_full("check", str(own)) == (
+    assert run_cli("check", str(own)) == (
         1, "", "input error: equations[0]: tail of solved form depends on its own lead ['u', 1, [1]]\n")
 
 
@@ -619,7 +605,7 @@ def test_only_the_digit_limit_value_error_exits_4(monkeypatch, text, code):
         with pytest.raises(ValueError, match=text):
             main(["syzygies", HEAT])
     else:
-        assert run_cli_full("syzygies", HEAT) == (code, "", LONG_RESULT + "\n")
+        assert run_cli("syzygies", HEAT) == (code, "", LONG_RESULT + "\n")
 
 
 @pytest.mark.parametrize("argv", [["check", "--order", str(10**30)], ["quotient", "--order", str(10**30)],
@@ -631,7 +617,7 @@ def test_a_huge_order_in_a_wide_ambient_is_refused_at_once(tmp_path, argv):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"n": 100000, "m": 1, "equations": []}))
     start = perf_counter()
-    code, out, err = run_cli_full(argv[0], str(path), *argv[1:])
+    code, out, err = run_cli(argv[0], str(path), *argv[1:])
     assert perf_counter() - start < 1
     assert (code, out) == (4, "")
     assert re.fullmatch(r"resource limit: (census|ranking audit exhaustive pass) would enumerate at least 2\*\*\d+"
@@ -672,7 +658,7 @@ def test_closed_stderr_keeps_the_exit_code(argv, code):
 
 
 def test_pretty_mode_runs():
-    code, out = run_cli("check", str(PROBLEMS / "heat.json"), "--pretty")
+    code, out, _ = run_cli("check", str(PROBLEMS / "heat.json"), "--pretty")
     assert code == 0 and out.startswith("verdict: passive")
 
 
@@ -683,15 +669,15 @@ def test_check_coincident_leads_obstructed(tmp_path):
         {"lead": ["u", 1, [1, 0]], "tail": [{"c": "-1", "m": [[["u", 1, [0, 1]], 1]]}]},
         {"lead": ["u", 1, [1, 0]], "tail": []},
     ]}))
-    code, out, err = run_cli_full("check", str(path))
+    code, out, err = run_cli("check", str(path))
     assert code == 2 and err == ""
     assert json.loads(out)["verdict"] == "obstructed"
 
 
 def test_quotient_coincident_leads_like_check():
     path = str(PROBLEMS / "coincident_clash.json")
-    assert run_cli_full("quotient", path) == run_cli_full("check", path)
-    code, out, _ = run_cli_full("quotient", path)
+    assert run_cli("quotient", path) == run_cli("check", path)
+    code, out, _ = run_cli("quotient", path)
     assert code == 3 and json.loads(out)["verdict"] == "inconsistent"
 
 
@@ -712,7 +698,7 @@ def test_quotient_decides_without_slice(monkeypatch):
     monkeypatch.setattr(diffalg.passivity, "normalized_slice", no_slice)
     monkeypatch.setattr(diffalg.passivity, "quotient_census", counted)
     monkeypatch.setattr(diffalg.cli, "quotient_census", counted)
-    code, out = run_cli("quotient", str(PROBLEMS / "heat.json"), "--order", "2")
+    code, out, _ = run_cli("quotient", str(PROBLEMS / "heat.json"), "--order", "2")
     assert code == 0 and json.loads(out)["parametric_total"] == 5
     assert len(census_calls) == 1
 
@@ -738,7 +724,7 @@ def test_weight_gate_message(tmp_path):
     data["ranking"] = {"weights": [[0, 1, 0], [0, 0, -1]]}  # direction 2 falls
     bad = tmp_path / "gated.json"
     bad.write_text(json.dumps(data))
-    assert run_cli_full("check", str(bad)) == (1, "", (
+    assert run_cli("check", str(bad)) == (1, "", (
         "input error: weight ranking fails the compatibility audit; first counterexample:"
         ' {"axiom": "b", "u": ["u", 1, [0, 0]], "v": null, "direction": 2}\n'
     ))
@@ -770,7 +756,7 @@ def test_booleans_are_not_numbers(tmp_path, edit):
     edit(data)
     bad = tmp_path / "bool.json"
     bad.write_text(json.dumps(data))
-    code, out, err = run_cli_full("check", str(bad))
+    code, out, err = run_cli("check", str(bad))
     assert (code, out) == (1, "") and err.startswith("input error: ")
     if "degree_bound" in data.get("bounds", {}):
         assert err == 'input error: problem.bounds: unknown field "degree_bound"\n'
@@ -785,7 +771,7 @@ def test_booleans_are_not_numbers(tmp_path, edit):
     ["ranking-audit", "--exhaustive-order", "-3"],
 ])
 def test_negative_counts_exit_1(argv):
-    code, out, err = run_cli_full(argv[0], str(PROBLEMS / "heat.json"), *argv[1:])
+    code, out, err = run_cli(argv[0], str(PROBLEMS / "heat.json"), *argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith("input error: ") and "must be a nonnegative integer" in err
 
@@ -797,7 +783,7 @@ def test_negative_counts_exit_1(argv):
     ["reduce"],
 ])
 def test_usage_errors_exit_1(argv):
-    code, out, err = run_cli_full(argv[0], str(PROBLEMS / "heat.json"), *argv[1:])
+    code, out, err = run_cli(argv[0], str(PROBLEMS / "heat.json"), *argv[1:])
     assert (code, out) == (1, "") and err.startswith("input error: ")
 
 
@@ -834,18 +820,18 @@ def test_help_exits_0(capsys):
     (["ranking-audit", HEAT, "--samples", "0"], "argument --samples: must be a positive integer, got 0"),
 ])
 def test_usage_error_messages(argv, message):
-    assert run_cli_full(*argv) == (1, "", f"input error: {message}\n")
+    assert run_cli(*argv) == (1, "", f"input error: {message}\n")
 
 
 def test_flag_forms():
-    wanted = run_cli_full("quotient", HEAT, "--order", "2")
-    assert wanted[0] == 0 and wanted != run_cli_full("quotient", HEAT, "--order", "1")
-    assert run_cli_full("quotient", HEAT, "--order=2") == wanted
-    assert run_cli_full("quotient", "--order", "2", HEAT) == wanted
-    assert run_cli_full("quotient", "--order=1", HEAT, "--order", "2") == wanted  # the last one wins
-    assert run_cli_full("ranking-audit", "--seed", "-3", HEAT, "--samples=50")[0] == 0
+    wanted = run_cli("quotient", HEAT, "--order", "2")
+    assert wanted[0] == 0 and wanted != run_cli("quotient", HEAT, "--order", "1")
+    assert run_cli("quotient", HEAT, "--order=2") == wanted
+    assert run_cli("quotient", "--order", "2", HEAT) == wanted
+    assert run_cli("quotient", "--order=1", HEAT, "--order", "2") == wanted  # the last one wins
+    assert run_cli("ranking-audit", "--seed", "-3", HEAT, "--samples=50")[0] == 0
     target = json.dumps([{"c": "1", "m": []}])
-    assert run_cli_full("reduce", f"--target={target}", HEAT) == run_cli_full("reduce", HEAT, "--target", target)
+    assert run_cli("reduce", f"--target={target}", HEAT) == run_cli("reduce", HEAT, "--target", target)
 
 
 @pytest.mark.parametrize("token", [
@@ -908,7 +894,7 @@ def test_benchmark_tracer_installs():
         " print(json.dumps([code, summarize(tracer.payload())[0]]), file=sys.stderr)", str(Path(SRC).parent), path)
     assert proc.returncode == 0, proc.stderr
     code, metrics = json.loads(proc.stderr)
-    assert (code, proc.stdout, "") == run_cli_full("check", path)
+    assert (code, proc.stdout, "") == run_cli("check", path)
     for span in ("problem.load_ms", "passivity.coincident_ms", "passivity.pairs_ms", "passivity.census_ms",
                  "normal.slice_ms"):
         assert metrics[span] > 0, span
@@ -1008,7 +994,7 @@ def records():
     report = is_passive(system)
     merged = coincident_lead_analysis(load_problem(str(PROBLEMS / "coincident_merge.json")).forms, problem.ranking)
     result = reduce(DiffPoly.variable(problem.ctx, Deriv(1, (2, 1))), system)
-    audit = diffalg.audit_compatibility(Ranking.from_weights(problem.ctx, [[1, -1, 0]]), 5)
+    audit = diffalg.audit_compatibility(Ranking.from_spec(problem.ctx, {"weights": [[1, -1, 0]]}), 5)
     return [Indep(2), problem.forms[0].lead, problem.ctx, problem.forms[0], system.solvability,
             result.trace[0], result, report.normalized, report.pairs[0], report.census, report,
             merged.relations[0], merged, problem.bounds, problem, audit.counterexamples[0], audit,
@@ -1219,8 +1205,8 @@ def test_weight_ranking_shape(tmp_path, weights, message):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps(data))
     expected = (1, "", f"input error: {message}\n")
-    assert run_cli_full("check", str(path)) == expected
-    assert run_cli_full("check", HEAT, "--ranking", json.dumps({"weights": weights})) == expected
+    assert run_cli("check", str(path)) == expected
+    assert run_cli("check", HEAT, "--ranking", json.dumps({"weights": weights})) == expected
 
 
 @pytest.mark.parametrize("term, message", [
@@ -1239,9 +1225,9 @@ def test_term_errors_name_their_path(tmp_path, term, message):
     data["equations"][0]["tail"].append(term)
     path = tmp_path / "term.json"
     path.write_text(json.dumps(data))
-    assert run_cli_full("check", str(path)) == (1, "", f"input error: equations[0].tail[1]: {message}\n")
+    assert run_cli("check", str(path)) == (1, "", f"input error: equations[0].tail[1]: {message}\n")
     target = json.dumps([{"c": "1", "m": []}, term])
-    assert run_cli_full("reduce", HEAT, "--target", target) == (1, "", f"input error: --target[1]: {message}\n")
+    assert run_cli("reduce", HEAT, "--target", target) == (1, "", f"input error: --target[1]: {message}\n")
 
 
 def test_mutated_problems_and_flags_end_cleanly():

@@ -9,15 +9,13 @@ says why in CHANGES.md and regenerates the file with
 """
 
 import hashlib
-import io
 import json
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from diffalg.cli import main
+from gen import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -45,10 +43,7 @@ def _argv(label: str, path: Path) -> list[str]:
 
 
 def _digest(argv: list[str]) -> str:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    blob = json.dumps(run_cli(*argv))  # the tuple dumps as the list [code, stdout, stderr]
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -28,7 +28,6 @@ from functools import lru_cache
 from pathlib import Path
 
 from diffalg import Context, DiffPoly, Ranking, SolvedForm, coincident_lead_analysis, is_passive, monomial
-from diffalg import multiindex as mi
 from diffalg.algebra import Deriv, Indep
 from diffalg.errors import StructuralError
 from diffalg.passivity import PASSIVE
@@ -118,7 +117,7 @@ def permuted_ranking(rk: Ranking, index) -> Ranking:
     n = rk.ctx.n
     units = [tuple(int(t == k) for t in range(n + 1)) for k in range(1, n + 1)] if rk.units else []
     rows = [[str(row[0])] + [str(w) for w in index(row[1:])] for row in (*rk.weights, *units)]
-    return Ranking.from_weights(rk.ctx, rows)
+    return Ranking.from_spec(rk.ctx, {"weights": rows})
 
 
 def test_r2_translation_maps_verdicts_remainders_and_slices():

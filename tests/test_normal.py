@@ -1,9 +1,7 @@
 """Solved systems, orbit division, autoreduction, normalized sets."""
 
-import io
 import json
 import random
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
@@ -25,33 +23,16 @@ from diffalg import (
     to_text,
 )
 
-from diffalg.cli import main, render
+from diffalg.cli import render
 from diffalg.normal import Bounds, ReduceResult, ReduceStep, certify_slice, iter_orbit
 from diffalg.passivity import decide_passivity
 from diffalg.problem import problem_from_dict
 
 import gen
+from gen import C, CTX, D, U, X, heat, system
 from reference.oracle import MembershipInstance, divide_by_normalized, membership, prolong
 
-CTX = Context(2, 1)
-ORD = Ranking.from_spec(CTX, "orderly")
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
-
-
-def X(j, ctx=CTX):
-    return DiffPoly.variable(ctx, ctx.x(j))
-
-
-def U(*order, i=1, ctx=CTX):
-    return DiffPoly.variable(ctx, ctx.u(i, order))
-
-
-def D(*order, i=1, ctx=CTX):
-    return ctx.u(i, order)
-
-
-def system(*forms, rk=ORD):
-    return SolvedSystem(tuple(forms), rk)
 
 
 def test_solved_form_rejects_self_dependence():
@@ -64,6 +45,9 @@ def test_system_rejects_coincident_leads():
     eq = SolvedForm(D(1, 0), -X(2))
     with pytest.raises(StructuralError):
         system(eq, eq)
+    # and an equation of another ambient than its ranking
+    with pytest.raises(StructuralError, match="^equation ambient differs from ranking ambient$"):
+        system(eq, rk=Ranking.from_spec(Context(3, 1), "orderly"))
 
 
 def test_check_conditionally_solvable():
@@ -97,11 +81,11 @@ def test_find_principal_minimal_shift():
 def test_reduce_examples():
     sys_ = system(SolvedForm(D(1, 0), -X(2)))
     res = reduce(U(1, 1), sys_)
-    assert res.remainder == DiffPoly(CTX, {(): 1})
+    assert res.remainder == C(1)
     assert [s.to_json() for s in res.trace] == [{"eq": 0, "shift": (0, 1), "eliminated": D(1, 1)}]
     assert json.loads(render(res.trace[0].to_json()))["eliminated"] == ["u", 1, [1, 1]]
     assert not reduce(U(2, 0), sys_).remainder
-    f = gen.power(X(1), 2) + DiffPoly(CTX, {(): 3})
+    f = gen.power(X(1), 2) + C(3)
     assert reduce(f, sys_).remainder == f
 
 
@@ -152,7 +136,7 @@ def reduce_reference(f, sys_):
         if not hits:
             return ReduceResult(current, trace)
         v, idx, shift = max(hits, key=lambda h: (rk.key(h[0]), (h[0].i, h[0].order)))
-        replacement = sys_.equations[idx].rhs().total_derivative_multi(shift)
+        replacement = (-sys_.equations[idx].tail).total_derivative_multi(shift)
         current = current.substitute({v: replacement})
         trace.append(ReduceStep(idx, shift, v))
 
@@ -179,22 +163,28 @@ def test_reduce_on_engine_memo_equals_reference():
 def test_reduce_is_linear_in_a_long_chain():
     # u_x = u and the target u_(1) + ... + u_(N): each of the N steps rewrites
     # one term, so a loop that rescans and rebuilds the whole polynomial on
-    # every step is quadratic in N and misses the time limit by far
+    # every step is quadratic in N and misses the time limit by far.  The
+    # answer has a closed form: u_(k) -> u_(k-1) for k = N down to 1, and the
+    # remainder N u.  The quadratic reference is tied in on a shorter chain.
     ctx = Context(1, 1)
     sys_ = SolvedSystem((SolvedForm(ctx.u(1, (1,)), -DiffPoly.variable(ctx, ctx.u(1, (0,)))),),
                         Ranking.from_spec(ctx, "orderly"))
-    f = DiffPoly(ctx, {((ctx.u(1, (k,)), 1),): 1 for k in range(1, 2001)})
+
+    def chain(n):
+        return DiffPoly(ctx, {((ctx.u(1, (k,)), 1),): 1 for k in range(1, n + 1)})
+
     start = perf_counter()
-    got = reduce(f, sys_)
+    got = reduce(chain(2000), sys_)
     assert perf_counter() - start < 1
-    expected = reduce_reference(f, sys_)
-    assert got.trace == expected.trace and got.remainder == expected.remainder
+    assert got.trace == [ReduceStep(0, (k - 1,), ctx.u(1, (k,))) for k in range(2000, 0, -1)]
     assert got.remainder == DiffPoly(ctx, {((ctx.u(1, (0,)), 1),): 2000})
+    got, expected = reduce(chain(200), sys_), reduce_reference(chain(200), sys_)
+    assert got.trace == expected.trace and got.remainder == expected.remainder
 
 
 # ranking with u_(1,0) below u_(0,1): order first, then unknown, then alpha_2;
 # total for n = 2 and passes the audit
-Y_FIRST = Ranking.from_weights(CTX, [[0, 1, 1], [1, 0, 0], [0, 0, 1]])
+Y_FIRST = Ranking.from_spec(CTX, {"weights": [[0, 1, 1], [1, 0, 0], [0, 0, 1]]})
 
 
 def test_autoreduce_example():
@@ -206,7 +196,7 @@ def test_autoreduce_example():
     out = autoreduce(sys_)
     assert out.equations[0] == sys_.equations[0]
     # second solved form becomes  u_(0,1) = x1 + x2
-    assert out.equations[1].rhs() == X(1) + X(2)
+    assert -out.equations[1].tail == X(1) + X(2)
 
 
 def test_autoreduce_fixed_point_and_singleton():
@@ -245,7 +235,7 @@ def test_normalized_generators_unique_for_equal_lead_sets():
         SolvedForm(D(1, 0), -X(2)),
         SolvedForm(D(0, 1), -X(1)),
     )
-    c = DiffPoly(CTX, {(): 3})
+    c = C(3)
     b2 = system(
         SolvedForm(D(1, 0), -X(2) + c * (U(0, 1) - X(1))),
         SolvedForm(D(0, 1), -X(1)),
@@ -265,7 +255,7 @@ def test_divide_by_normalized_examples():
     g = gen.power(DiffPoly.variable(ctx, ctx.x(1)), 3)
     assert divide_by_normalized(g, b) == g
     lead0 = DiffPoly.variable(ctx, ctx.u(1, (0, 0)))
-    assert divide_by_normalized(lead0, b) == b[0].rhs()
+    assert divide_by_normalized(lead0, b) == -b[0].tail
 
 
 def test_divide_by_normalized_rejects_unnormalized():
@@ -304,9 +294,9 @@ def test_normalized_slice_heat():
     leads = {f.lead for f in result.forms}
     assert leads == {D(2, 0), D(3, 0), D(2, 1)}
     by_lead = {f.lead: f for f in result.forms}
-    assert by_lead[D(2, 0)].rhs() == U(0, 1)
-    assert by_lead[D(3, 0)].rhs() == U(1, 1)
-    assert by_lead[D(2, 1)].rhs() == U(0, 2)
+    assert -by_lead[D(2, 0)].tail == U(0, 1)
+    assert -by_lead[D(3, 0)].tail == U(1, 1)
+    assert -by_lead[D(2, 1)].tail == U(0, 2)
 
 
 def test_slice_missing_or_extra_lead_is_not_certified():
@@ -320,7 +310,8 @@ def test_slice_missing_or_extra_lead_is_not_certified():
         dropped = certify_slice(sys_, forms, result.mismatches)
         assert not dropped.leads_match_orbit and not dropped.certified
         assert dropped.to_json()["leads_match_orbit"] is False
-    for extra in (SolvedForm(D(0, 1), DiffPoly(CTX)), result.forms[0]):
+    # u_(0,1) is parametric below the bound; u_(0,4) is parametric at it, where closure asks nothing
+    for extra in (SolvedForm(D(0, 1), DiffPoly(CTX)), SolvedForm(D(0, 4), DiffPoly(CTX)), result.forms[0]):
         padded = certify_slice(sys_, result.forms + [extra], result.mismatches)
         assert not padded.leads_match_orbit and not padded.certified
     # the same leads, but one tail holds the principal u_(2,0): not reduced
@@ -349,7 +340,7 @@ def test_engine_rewrite_cycle_ends_in_step_budget():
     # prolonged rule u_2 -> -u_2 - x1*u_3 brings u_2 back, so rewriting
     # never ends and both division paths stop at the budget
     ctx = Context(1, 1)
-    rk = Ranking.from_weights(ctx, [[-2, 0], [-2, -1]])
+    rk = Ranking.from_spec(ctx, {"weights": [[-2, 0], [-2, -1]]})
     u2 = DiffPoly.variable(ctx, ctx.u(1, (2,)))
     sys_ = SolvedSystem((SolvedForm(ctx.u(1, (1,)), X(1, ctx) * u2),), rk, Bounds(max_steps=50))
     with pytest.raises(ReductionLimitError):
@@ -413,14 +404,17 @@ def test_derived_normal_form_preconditions():
         sys_.normal_form(DiffPoly.variable(Context(3, 1), Context(3, 1).u(1, (0, 1, 0))).total_derivative(1))
     with pytest.raises(ReductionLimitError, match=r"last state: u\[1,\(2,1\)\]"):
         gen.with_bounds(sys_, max_steps=0).normal_form(U(1, 1).total_derivative(1))
+    # u_(4,0) -> u_(2,1) -> u_(0,2): the second step is charged while filling the memo
+    with pytest.raises(ReductionLimitError, match=r"^reduction exceeded 1 steps; last state: u\[1,\(2,1\)\]$"):
+        gen.with_bounds(heat(), max_steps=1).normal_form(U(4, 0))
+    assert gen.with_bounds(heat(), max_steps=2).normal_form(U(4, 0)) == U(0, 2)
 
 
 def smallest_budget(argv):
     """The smallest --max-steps with which the command gives its exit code
     under the file's own budget, by bisection; every smaller one exits 4."""
     def code(*flags):
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            return main([*argv, *flags])
+        return gen.run_cli(*argv, *flags)[0]
 
     goal, lo, hi = code(), 0, Bounds().max_steps
     while lo < hi:

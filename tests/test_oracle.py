@@ -4,33 +4,15 @@ import random
 
 import pytest
 
-from diffalg import Context, DiffPoly, Ranking, SolvedForm, SolvedSystem, StructuralError, reduce
+from diffalg import Context, DiffPoly, Ranking, SolvedForm, StructuralError, reduce
 
 import gen
+from gen import C, CTX, D, ORD, U, X, gradient, heat, system
 from reference.oracle import MembershipInstance, membership, prolong, variables_within_class
-
-CTX = Context(2, 1)
-ORD = Ranking.from_spec(CTX, "orderly")
-
-
-def X(j, ctx=CTX):
-    return DiffPoly.variable(ctx, ctx.x(j))
-
-
-def U(*order, i=1, ctx=CTX):
-    return DiffPoly.variable(ctx, ctx.u(i, order))
-
-
-def D(*order, i=1, ctx=CTX):
-    return ctx.u(i, order)
-
-
-def heat():
-    return SolvedSystem((SolvedForm(D(2, 0), -U(0, 1)),), ORD)
 
 
 def test_prolong_counts():
-    sys_ = SolvedSystem((SolvedForm(D(1, 0), DiffPoly(CTX)),), ORD)
+    sys_ = system(SolvedForm(D(1, 0), DiffPoly(CTX)))
     polys = prolong(sys_, 2)
     assert [p for p in polys] == [U(1, 0), U(1, 1), U(2, 0)]
     assert prolong(sys_, 0) == []
@@ -103,10 +85,8 @@ def test_negative_control_inconsistent_gradient():
     # the pair combination reduces to 1: derivable from the full prolonged
     # ideal, but not from orbit elements of class base or below --
     # the obstruction is genuine, not a reduction artifact
-    sys_ = SolvedSystem(
-        (SolvedForm(D(1, 0), DiffPoly(CTX)), SolvedForm(D(0, 1), -X(1))), ORD
-    )
-    one = DiffPoly(CTX, {(): 1})
+    sys_ = gradient(X(1))
+    one = C(1)
 
     full = prolong(sys_, 3)
     found = membership(MembershipInstance(one, full, 3, 3))

@@ -55,7 +55,7 @@ def leading_derivative(rk: Ranking, f: DiffPoly) -> Optional[Lead]:
 def broken_ranking(ctx):
     # compares the unknown index only: shifts leave the key unchanged,
     # so axiom (b) fails with equality
-    return Ranking.from_weights(ctx, [[1] + [0] * ctx.n])
+    return Ranking.from_spec(ctx, {"weights": [[1] + [0] * ctx.n]})
 
 
 def test_orderly_compare():
@@ -109,7 +109,7 @@ def test_leading_derivative():
 
 def test_leading_derivative_block_tie():
     # single-row weight rule: total order only -> coarse blocks
-    coarse = Ranking.from_weights(CTX, [[0, 1, 1]])
+    coarse = Ranking.from_spec(CTX, {"weights": [[0, 1, 1]]})
     f = DiffPoly.variable(CTX, D(1, 1, 0)) + DiffPoly.variable(CTX, D(1, 0, 1))
     lead = leading_derivative(coarse, f)
     assert lead.block_tie
@@ -137,7 +137,7 @@ def test_audit_builtin_rankings_clean():
 
 
 def test_audit_weight_ranking_clean():
-    rk = Ranking.from_weights(CTX, [[0, 1, 1], [1, 0, 0], [0, 1, 0]])
+    rk = Ranking.from_spec(CTX, {"weights": [[0, 1, 1], [1, 0, 0], [0, 1, 0]]})
     assert audit_compatibility(rk, 2000).ok
 
 
@@ -152,7 +152,7 @@ def test_audit_broken_ranking_reports_b():
 
 def test_audit_negated_weights_fail():
     # negated total order: shifting strictly decreases the key
-    rk = Ranking.from_weights(CTX, [[0, -1, -1], [1, 0, 0], [0, 1, 0]])
+    rk = Ranking.from_spec(CTX, {"weights": [[0, -1, -1], [1, 0, 0], [0, 1, 0]]})
     report = audit_compatibility(rk, 500)
     assert any(c.axiom == "b" for c in report.counterexamples)
 
@@ -200,8 +200,9 @@ def test_from_spec():
     assert rk.kind == "weights"
     with pytest.raises(StructuralError):
         Ranking.from_spec(CTX, "grevlex")
-    with pytest.raises(StructuralError):
-        Ranking.from_spec(CTX, {"weights": [[1, 0]]})  # wrong row width
+    for row in ([1, 0], [1, 0, 0, 0]):  # a row too short, a row too long
+        with pytest.raises(StructuralError, match=rf"^weight row 0 has {len(row)} entries, expected 3 "):
+            Ranking.from_spec(CTX, {"weights": [row]})
     with pytest.raises(StructuralError):
         Ranking.from_spec(CTX, {"weights": []})
 
@@ -241,7 +242,7 @@ def test_shift_violation_matches_sampled_audit():
     verdicts = {True: 0, False: 0}
     for _ in range(160):
         ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
-        rk = Ranking.from_weights(ctx, rand_weight_rows(rng, ctx.n))
+        rk = Ranking.from_spec(ctx, {"weights": rand_weight_rows(rng, ctx.n)})
         audit = audit_compatibility(rk, 100, exhaustive_order=1, seed=rng.randrange(1000))
         violation = shift_violation(rk)
         assert (violation is None) == audit.ok, rk.weights
@@ -253,16 +254,16 @@ def test_shift_violation_matches_sampled_audit():
 
 def test_shift_violation_columns():
     assert shift_violation(ORD) is None and shift_violation(ELIM) is None
-    assert shift_violation(Ranking.from_weights(CTX, [[0, 1, 1], [1, 0, 0], [0, 1, 0]])) is None
+    assert shift_violation(Ranking.from_spec(CTX, {"weights": [[0, 1, 1], [1, 0, 0], [0, 1, 0]]})) is None
     # column 1 is (1, -9), lexicographically positive; column 2 is zero
-    assert shift_violation(Ranking.from_weights(CTX, [[5, 1, 0], [0, -9, 0]])) == Counterexample(
+    assert shift_violation(Ranking.from_spec(CTX, {"weights": [[5, 1, 0], [0, -9, 0]]})) == Counterexample(
         "b", D(1, 0, 0), None, 2
     )
-    assert shift_violation(Ranking.from_weights(CTX, [[0, 0, 1], [0, "-1/2", 1]])).direction == 1
+    assert shift_violation(Ranking.from_spec(CTX, {"weights": [[0, 0, 1], [0, "-1/2", 1]]})).direction == 1
 
 
 def test_weight_key_parts_are_fractions():
-    rk = Ranking.from_weights(CTX, [["1/2", 1, 0], [0, 0, 1], [0, 1, 0]])
+    rk = Ranking.from_spec(CTX, {"weights": [["1/2", 1, 0], [0, 0, 1], [0, 1, 0]]})
     key = rk.key(D(2, 3, 1))
     assert key == (Fraction(4), Fraction(1), Fraction(3))
     assert all(type(p) is Fraction for p in key)
@@ -271,7 +272,7 @@ def test_weight_key_parts_are_fractions():
     rng = random.Random(82)
     for _ in range(100):
         ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
-        rk = Ranking.from_weights(ctx, rand_weight_rows(rng, ctx.n))
+        rk = Ranking.from_spec(ctx, {"weights": rand_weight_rows(rng, ctx.n)})
         v = gen.rand_deriv(rng, ctx, 4)
         vec = (v.i,) + v.order
         expected = tuple(sum(w * Fraction(x) for w, x in zip(row, vec)) for row in rk.weights)
@@ -281,7 +282,7 @@ def test_weight_key_parts_are_fractions():
 
 def test_weight_rows_reject_booleans():
     with pytest.raises(StructuralError):
-        Ranking.from_weights(CTX, [[0, True, 0]])
+        Ranking.from_spec(CTX, {"weights": [[0, True, 0]]})
 
 
 def test_builtin_keys_are_the_closed_forms():
@@ -313,7 +314,7 @@ def test_builtin_unit_rows_stay_implicit():
         for name, leading in NAMED_RANKINGS.items():
             named = Ranking.from_spec(ctx, name)
             units = [[int(t == k) for t in range(n + 1)] for k in range(1, n + 1)]
-            full = Ranking.from_weights(ctx, leading(n) + units)
+            full = Ranking.from_spec(ctx, {"weights": leading(n) + units})
             assert len(named.weights) == 2 and named.units and not full.units
             assert is_total(named) and is_total(full)
             assert shift_violation(named) is None and shift_violation(full) is None
@@ -334,17 +335,17 @@ def test_builtin_unit_rows_stay_implicit():
 
 
 def test_is_total_is_full_column_rank():
-    encoded_orderly = Ranking.from_weights(CTX, [[0, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    encoded_orderly = Ranking.from_spec(CTX, {"weights": [[0, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]]})
     assert is_total(ORD) and is_total(ELIM) and is_total(encoded_orderly)
-    assert not is_total(Ranking.from_weights(CTX, [[0, 1, 1]]))
+    assert not is_total(Ranking.from_spec(CTX, {"weights": [[0, 1, 1]]}))
     # rank 2 of 3: (1, -1, 1) is in the kernel, so u^2_(0,1) and u^1_(1,0)
     # tie; with one unknown the same rows separate every variable
     rows = [[0, 1, 1], [1, 1, 0]]
-    deficient = Ranking.from_weights(CTX, rows)
+    deficient = Ranking.from_spec(CTX, {"weights": rows})
     assert not is_total(deficient) and shift_violation(deficient) is None
     assert deficient.key(D(2, 0, 1)) == deficient.key(D(1, 1, 0))
     one = Context(2, 1)
-    keys = {Ranking.from_weights(one, rows).key(v) for v in one.derivs(4)}
+    keys = {Ranking.from_spec(one, {"weights": rows}).key(v) for v in one.derivs(4)}
     assert len(keys) == len(list(one.derivs(4)))
 
 
@@ -404,7 +405,7 @@ def test_audit_matches_the_per_direction_reference(monkeypatch):
     verdicts = {True: 0, False: 0}
     for _ in range(60):
         ctx = Context(rng.randint(1, 3), rng.randint(1, 2))
-        rk = Ranking.from_weights(ctx, rand_weight_rows(rng, ctx.n))
+        rk = Ranking.from_spec(ctx, {"weights": rand_weight_rows(rng, ctx.n)})
         budget, order, seed = rng.randint(1, 60), rng.randint(0, 2), rng.randrange(1000)
         calls["n"] = 0
         report = audit_compatibility(rk, budget, exhaustive_order=order, seed=seed)

@@ -10,7 +10,6 @@ from diffalg import (
     DiffPoly,
     Ranking,
     SolvedForm,
-    SolvedSystem,
     StructuralError,
     operator_apply,
     tau_generators,
@@ -18,22 +17,12 @@ from diffalg import (
 from diffalg import multiindex as mi
 
 import gen
+from gen import CTX, D, U, system
 from reference.oracle import CertifiedSyzygy, certify_combination, module_apply, syzygy_oracle, tau_vector
-
-CTX = Context(2, 1)
-ORD = Ranking.from_spec(CTX, "orderly")
-
-
-def U(*order, i=1, ctx=CTX):
-    return ctx.u(i, order)
-
-
-def P(*order, i=1, ctx=CTX):
-    return DiffPoly.variable(ctx, ctx.u(i, order))
 
 
 def test_tau_generators_same_unknown():
-    taus = tau_generators([U(2, 0), U(0, 1)])
+    taus = tau_generators([D(2, 0), D(0, 1)])
     assert len(taus) == 1
     assert taus[0].to_json() == {"i": 0, "j": 1, "shift_i": (0, 1), "shift_j": (2, 0)}
 
@@ -45,17 +34,17 @@ def test_tau_generators_distinct_unknowns_empty():
 
 def test_tau_generators_reject_duplicates():
     with pytest.raises(StructuralError):
-        tau_generators([U(1, 0), U(1, 0)])
+        tau_generators([D(1, 0), D(1, 0)])
 
 
 def test_module_apply():
-    leads = [U(2, 0), U(0, 1)]
+    leads = [D(2, 0), D(0, 1)]
     taus = tau_generators(leads)
     assert module_apply(tau_vector(taus[0]), leads) == {}
     e1 = {(0, (0, 0)): Fraction(1)}  # the first basis vector
-    assert module_apply(e1, leads) == {U(2, 0): Fraction(1)}
+    assert module_apply(e1, leads) == {D(2, 0): Fraction(1)}
     shift = {(0, (1, 0)): Fraction(1)}
-    assert module_apply(shift, [U(0, 0)]) == {U(1, 0): Fraction(1)}
+    assert module_apply(shift, [D(0, 0)]) == {D(1, 0): Fraction(1)}
     for pos in (2, -1):  # positions outside 0..k-1
         with pytest.raises(StructuralError):
             module_apply({(pos, (0, 0)): Fraction(1)}, leads)
@@ -72,10 +61,8 @@ def test_every_tau_is_a_syzygy_randomized():
 
 def test_operator_apply_cross_derivatives():
     h1 = gen.rand_poly(random.Random(91), CTX, terms=2, max_degree=1, max_order=0)
-    sys_ = SolvedSystem(
-        (SolvedForm(U(1, 0), h1), SolvedForm(U(0, 1), DiffPoly(CTX))), ORD
-    )
-    taus = tau_generators([U(1, 0), U(0, 1)])
+    sys_ = system(SolvedForm(D(1, 0), h1), SolvedForm(D(0, 1), DiffPoly(CTX)))
+    taus = tau_generators([D(1, 0), D(0, 1)])
     combination = operator_apply(tau_vector(taus[0]), sys_)
     assert combination == h1.total_derivative(2)  # the u_(1,1) terms cancel
     assert operator_apply({}, sys_) == DiffPoly(CTX)
@@ -86,16 +73,10 @@ def test_operator_apply_cross_derivatives():
 def test_operator_apply_heat_pair():
     # leads u_(2,0), u_(0,2) with tails -u_(0,1) and 0: the combination is
     # exactly -u_(0,3)
-    sys_ = SolvedSystem(
-        (
-            SolvedForm(U(2, 0), -P(0, 1)),
-            SolvedForm(U(0, 2), DiffPoly(CTX)),
-        ),
-        ORD,
-    )
-    taus = tau_generators([U(2, 0), U(0, 2)])
+    sys_ = system(SolvedForm(D(2, 0), -U(0, 1)), SolvedForm(D(0, 2), DiffPoly(CTX)))
+    taus = tau_generators([D(2, 0), D(0, 2)])
     assert taus[0].shift_i == (0, 2) and taus[0].shift_j == (2, 0)
-    assert operator_apply(tau_vector(taus[0]), sys_) == -P(0, 3)
+    assert operator_apply(tau_vector(taus[0]), sys_) == -U(0, 3)
 
 
 def test_operator_apply_top_cancellation_randomized():
@@ -138,7 +119,7 @@ def test_factorization_of_matching_shift_pairs():
 
 
 def test_syzygy_oracle_certifies_small_example():
-    leads = [U(2, 0), U(0, 1)]
+    leads = [D(2, 0), D(0, 1)]
     result = syzygy_oracle(leads, 3)
     assert result.ok
     assert result.spanning  # the slice is not trivial
@@ -151,7 +132,7 @@ def test_syzygy_oracle_trivial_cases():
     ctx = Context(2, 2)
     distinct = [ctx.u(1, (1, 0)), ctx.u(2, (0, 1))]
     assert syzygy_oracle(distinct, 3).spanning == []
-    assert syzygy_oracle([U(1, 1)], 4).spanning == []
+    assert syzygy_oracle([D(1, 1)], 4).spanning == []
     assert syzygy_oracle([], 2).spanning == []
 
 
@@ -159,7 +140,7 @@ def test_binomial_syzygy_certified():
     # (X^beta, -X^alpha) annihilates (u_alpha, u_beta) and factors through
     # the canonical pair generator
     alpha, beta = (2, 0), (0, 1)
-    leads = [U(*alpha), U(*beta)]
+    leads = [D(*alpha), D(*beta)]
     d = {(0, beta): Fraction(1), (1, alpha): Fraction(-1)}
     assert module_apply(d, leads) == {}
     taus = tau_generators(leads)

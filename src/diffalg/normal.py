@@ -15,6 +15,9 @@ rewrite order changes only the trace.
 SolvedSystem.normal_form() computes that fixpoint from normal forms memoized
 on the system itself, and the slice takes each candidate tail NF(D_k T) from
 it as normal_form(T.total_derivative(k)).
+SolvedSystem.split() walks every derivative up to the order bound once and
+puts it on its side, principal (the orbit of the leads) or parametric; the
+census reads both halves and the slice walks the first.
 A system holds its Bounds, and every phase run on it reads its budgets there.
 """
 
@@ -22,12 +25,13 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
-from operator import add
+from itertools import repeat
+from operator import le
 
 from . import multiindex as mi
-from .algebra import Context, Deriv, DiffPoly, _accumulate, shift_deriv, to_text, var_to_json
+from .algebra import Context, Deriv, DiffPoly, Variable, _accumulate, shift_deriv, to_text, var_to_json
 from .errors import EnumerationLimitError, ReductionLimitError, StructuralError
 from .ranking import Ranking, class_to_json
 
@@ -64,7 +68,7 @@ class SolvedSystem:
     ranking are; the bounds and the memos are not compared.
     """
 
-    __slots__ = ("equations", "ranking", "bounds", "solvability", "_nearest", "_rule", "_nf", "_prolonged", "_orbits")
+    __slots__ = ("equations", "ranking", "bounds", "solvability", "_nearest", "_rule", "_nf", "_prolonged", "_splits")
 
     def __init__(self, equations: Sequence[SolvedForm], ranking: Ranking, bounds: Bounds = Bounds()):
         self.equations = tuple(equations)
@@ -84,7 +88,7 @@ class SolvedSystem:
             self._nearest.setdefault(i, []).append((idx, a))
         self._rule: dict[Deriv, tuple[int, mi.Index] | None] = {}
         self._nf: dict[Deriv, DiffPoly] = {}
-        self._orbits: dict[int, dict[Deriv, None]] = {}  # order bound -> the shifted leads up to it
+        self._splits: dict[int, tuple[dict[Deriv, None], list[Deriv]]] = {}  # order bound -> split()
         zero = (0,) * ranking.ctx.n
         self._prolonged = {(idx, zero): -eq.tail for idx, eq in enumerate(self.equations)}
 
@@ -125,17 +129,59 @@ class SolvedSystem:
         return poly
 
     def orbit(self) -> dict[Deriv, None]:
-        """iter_orbit's shifted leads up to the order bound as dict keys sorted
-        by (unknown, multi-index), memoized per bound: the census and slice order."""
+        """The principal derivatives up to the order bound as dict keys
+        sorted by (unknown, multi-index): the census and slice order."""
+        return self.split()[0]
+
+    def split(self) -> tuple[dict[Deriv, None], list[Deriv]]:
+        """Every derivative up to the order bound, principal (as dict keys)
+        or parametric, each half sorted by (unknown, multi-index); memoized
+        per bound, and charged by require_enumerable before the first walk.
+
+        One walk per unknown takes each multi-index a once, in lexicographic
+        order, and applies find_principal's dominance test to the leads of
+        order <= |a|: a prefix of the unknown's leads sorted by order, so no
+        table per order is built.  The lead that dominated the last principal
+        index is tried first, since lexicographic neighbours mostly share it.
+        Derivs are built unchecked by tuple.__new__."""
         bound = self.bounds.order_bound
-        if bound not in self._orbits:
-            self._orbits[bound] = dict.fromkeys(sorted({v for _, _, v in iter_orbit(self, bound)}))
-        return self._orbits[bound]
+        if bound not in self._splits:
+            self.require_enumerable("orbit")
+            n, m = self.ctx
+            indices = sorted(mi.iter_up_to_order(n, bound))
+            principal: dict[Deriv, None] = {}
+            parametric: list[Deriv] = []
+            for i in range(1, m + 1):
+                leads = [(a, sum(a)) for _, a in reversed(self._nearest.get(i, ()))]  # (|a|, a) ascending
+                derivs = map(tuple.__new__, repeat(Deriv), zip(repeat(i), indices))
+                if not leads:
+                    parametric += derivs
+                    continue
+                last = leads[0][0]
+                for v in derivs:
+                    a = v[1]
+                    if all(map(le, last, a)):
+                        principal[v] = None
+                        continue
+                    t = sum(a)
+                    for b, s in leads:
+                        if s > t:
+                            parametric.append(v)
+                            break
+                        if b is not last and all(map(le, b, a)):
+                            principal[v] = None
+                            last = b
+                            break
+                    else:
+                        parametric.append(v)
+            self._splits[bound] = principal, parametric
+        return self._splits[bound]
 
     def require_enumerable(self, phase: str) -> None:
-        """Refuse, naming the phase, a census or slice whose m * C(n +
-        order_bound, n) derivatives up to the bound hold more index entries,
-        n each, than max_enumeration; the count stops past 2**SIZE_BITS."""
+        """Refuse, naming the phase, a census, slice or orbit walk whose
+        m * C(n + order_bound, n) derivatives up to the bound hold more index
+        entries, n each, than max_enumeration; the count stops past
+        2**SIZE_BITS."""
         n, m = self.ctx
         self.bounds.check_enumeration(phase, m * mi.count_up_to_order(n, self.bounds.order_bound) * n)
 
@@ -188,16 +234,6 @@ class SolvedSystem:
                 # principal derivative that a later hit would rewrite.
                 self._nf[v] = image.substitute({w: self._nf[w] for w in hits}) if hits else image
         return {v: self._nf[v] for v in top}
-
-
-def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.Index, Deriv]]:
-    """Every (equation index, shift, shifted lead) whose shifted lead has
-    total order at most order_bound; equations in order, shifts graded.  A
-    shifted lead is a valid Deriv, built unchecked by tuple.__new__."""
-    for idx, eq in enumerate(sys.equations):
-        i, a = eq.lead
-        for shift in mi.iter_up_to_order(sys.ctx.n, order_bound - sum(a)):
-            yield idx, shift, tuple.__new__(Deriv, (i, tuple(map(add, a, shift))))
 
 
 class SolvabilityReport(namedtuple("SolvabilityReport", "ok violations")):
@@ -261,10 +297,18 @@ def reduce(f: DiffPoly, sys: SolvedSystem) -> ReduceResult:
     ctx, rk, rule, max_steps = sys.ctx, sys.ranking, sys.rule, sys.bounds.max_steps
     buckets: dict[Deriv | None, dict[tuple, Fraction]] = {None: {}}
     ranks: list[tuple[tuple, Deriv]] = []  # (key(v), v) of every bucket v but None, ascending
+    ranked: dict[Variable, tuple | None] = {}  # v -> (key(v), v) for a principal v, None otherwise
 
     def place(terms: dict[tuple, Fraction]) -> None:
         for m, c in terms.items():
-            top = max(((rk.key(v), v) for v, _ in m if v[0] and rule(v) is not None), default=None)
+            top = None
+            for v, _ in m:
+                if v in ranked:
+                    r = ranked[v]
+                else:
+                    r = ranked[v] = (rk.key(v), v) if v[0] and rule(v) is not None else None
+                if r is not None and (top is None or r > top):
+                    top = r
             v = None if top is None else top[1]
             if v not in buckets:
                 buckets[v] = {}

@@ -21,7 +21,6 @@ from the system's Bounds.  Obstructed systems are reported, never repaired.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import filterfalse, repeat
 from collections.abc import Sequence
 from math import comb
 
@@ -115,24 +114,17 @@ class Census(namedtuple("Census", "order_bound principal parametric counts")):
 
 def quotient_census(sys: SolvedSystem) -> Census:
     """Classify every derivative variable up to the system's order bound as
-    principal (in some lead's orbit) or parametric (free in the quotient).
-    Up to the bound, the principal ones are exactly SolvedSystem.orbit, in
-    its order, so order t holds m * C(n + t - 1, t) derivatives less
-    the orbit's.  The multi-indices are enumerated once for all m unknowns
-    into Derivs built unchecked by tuple.__new__."""
+    principal (in some lead's orbit) or parametric (free in the quotient):
+    the two halves of SolvedSystem.split, in its order, so order t holds
+    m * C(n + t - 1, t) derivatives less the orbit's."""
     sys.require_enumerable("census")
     n, m = sys.ctx
     order_bound = sys.bounds.order_bound
-    orbit = sys.orbit()
-    indices = sorted(mi.iter_up_to_order(n, order_bound))
-    parametric: list[Deriv] = []
-    for i in range(1, m + 1):
-        derivs = map(tuple.__new__, repeat(Deriv), zip(repeat(i), indices))
-        parametric += filterfalse(orbit.__contains__, derivs)
+    principal, parametric = sys.split()
     counts = {t: m * comb(n + t - 1, t) for t in range(order_bound + 1)}
-    for _, a in orbit:
+    for _, a in principal:
         counts[sum(a)] -= 1
-    return Census(order_bound, list(orbit), parametric, counts)
+    return Census(order_bound, list(principal), list(parametric), counts)
 
 
 class PassivityReport(namedtuple("PassivityReport", "verdict theta solvability pairs census normalized",

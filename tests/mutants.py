@@ -51,6 +51,15 @@ MUTANTS = [
     Mutant(NORMAL, "key=lambda e: (sum(e[1].order), e[1].order), reverse=True)",
            "key=lambda e: (sum(e[1].order), e[1].order))", "find_principal takes the farthest lead first"),
     Mutant(NORMAL, "insort(ranks, top)", "ranks.insert(0, top)", "reduce rewrites a principal derivative out of order"),
+    Mutant(NORMAL, "if r is not None and (top is None or r > top):", "if r is not None and top is None:",
+           "reduce files a term under its first principal factor, not its greatest"),
+    # -- the walk that splits the derivatives up to the bound
+    Mutant(NORMAL, "if b is not last and all(map(le, b, a)):", "if b is not last and all(map(int.__lt__, b, a)):",
+           "the walk asks for strict dominance"),
+    Mutant(NORMAL, "                        if s > t:\n", "                        if s >= t:\n",
+           "the walk's order prefix stops before the leads of order |a|"),
+    Mutant(NORMAL, "for _, a in reversed(self._nearest.get(i, ()))]", "for _, a in self._nearest.get(i, ())]",
+           "the walk tries the leads largest first and stops at the first too large"),
     # -- the slice and its certificate
     Mutant(NORMAL, "elif derived != first[1]:", "elif False:", "the slice never compares its candidates"),
     Mutant(NORMAL, "        len(leads) == len(forms)\n", "        True\n",

@@ -14,6 +14,9 @@ operator combination of syzygy.tau_generators().
 divide_by_normalized() is the one-shot division by a normalized set, whose
 tails mention no lead at all, that SolvedSystem.normal_form() must agree with.
 
+iter_orbit() lists every shifted lead up to an order bound, lead by lead, the
+orbit that SolvedSystem.orbit() must equal as a set.
+
 A module vector is held as syzygy.Vector, {(position, shift): coefficient};
 module_apply() is its formal image under the shift action on a lead list.
 """
@@ -23,15 +26,25 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from diffalg import multiindex as mi
 from diffalg.algebra import Context, Deriv, DiffPoly, Indep, Variable, monomial, monomial_sort_key
 from diffalg.errors import StructuralError
-from diffalg.normal import SolvedForm, SolvedSystem, iter_orbit
+from diffalg.normal import SolvedForm, SolvedSystem
 from diffalg.syzygy import TauPair, Vector, _check_positions, tau_generators
 
 from . import linalg
+
+
+def iter_orbit(sys: SolvedSystem, order_bound: int) -> Iterator[tuple[int, mi.Index, Deriv]]:
+    """Every (equation index, shift, shifted lead) whose shifted lead has
+    total order at most order_bound; equations in order, shifts graded.  A
+    derivative that several leads reach is yielded once for each."""
+    for idx, eq in enumerate(sys.equations):
+        i, a = eq.lead
+        for shift in mi.iter_up_to_order(sys.ctx.n, order_bound - sum(a)):
+            yield idx, shift, Deriv(i, mi.add(a, shift))
 
 
 def prolong(sys: SolvedSystem, order_bound: int, class_bound=None) -> list[DiffPoly]:

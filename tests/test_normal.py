@@ -24,13 +24,13 @@ from diffalg import (
 )
 
 from diffalg.cli import render
-from diffalg.normal import Bounds, ReduceResult, ReduceStep, certify_slice, iter_orbit
+from diffalg.normal import Bounds, ReduceResult, ReduceStep, certify_slice
 from diffalg.passivity import decide_passivity
 from diffalg.problem import problem_from_dict
 
 import gen
 from gen import C, CTX, D, U, X, heat, system
-from reference.oracle import MembershipInstance, divide_by_normalized, membership, prolong
+from reference.oracle import MembershipInstance, divide_by_normalized, iter_orbit, membership, prolong
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

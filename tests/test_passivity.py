@@ -32,14 +32,14 @@ from diffalg import multiindex as mi
 from diffalg.algebra import Deriv
 from diffalg.cli import render
 from diffalg.errors import quote
-from diffalg.normal import find_principal, iter_orbit
+from diffalg.normal import find_principal
 from diffalg.passivity import EXIT_FOR_VERDICT
 from diffalg.problem import load_problem, problem_from_dict
 from diffalg.syzygy import TauPair
 
 import gen
 from gen import C, CTX, D, ORD, U, X, gradient, heat, obstructed, system
-from reference.oracle import (MembershipInstance, divide_by_normalized, membership, prolong, tau_vector,
+from reference.oracle import (MembershipInstance, divide_by_normalized, iter_orbit, membership, prolong, tau_vector,
                               variables_within_class)
 
 
@@ -462,7 +462,7 @@ def test_unchecked_records_are_valid():
         if sys_ is None or decide_passivity(sys_).verdict != "passive":
             continue
         ctx, census, result = sys_.ctx, quotient_census(sys_), normalized_slice(sys_)
-        orbit = [v for _, _, v in iter_orbit(sys_, sys_.bounds.order_bound)]
+        orbit = list(sys_.orbit())
         for v in census.principal + census.parametric + orbit + [f.lead for f in result.forms]:
             assert type(v) is Deriv and v == ctx.u(v.i, v.order)
         for f in result.forms:
@@ -514,6 +514,66 @@ def test_orbit_follows_a_reassigned_bound():
         assert quotient_census(sys_).principal == orbits[bound]
     assert orbits[1] == [D(1, 0)]
     assert len(orbits[3]) < len(orbits[4])
+
+
+def split_draws():
+    """(system, order bound) pairs for the walk: seeded systems with m <= 2
+    and n <= 3 under orderly and elimination rankings, empty systems, n = 1,
+    a weight ranking, and unknowns crowded with leads of one order."""
+    draws = [(sys_, rng.randint(0, 5)) for rng, sys_ in random_systems(80, 80)]
+    for n, m in ((1, 1), (2, 2), (3, 1)):
+        draws += [(SolvedSystem((), Ranking.from_spec(Context(n, m), "orderly")), bound) for bound in (0, 3)]
+    rng = random.Random(80)
+    for n, m, k in ((1, 2, 3), (2, 2, 4), (3, 2, 5)):
+        ctx = Context(n, m)
+        rows = [[1] + [0] * n] + [[0] * j + [1] + [0] * (n - j) for j in range(1, n + 1)]
+        weights = Ranking.from_spec(ctx, {"weights": rows})
+        draws += [(gen.rand_solved_system(rng, ctx, weights, k), bound) for bound in (0, 2, 6)]
+    for n, order, bound, take in ((2, 7, 10, 8), (3, 4, 6, 15), (3, 4, 7, 9), (1, 0, 9, 1)):
+        ctx = Context(n, 2)
+        same = [a for a in mi.iter_up_to_order(n, order) if sum(a) == order]
+        leads = [ctx.u(1, a) for a in rng.sample(same, take)] + [ctx.u(2, (1,) + (0,) * (n - 1))]
+        forms = [SolvedForm(v, DiffPoly(ctx)) for v in leads]
+        draws.append((system(*forms, rk=Ranking.from_spec(ctx, "orderly")), bound))
+    return draws
+
+
+def test_split_matches_brute_force():
+    # SolvedSystem.split walks every derivative up to the bound once: it must
+    # call v principal exactly when find_principal does, keep both halves
+    # sorted, disjoint and complete, and give the orbit of the oracle
+    seen = set()
+    for sys_, bound in split_draws():
+        n, m = gen.with_bounds(sys_, order_bound=bound).ctx
+        principal, parametric = sys_.split()
+        assert sys_.orbit() is principal and sys_.split() == (principal, parametric)
+        assert list(principal) == sorted(principal) and parametric == sorted(parametric)
+        assert set(principal).isdisjoint(parametric)
+        everything = sorted(Deriv(i, a) for i in range(1, m + 1)
+                            for a in itertools.product(range(bound + 1), repeat=n) if sum(a) <= bound)
+        assert sorted([*principal, *parametric]) == everything
+        for v in everything:
+            assert (v in principal) == (find_principal(sys_, v) is not None)
+        assert set(principal) == {v for _, _, v in iter_orbit(sys_, bound)}
+        crowded = max((sum(v.i == i for v in sys_.leads()) for i in range(1, m + 1)), default=0)
+        seen |= {("m", m), ("n", n), ("bound", bound), ("empty", not sys_.equations), ("crowded", crowded >= 8),
+                 ("kind", sys_.ranking.kind), ("both halves", bool(principal) and bool(parametric))}
+    assert {("m", 2), ("n", 1), ("bound", 0), ("empty", True), ("crowded", True), ("both halves", True),
+            ("kind", "orderly"), ("kind", "elimination"), ("kind", "weights")} <= seen
+
+
+def test_direct_orbit_call_is_charged():
+    # orbit() walks every derivative up to the bound, so a direct call is
+    # charged like the census: 2 * C(5, 3) = 20 derivatives of 3 entries
+    ctx = Context(3, 2)
+    sys_ = SolvedSystem((SolvedForm(ctx.u(1, (1, 0, 0)), DiffPoly(ctx)),), Ranking.from_spec(ctx, "orderly"),
+                        Bounds(order_bound=2, max_enumeration=59))
+    for walk in (sys_.orbit, sys_.split):
+        with pytest.raises(EnumerationLimitError) as caught:
+            walk()
+        assert str(caught.value) == "orbit would enumerate 60 index entries, above max_enumeration 59"
+    gen.with_bounds(sys_, order_bound=2, max_enumeration=60)
+    assert list(sys_.orbit()) == sorted(Deriv(1, a) for a in mi.iter_up_to_order(3, 2) if a[0])
 
 
 def test_engine_step_budget():

@@ -13,11 +13,11 @@ remainder depends only on the x's and the parametric derivatives, and is the
 fixpoint of the substitution find_principal() fixes, nearest lead first:
 rewrite order changes only the trace.
 SolvedSystem.normal_form() computes that fixpoint from normal forms memoized
-on the system itself, and the slice takes each candidate tail NF(D_k T) from
-it as normal_form(T.total_derivative(k)).
+on the system itself; autoreduce() takes every tail's from it, and the slice
+each candidate tail NF(D_k T) as normal_form(T.total_derivative(k)).
 SolvedSystem.split() walks every derivative up to the order bound once and
-puts it on its side, principal (the orbit of the leads) or parametric; the
-census reads both halves and the slice walks the first.
+puts it on its side, principal (the orbit of the leads) or parametric, each
+call charged; the census reads both halves and the slice walks the first.
 A system holds its Bounds, and every phase run on it reads its budgets there.
 """
 
@@ -83,9 +83,9 @@ class SolvedSystem:
                 "coincident leads; run coincident_lead_analysis on the raw list first"
             )
         self.solvability = check_conditionally_solvable(self)
-        self._nearest: dict[int, list] = {}  # unknown -> [(equation, lead order a)], largest (|a|, a) first
-        for idx, (i, a) in sorted(enumerate(leads), key=lambda e: (sum(e[1].order), e[1].order), reverse=True):
-            self._nearest.setdefault(i, []).append((idx, a))
+        self._nearest: dict[int, list] = {}  # unknown -> [(|a|, lead order a, equation)], ascending
+        for idx, (i, a) in enumerate(leads):
+            insort(self._nearest.setdefault(i, []), (sum(a), a, idx))
         self._rule: dict[Deriv, tuple[int, mi.Index] | None] = {}
         self._nf: dict[Deriv, DiffPoly] = {}
         self._splits: dict[int, tuple[dict[Deriv, None], list[Deriv]]] = {}  # order bound -> split()
@@ -128,43 +128,41 @@ class SolvedSystem:
                 poly = self._prolonged[(idx, step)]
         return poly
 
-    def orbit(self) -> dict[Deriv, None]:
-        """The principal derivatives up to the order bound as dict keys
-        sorted by (unknown, multi-index): the census and slice order."""
-        return self.split()[0]
-
-    def split(self) -> tuple[dict[Deriv, None], list[Deriv]]:
-        """Every derivative up to the order bound, principal (as dict keys)
-        or parametric, each half sorted by (unknown, multi-index); memoized
-        per bound, and charged by require_enumerable before the first walk.
+    def split(self, phase: str = "orbit") -> tuple[dict[Deriv, None], list[Deriv]]:
+        """Every derivative up to the order bound, principal (as dict keys:
+        the orbit of the leads) or parametric, each half sorted by (unknown,
+        multi-index): the census and slice order.  Memoized per bound; every
+        call first refuses, naming phase, a walk whose m * C(n + bound, n)
+        derivatives hold more index entries, n each, than max_enumeration
+        (the count stops past 2**SIZE_BITS).
 
         One walk per unknown takes each multi-index a once, in lexicographic
         order, and applies find_principal's dominance test to the leads of
-        order <= |a|: a prefix of the unknown's leads sorted by order, so no
-        table per order is built.  The lead that dominated the last principal
-        index is tried first, since lexicographic neighbours mostly share it.
-        Derivs are built unchecked by tuple.__new__."""
+        order <= |a|: a prefix of the unknown's lead table, so no table per
+        order is built.  The lead that dominated the last principal index is
+        tried first, since lexicographic neighbours mostly share it.  Derivs
+        are built unchecked by tuple.__new__."""
+        n, m = self.ctx
         bound = self.bounds.order_bound
+        self.bounds.check_enumeration(phase, m * mi.count_up_to_order(n, bound) * n)
         if bound not in self._splits:
-            self.require_enumerable("orbit")
-            n, m = self.ctx
             indices = sorted(mi.iter_up_to_order(n, bound))
             principal: dict[Deriv, None] = {}
             parametric: list[Deriv] = []
             for i in range(1, m + 1):
-                leads = [(a, sum(a)) for _, a in reversed(self._nearest.get(i, ()))]  # (|a|, a) ascending
+                leads = self._nearest.get(i, ())
                 derivs = map(tuple.__new__, repeat(Deriv), zip(repeat(i), indices))
                 if not leads:
                     parametric += derivs
                     continue
-                last = leads[0][0]
+                last = leads[0][1]
                 for v in derivs:
                     a = v[1]
                     if all(map(le, last, a)):
                         principal[v] = None
                         continue
                     t = sum(a)
-                    for b, s in leads:
+                    for s, b, _ in leads:
                         if s > t:
                             parametric.append(v)
                             break
@@ -176,14 +174,6 @@ class SolvedSystem:
                         parametric.append(v)
             self._splits[bound] = principal, parametric
         return self._splits[bound]
-
-    def require_enumerable(self, phase: str) -> None:
-        """Refuse, naming the phase, a census, slice or orbit walk whose
-        m * C(n + order_bound, n) derivatives up to the bound hold more index
-        entries, n each, than max_enumeration; the count stops past
-        2**SIZE_BITS."""
-        n, m = self.ctx
-        self.bounds.check_enumeration(phase, m * mi.count_up_to_order(n, self.bounds.order_bound) * n)
 
     def require_reducible(self, f: DiffPoly) -> None:
         """Raise unless the system is conditionally solvable and f shares its
@@ -266,9 +256,10 @@ def find_principal(sys: SolvedSystem, v: Deriv) -> tuple[int, mi.Index] | None:
     """The equation whose lead's orbit contains v, with the shift, nearest
     lead first: the smallest |shift| = |v| - |a| wins, ties broken by the
     lexicographically smallest shift v - a.  That is the first lead a that v
-    dominates in its unknown's pairs, sorted largest (|a|, a) first.  None
-    when v is parametric; a lead of another length than v is a StructuralError."""
-    for idx, a in sys._nearest.get(v.i, ()):
+    dominates in its unknown's lead table read backwards, largest (|a|, a)
+    first.  None when v is parametric; a lead of another length than v is a
+    StructuralError."""
+    for _, a, idx in reversed(sys._nearest.get(v.i, ())):
         shift = mi.try_subtract(a, v.order)
         if shift is not None:
             return idx, shift
@@ -333,19 +324,16 @@ def reduce(f: DiffPoly, sys: SolvedSystem) -> ReduceResult:
 
 
 def autoreduce(sys: SolvedSystem) -> SolvedSystem:
-    """Reduce every tail against the other equations' orbits; every system
-    built here has sys.bounds.
+    """Every tail replaced by its normal form on sys itself, in one pass and
+    with sys's memos; the result has sys's ranking and bounds.
 
-    Leads never change, so principality is static and a single pass settles:
-    once a tail is free of the other leads' orbits it stays free.
+    That is reduction against the other equations' orbits: every derivative
+    met while reducing tail_s ranks strictly below lead_s, and every element
+    of lead_s's orbit ranks at or above lead_s, so the whole system never
+    rewrites tail_s with equation s.
     """
-    eqs = list(sys.equations)
-    for s in range(len(eqs)):
-        others = SolvedSystem(tuple(eqs[:s] + eqs[s + 1:]), sys.ranking, sys.bounds)
-        if not others.equations:
-            continue
-        eqs[s] = SolvedForm(eqs[s].lead, others.normal_form(eqs[s].tail))
-    return SolvedSystem(tuple(eqs), sys.ranking, sys.bounds)
+    return SolvedSystem(tuple(SolvedForm(eq.lead, sys.normal_form(eq.tail)) for eq in sys.equations),
+                        sys.ranking, sys.bounds)
 
 
 class SliceResult(namedtuple("SliceResult", "order_bound forms mismatches leads_match_orbit tails_reduced")):
@@ -380,7 +368,7 @@ def normalized_slice(sys: SolvedSystem) -> SliceResult:
     passive systems, where every way of reaching an orbit derivative gives
     one tail.
 
-    The orbit is walked in SolvedSystem.orbit's order, where each v - e_k
+    The orbit is walked in SolvedSystem.split's order, where each v - e_k
     comes before v.  A lead, whose rule has a zero shift, gets NF(tail), and
     a shifted lead v gets NF(D_k T(v - e_k)) from each one-step predecessor
     in the orbit.  Every candidate must agree with the first; disagreements
@@ -388,10 +376,9 @@ def normalized_slice(sys: SolvedSystem) -> SliceResult:
     Predecessors and forms are built unchecked by tuple.__new__: a tail is
     a normal form, free of every principal derivative and so of its lead.
     """
-    sys.require_enumerable("normalized slice")
     tails: dict[Deriv, DiffPoly] = {}
     mismatches: list[dict] = []
-    for v in sys.orbit():
+    for v in sys.split("normalized slice")[0]:
         first = None  # (source, tail) of the first candidate
         idx, shift = sys.rule(v)
         if not any(shift):

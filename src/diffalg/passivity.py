@@ -117,10 +117,9 @@ def quotient_census(sys: SolvedSystem) -> Census:
     principal (in some lead's orbit) or parametric (free in the quotient):
     the two halves of SolvedSystem.split, in its order, so order t holds
     m * C(n + t - 1, t) derivatives less the orbit's."""
-    sys.require_enumerable("census")
     n, m = sys.ctx
     order_bound = sys.bounds.order_bound
-    principal, parametric = sys.split()
+    principal, parametric = sys.split("census")
     counts = {t: m * comb(n + t - 1, t) for t in range(order_bound + 1)}
     for _, a in principal:
         counts[sum(a)] -= 1

@@ -48,8 +48,8 @@ MUTANTS = [
     Mutant(ALG, "if is_x and v.j != k:", "if is_x:", "D_k drops the x_k partial"),
     Mutant(NORMAL, "for k, reps in enumerate(shift):", "for k, reps in enumerate(shift[:-1]):",
            "a prolongation skips the derivations in the last direction"),
-    Mutant(NORMAL, "key=lambda e: (sum(e[1].order), e[1].order), reverse=True)",
-           "key=lambda e: (sum(e[1].order), e[1].order))", "find_principal takes the farthest lead first"),
+    Mutant(NORMAL, "in reversed(sys._nearest.get(v.i, ())):", "in sys._nearest.get(v.i, ()):",
+           "find_principal takes the farthest lead first"),
     Mutant(NORMAL, "insort(ranks, top)", "ranks.insert(0, top)", "reduce rewrites a principal derivative out of order"),
     Mutant(NORMAL, "if r is not None and (top is None or r > top):", "if r is not None and top is None:",
            "reduce files a term under its first principal factor, not its greatest"),
@@ -58,9 +58,16 @@ MUTANTS = [
            "the walk asks for strict dominance"),
     Mutant(NORMAL, "                        if s > t:\n", "                        if s >= t:\n",
            "the walk's order prefix stops before the leads of order |a|"),
-    Mutant(NORMAL, "for _, a in reversed(self._nearest.get(i, ()))]", "for _, a in self._nearest.get(i, ())]",
+    Mutant(NORMAL, "leads = self._nearest.get(i, ())", "leads = self._nearest.get(i, ())[::-1]",
            "the walk tries the leads largest first and stops at the first too large"),
+    Mutant(NORMAL, "        self.bounds.check_enumeration(phase, m * mi.count_up_to_order(n, bound) * n)\n"
+           "        if bound not in self._splits:\n",
+           "        if bound not in self._splits:\n"
+           "            self.bounds.check_enumeration(phase, m * mi.count_up_to_order(n, bound) * n)\n",
+           "split charges only on a memo miss"),
     # -- the slice and its certificate
+    Mutant(NORMAL, "SolvedForm(eq.lead, sys.normal_form(eq.tail))", "SolvedForm(eq.lead, eq.tail)",
+           "autoreduce keeps the original tail"),
     Mutant(NORMAL, "elif derived != first[1]:", "elif False:", "the slice never compares its candidates"),
     Mutant(NORMAL, "        len(leads) == len(forms)\n", "        True\n",
            "certify_slice accepts two forms with one lead"),
@@ -90,8 +97,7 @@ MUTANTS = [
            "reduce takes one step past max_steps"),
     Mutant(NORMAL, 'check_enumeration("prolongation", sum(shift) * len(shift))',
            'check_enumeration("prolongation", sum(shift))', "a prolongation is not charged for the ambient's width"),
-    Mutant(NORMAL, "m * mi.count_up_to_order(n, self.bounds.order_bound) * n)",
-           "m * mi.count_up_to_order(n, self.bounds.order_bound))",
+    Mutant(NORMAL, "m * mi.count_up_to_order(n, bound) * n)", "m * mi.count_up_to_order(n, bound))",
            "the census charge counts derivatives, not index entries"),
     Mutant(PROB, 'check_enumeration("ranking", 2 * (n + 1), "weight entries")',
            'check_enumeration("ranking", 2, "weight entries")', "a huge n is not charged for its ranking rows"),

@@ -15,7 +15,7 @@ divide_by_normalized() is the one-shot division by a normalized set, whose
 tails mention no lead at all, that SolvedSystem.normal_form() must agree with.
 
 iter_orbit() lists every shifted lead up to an order bound, lead by lead, the
-orbit that SolvedSystem.orbit() must equal as a set.
+orbit that the principal half of SolvedSystem.split() must equal as a set.
 
 A module vector is held as syzygy.Vector, {(position, shift): coefficient};
 module_apply() is its formal image under the shift action on a lead list.

@@ -209,6 +209,17 @@ def test_autoreduce_fixed_point_and_singleton():
     assert autoreduce(single) == single
 
 
+def test_autoreduce_refusal_names_the_unsolvable_equation():
+    # u_(1,0) = -u_(0,2) has a tail above its lead under the orderly
+    # ranking: the refusal names that equation by its own index, 1, and a
+    # single unsolvable equation is refused as normal_form refuses it
+    sys_ = system(SolvedForm(D(2, 0), -X(1)), SolvedForm(D(1, 0), -U(0, 2)))
+    with pytest.raises(StructuralError, match=r"^system is not conditionally solvable: \[\{'eq': 1, "):
+        autoreduce(sys_)
+    with pytest.raises(StructuralError, match=r"^system is not conditionally solvable: \[\{'eq': 0, "):
+        autoreduce(system(SolvedForm(D(1, 0), -U(0, 2))))
+
+
 def test_autoreduce_preserves_ideal():
     # both presentations generate the same bounded ideal slice; the reduced
     # tails must be mutually reachable

@@ -445,6 +445,31 @@ def test_slice_equals_slice_of_autoreduced_randomized():
         assert is_passive(sys_).normalized.to_json() == expected
 
 
+def test_autoreduce_is_one_pass_on_the_system(monkeypatch):
+    # autoreduce reduces every tail on the system itself: each new tail holds
+    # no derivative find_principal calls principal, the verdict, leads and
+    # bounds stay, and the result is the one SolvedSystem it builds
+    draws = random_systems(81, 60) + random_systems(82, 30, passive_only=True)
+    verdicts = [decide_passivity(sys_).verdict for _, sys_ in draws]
+    assert {"passive", "not-passive", "inconsistent"} <= set(verdicts)
+    built = []
+    init = SolvedSystem.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(SolvedSystem, "__init__", counted_init)
+    for (_, sys_), verdict in zip(draws, verdicts):
+        built.clear()
+        out = autoreduce(sys_)
+        assert built == [out]
+        assert out.leads() == sys_.leads() and out.bounds == sys_.bounds and out.ranking == sys_.ranking
+        for eq in out.equations:
+            assert all(find_principal(sys_, w) is None for w in eq.tail.support_derivs())
+        assert decide_passivity(out).verdict == verdict
+
+
 def test_unchecked_records_are_valid():
     """The census, the orbit walk and the slice build their Derivs and slice
     forms with tuple.__new__, unchecked: each must equal the record the
@@ -462,7 +487,7 @@ def test_unchecked_records_are_valid():
         if sys_ is None or decide_passivity(sys_).verdict != "passive":
             continue
         ctx, census, result = sys_.ctx, quotient_census(sys_), normalized_slice(sys_)
-        orbit = list(sys_.orbit())
+        orbit = list(sys_.split()[0])
         for v in census.principal + census.parametric + orbit + [f.lead for f in result.forms]:
             assert type(v) is Deriv and v == ctx.u(v.i, v.order)
         for f in result.forms:
@@ -472,11 +497,11 @@ def test_unchecked_records_are_valid():
 
 
 def test_orbit_is_sorted_with_predecessors_first():
-    # SolvedSystem.orbit is the one order of the census and the slice: tuple
+    # SolvedSystem.split is the one order of the census and the slice: tuple
     # order, in which each one-step predecessor v - e_k comes before v
     walked = 0
     for rng, sys_ in random_systems(78, 60):
-        orbit = list(gen.with_bounds(sys_, order_bound=rng.randint(0, 4)).orbit())
+        orbit = list(gen.with_bounds(sys_, order_bound=rng.randint(0, 4)).split()[0])
         assert orbit == sorted({v for _, _, v in iter_orbit(sys_, sys_.bounds.order_bound)})
         place = {v: pos for pos, v in enumerate(orbit)}
         for pos, (i, a) in enumerate(orbit):
@@ -509,7 +534,7 @@ def test_orbit_follows_a_reassigned_bound():
     sys_ = system(SolvedForm(D(1, 0), -X(2)), SolvedForm(D(0, 2), -U(1, 0)))
     orbits = {}
     for bound in (3, 1, 4, 3):
-        orbits[bound] = list(gen.with_bounds(sys_, order_bound=bound).orbit())
+        orbits[bound] = list(gen.with_bounds(sys_, order_bound=bound).split()[0])
         assert orbits[bound] == sorted({v for _, _, v in iter_orbit(sys_, bound)})
         assert quotient_census(sys_).principal == orbits[bound]
     assert orbits[1] == [D(1, 0)]
@@ -546,7 +571,7 @@ def test_split_matches_brute_force():
     for sys_, bound in split_draws():
         n, m = gen.with_bounds(sys_, order_bound=bound).ctx
         principal, parametric = sys_.split()
-        assert sys_.orbit() is principal and sys_.split() == (principal, parametric)
+        assert sys_.split()[0] is principal and sys_.split() == (principal, parametric)
         assert list(principal) == sorted(principal) and parametric == sorted(parametric)
         assert set(principal).isdisjoint(parametric)
         everything = sorted(Deriv(i, a) for i in range(1, m + 1)
@@ -563,17 +588,28 @@ def test_split_matches_brute_force():
 
 
 def test_direct_orbit_call_is_charged():
-    # orbit() walks every derivative up to the bound, so a direct call is
-    # charged like the census: 2 * C(5, 3) = 20 derivatives of 3 entries
+    # split() walks every derivative up to the bound, so every call, a memo
+    # hit too, is charged like the census under its caller's phase:
+    # 2 * C(5, 3) = 20 derivatives of 3 entries
     ctx = Context(3, 2)
     sys_ = SolvedSystem((SolvedForm(ctx.u(1, (1, 0, 0)), DiffPoly(ctx)),), Ranking.from_spec(ctx, "orderly"),
                         Bounds(order_bound=2, max_enumeration=59))
-    for walk in (sys_.orbit, sys_.split):
+    with pytest.raises(EnumerationLimitError) as caught:
+        sys_.split()
+    assert str(caught.value) == "orbit would enumerate 60 index entries, above max_enumeration 59"
+    gen.with_bounds(sys_, order_bound=2, max_enumeration=60)
+    halves = sys_.split()
+    assert list(halves[0]) == sorted(Deriv(1, a) for a in mi.iter_up_to_order(3, 2) if a[0])
+    # lowering max_enumeration on the warm system refuses the next call, as a
+    # lowered max_steps refuses a warm normal form
+    gen.with_bounds(sys_, order_bound=2, max_enumeration=59)
+    for phase, walk in (("orbit", sys_.split), ("census", lambda: quotient_census(sys_)),
+                        ("normalized slice", lambda: normalized_slice(sys_))):
         with pytest.raises(EnumerationLimitError) as caught:
             walk()
-        assert str(caught.value) == "orbit would enumerate 60 index entries, above max_enumeration 59"
+        assert str(caught.value) == f"{phase} would enumerate 60 index entries, above max_enumeration 59"
     gen.with_bounds(sys_, order_bound=2, max_enumeration=60)
-    assert list(sys_.orbit()) == sorted(Deriv(1, a) for a in mi.iter_up_to_order(3, 2) if a[0])
+    assert sys_.split() is halves
 
 
 def test_engine_step_budget():
